@@ -6,7 +6,8 @@ Modules:
 * ``cavity``      one-port cavity response and coupling diagnostics
 * ``optomech``    scattering probabilities, thermometry, cooperativity
 * ``dynamics``    heating dynamics and the thermal mechanical spectrum
-* ``fock``        exact truncated-Fock-space oracle for the pulse protocol
+* ``fock``        closed-form Gaussian oracle for the pulse protocol, with a
+                  dense truncated-Fock reference for the tests
 * ``sim``         Monte Carlo time-tagged click generation
 * ``stats``       estimators, likelihood intervals, least-squares fits
 * ``transducer``  microwave-to-optics conversion budget

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -143,6 +142,9 @@ def cmd_thermometry(args) -> int:
     blue_rows = [r for r in table[1:] if r[cols["side"]] == "blue"]
     if not red_rows or not blue_rows:
         raise ConfigError("counts file needs both red and blue rows")
+    if len(red_rows) != len(blue_rows):
+        raise ConfigError(f"counts file has {len(red_rows)} red and {len(blue_rows)} blue "
+                          "rows; they must pair up")
 
     eta_det = config.detection.eta_det
     results = []
@@ -225,21 +227,20 @@ def cmd_g2(args) -> int:
         if not args.config:
             raise ConfigError("g2 --oracle requires --config")
         config, chash = _load(args)
-        pair = sim._paired_indices(config.sequence)
+        p_s, occupations, pair, *_, darks, _ = sim._sequence_statistics(config)
         if pair is None:
             raise ConfigError("g2 --oracle: config has no write/read pulse pair")
-        p_s, occupations, *_ = sim._sequence_statistics(config)
         w, r = pair
-        darks = tuple(-math.expm1(-config.detection.dark_rate
-                                  * config.sequence.pulses[i].window_length) for i in pair)
         value = fock.oracle_g2(occupations[w], p_s[w], p_s[r],
-                               config.detection.eta_det, darks)
-        payload = {"oracle_g2": value, "n_th": occupations[w], "p_write": p_s[w],
-                   "p_read": p_s[r], "eta_det": config.detection.eta_det,
-                   "dark_write": darks[0], "dark_read": darks[1]}
+                               config.detection.eta_det, (darks[w], darks[r]))
+        predicted = sim.predicted_g2(config)
+        payload = {"oracle_g2": value, "predicted_g2": predicted, "n_th": occupations[w],
+                   "p_write": p_s[w], "p_read": p_s[r], "eta_det": config.detection.eta_det,
+                   "dark_write": darks[w], "dark_read": darks[r]}
         if args.out:
             _write_json(Path(args.out), _header(chash, None), payload)
-        print(f"g2 oracle: {value:.3f}")
+        print(f"g2 ideal (dark counts only): {value:.3f}")
+        print(f"g2 full model (dark counts, pump leakage, heating): {predicted:.3f}")
         return EXIT_OK
 
     if not args.records:
@@ -268,7 +269,14 @@ def cmd_g2(args) -> int:
 
 def cmd_fit(args) -> int:
     table = _read_table_csv(Path(args.data))
-    pts = np.array([[float(r[0]), float(r[1])] for r in table[1:]])
+    rows = []
+    for row in table[1:]:
+        try:
+            rows.append([float(row[0]), float(row[1])])
+        except (ValueError, IndexError):
+            raise ConfigError(f"{args.data}: row {','.join(row)!r} is not an x,y pair "
+                              "of numbers") from None
+    pts = np.array(rows)
     fitters = {
         "lorentzian": stats.fit_lorentzian_with_offset,
         "biexp": stats.fit_biexponential,
@@ -398,7 +406,7 @@ def _reproduce_fig3b(config, chash, out, args):
     n_seq = args.sequences or config.sequence.n_sequences or 1_000_000
     seq = config.sequence
     run_cfg = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate, n_seq))
-    batch, report = sim.simulate(run_cfg, args.seed)
+    batch, _ = sim.simulate(run_cfg, args.seed)
     estimates = []
     for dn in range(-4, 5):
         try:
@@ -408,16 +416,16 @@ def _reproduce_fig3b(config, chash, out, args):
         estimates.append({"delta_n": e.delta_n, "g2": e.value,
                           "ci_low": e.ci_low, "ci_high": e.ci_high,
                           "counts": list(e.counts)})
-    pair = sim._paired_indices(seq)
-    oracle = None
+    p_s, occupations, pair, *_, darks, _ = sim._sequence_statistics(run_cfg)
+    oracle = predicted = None
     if pair is not None:
         w, r = pair
-        darks = tuple(-math.expm1(-config.detection.dark_rate
-                                  * seq.pulses[i].window_length) for i in pair)
-        oracle = fock.oracle_g2(report.pulse_occupations[w], report.pulse_ps[w],
-                                report.pulse_ps[r], config.detection.eta_det, darks)
+        oracle = fock.oracle_g2(occupations[w], p_s[w], p_s[r], config.detection.eta_det,
+                                (darks[w], darks[r]))
+        predicted = sim.predicted_g2(run_cfg)
     _write_json(out / "fig3b_g2.json", header,
-                {"estimates": estimates, "oracle_g2": oracle, "n_sequences": n_seq})
+                {"estimates": estimates, "oracle_g2": oracle, "predicted_g2": predicted,
+                 "n_sequences": n_seq})
 
 
 def _reproduce_figs1(config, chash, out, args):

@@ -15,27 +15,10 @@ calibrated on; treat multi-pulse predictions accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Frequency, HeatingParams, MechanicalMode, PulseSequence
-
-
-@dataclass(frozen=True)
-class OccupationTrajectory:
-    """Occupation samples n_th(t) on a strictly increasing time grid."""
-
-    times: tuple[float, ...]
-    n_th: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.n_th):
-            raise ValueError("trajectory: times and n_th must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("trajectory: times must be strictly increasing")
-        if any(n < 0 for n in self.n_th):
-            raise ValueError("trajectory: occupations must be non-negative")
 
 
 def heating_occupation(tau: float, params: HeatingParams, amplitude: float,

@@ -1,15 +1,20 @@
-"""Exact truncated-Fock-space model of the write/read pulse pair.
+"""Exact model of the write/read pulse pair on a thermal mechanical mode.
 
-Brute-force reference implementation: the pair-creation (blue) and
-state-swap (red) interactions are instantaneous unitaries obtained by matrix
-exponentiation of their truncated generators, detection is threshold
-(non-number-resolving) after beamsplitter loss, and dark counts are
+The oracle is closed form: the pair-creation (blue) and state-swap (red)
+pulses, the detection loss and the thermal initial state are all Gaussian,
+so the threshold-click statistics of both pulses (``two_pulse_click_table``,
+``single_pulse_click_probability``, ``oracle_g2``) are ratios of vacuum
+overlaps with no truncation and no dimension to choose.  Dark counts are
 independent electronic events OR-ed with the optical click.  Everything the
-fast Monte Carlo engine produces is validated against this module.
+fast Monte Carlo engine produces is validated against these functions.
 
-Index convention: the joint Hilbert space is optical (x) mechanical with both
-modes truncated to dimension ``d``; basis state (m photons, j phonons) lives
-at flat index ``m * d + j``.
+The rest of the module is the independent dense reference the tests compare
+the closed form against: the same interactions as matrix-exponential
+unitaries on a truncated Fock space (``thermal_state``, ``apply_*``,
+``click_probability``, ``heralded_state``).  Index convention: the joint
+Hilbert space is optical (x) mechanical with both modes truncated to
+dimension ``d``; basis state (m photons, j phonons) lives at flat index
+``m * d + j``.
 """
 
 from __future__ import annotations
@@ -241,39 +246,6 @@ def heralded_state(state: TwoModeState, eta: float) -> np.ndarray:
     return (unconditional - no_click) / p_click
 
 
-# --- fast exact evaluation of the two-pulse protocol --------------------------
-#
-# The initial state is a diagonal thermal mixture, so the protocol can be
-# evaluated by evolving each Fock component |0, k> separately; the
-# pair-creation unitary confines |0, k> to the sector j - m = k, which keeps
-# every matrix exponential small even for large thermal occupations.
-
-
-def _tms_column(r: float, k: int, d: int) -> np.ndarray:
-    """Amplitudes over m = 0..d-k-1 of exp(r(a+b+ - ab)) |0 photons, k phonons>."""
-    block = _tms_block(r, k, d - k)
-    return block[:, 0]
-
-
-def _read_click_vectors(p_read: float, eta: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P(no read click | j phonons), P(read click | j phonons)).
-
-    Swap pulse followed by threshold detection at efficiency eta, evaluated by
-    brute-force sector evolution; both vectors are sums of positive terms so
-    neither suffers cancellation when probabilities are tiny.
-    """
-    theta = math.asin(math.sqrt(p_read))
-    no_click = np.ones(d)
-    click = np.zeros(d)
-    for j in range(1, d):
-        block, ms = _bs_block(theta, j, d)
-        amps2 = np.abs(block[:, 0]) ** 2  # initial state is (m=0, j phonons)
-        survive = (1 - eta) ** ms
-        no_click[j] = float(survive @ amps2)
-        click[j] = float((1 - survive) @ amps2)
-    return no_click, click
-
-
 @dataclass(frozen=True)
 class ClickTable:
     """Joint signal-click probabilities of the write/read pulse pair."""
@@ -303,8 +275,8 @@ class ClickTable:
         return self.p11 / self.p_write
 
 
-def two_pulse_click_table(n_th: float, p_write: float, p_read: float, eta: float,
-                          d: int | None = None) -> ClickTable:
+def two_pulse_click_table(n_th: float, p_write: float, p_read: float,
+                          eta: float) -> ClickTable:
     """Exact joint click statistics for pair-creation then state-swap pulses.
 
     The mechanical mode starts thermal at ``n_th``; the write and read
@@ -312,56 +284,40 @@ def two_pulse_click_table(n_th: float, p_write: float, p_read: float, eta: float
     optical outputs hit a threshold detector of efficiency ``eta``.  Dark
     counts are not included here (they are independent and OR-ed on top by
     the callers).
+
+    Both pulses and the loss are Gaussian channels acting on a thermal state,
+    so each optical output is thermal and the no-click probabilities are
+    vacuum overlaps: P(no write) = 1/(1+a), P(no read) = 1/(1+b) and
+    P(neither) = 1/((1+a)(1+b) - c), with a = eta p_w (n+1),
+    b = eta p_r ((1+p_w) n + p_w) and c = eta^2 p_r p_w (1+p_w) (n+1)^2.
+    p11 is written so that no two large terms cancel when it is ~1e-9.
     """
     if not (0.0 <= p_write < 1.0 and 0.0 <= p_read <= 1.0):
         raise ValueError("click table: probabilities out of range")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("click table: eta must lie in [0, 1]")
-    if d is None:
-        d = suggested_dim(n_th) + 8
-    if d > 400:
-        raise TruncationError(f"required dimension d={d} is impractically large")
-
-    weights = thermal_weights(n_th, d)
-    r = math.asinh(math.sqrt(p_write))
-    survive_w = (1 - eta) ** np.arange(d)
-
-    q_no_w = np.zeros(d)   # joint: mech phonon number and no write click
-    q_w = np.zeros(d)      # joint: mech phonon number and a write click
-    for k in range(d):
-        if weights[k] == 0.0:
-            continue
-        amps2 = np.abs(_tms_column(r, k, d)) ** 2
-        js = np.arange(k, d)
-        q_no_w[js] += weights[k] * survive_w[: d - k] * amps2
-        q_w[js] += weights[k] * (1 - survive_w[: d - k]) * amps2
-
-    # given the phonon number the read click is independent of the write
-    # outcome, so the joint table factorizes over the mech distribution;
-    # every entry is a sum of positive terms (no cancellation)
-    r_no, r_yes = _read_click_vectors(p_read, eta, d)
-    return ClickTable(p00=float(q_no_w @ r_no), p01=float(q_no_w @ r_yes),
-                      p10=float(q_w @ r_no), p11=float(q_w @ r_yes))
+    if n_th < 0:
+        raise ValueError("click table: n_th must be non-negative")
+    a = eta * p_write * (n_th + 1)
+    b = eta * p_read * ((1 + p_write) * n_th + p_write)
+    c = eta**2 * p_read * p_write * (1 + p_write) * (n_th + 1) ** 2
+    ab1 = (1 + a) * (1 + b)
+    det = ab1 - c
+    p11 = (a * b * ab1 + c * (1 - a * b)) / (ab1 * det)
+    return ClickTable(p00=1 / det, p01=b / (1 + b) - p11, p10=a / (1 + a) - p11, p11=p11)
 
 
-def single_pulse_click_probability(side: str, n_th: float, p_s: float, eta: float,
-                                   d: int | None = None) -> float:
+def single_pulse_click_probability(side: str, n_th: float, p_s: float, eta: float) -> float:
     """Exact threshold click probability of one pulse on a thermal mode."""
-    if d is None:
-        d = suggested_dim(n_th) + 8
     if side == "blue":
-        table = two_pulse_click_table(n_th, p_s, 0.0, eta, d=d)
-        return table.p_write
+        return two_pulse_click_table(n_th, p_s, 0.0, eta).p_write
     if side == "red":
-        weights = thermal_weights(n_th, d)
-        _, r_yes = _read_click_vectors(p_s, eta, d)
-        return float(weights @ r_yes)
+        return two_pulse_click_table(n_th, 0.0, p_s, eta).p_read
     raise ValueError(f"unknown side {side!r}")
 
 
 def oracle_g2(n_th: float, p_write: float, p_read: float, eta_det: float,
-              dark_per_window: float | tuple[float, float] = 0.0,
-              d: int | None = None) -> float:
+              dark_per_window: float | tuple[float, float] = 0.0) -> float:
     """Exact same-sequence photon-photon correlation of the two-pulse protocol.
 
     g2 = P(write and read click) / (P(write click) * P(read click)), with
@@ -376,7 +332,7 @@ def oracle_g2(n_th: float, p_write: float, p_read: float, eta_det: float,
     if not (0.0 <= q_w < 1.0 and 0.0 <= q_r < 1.0):
         raise ValueError("g2: dark probabilities must lie in [0, 1)")
 
-    table = two_pulse_click_table(n_th, p_write, p_read, eta_det, d=d)
+    table = two_pulse_click_table(n_th, p_write, p_read, eta_det)
     p_w = 1.0 - (1.0 - table.p_write) * (1.0 - q_w)
     p_r = 1.0 - (1.0 - table.p_read) * (1.0 - q_r)
     if p_w == 0.0 or p_r == 0.0:

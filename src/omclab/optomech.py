@@ -14,7 +14,6 @@ and the red/blue asymmetry yields the thermal occupation n_th.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar
@@ -31,24 +30,6 @@ from .stats import fit_linear
 # Above this the exponential forms stop being trustworthy: the drive is no
 # longer undepleted and dynamical backaction matters.
 P_S_VALIDITY_CEILING = 0.5
-
-
-@dataclass(frozen=True)
-class ScatterSpec:
-    """A pulse's sideband, scattering probability, and on-device energy."""
-
-    side: Side
-    p_s: float
-    pulse_energy_at_device: float
-
-    def __post_init__(self):
-        if self.p_s < 0 or self.pulse_energy_at_device < 0:
-            raise ValueError("scatter: p_s and pulse energy must be non-negative")
-        if self.p_s > P_S_VALIDITY_CEILING:
-            raise ModelValidityError(
-                f"scatter: p_s={self.p_s:.3g} exceeds the validity ceiling "
-                f"{P_S_VALIDITY_CEILING}"
-            )
 
 
 def scattering_exponent(pulse_energy_at_device: float, g0: Frequency,
@@ -88,13 +69,6 @@ def scattering_probability(side: Side, pulse_energy_at_device: float, g0: Freque
             f"scattering: p_s={p:.3g} exceeds the validity ceiling {P_S_VALIDITY_CEILING}"
         )
     return p
-
-
-def scatter_spec(side: Side, pulse_energy_at_device: float, g0: Frequency,
-                 cavity: OpticalCavity, mode: MechanicalMode) -> ScatterSpec:
-    return ScatterSpec(side=side,
-                       p_s=scattering_probability(side, pulse_energy_at_device, g0, cavity, mode),
-                       pulse_energy_at_device=pulse_energy_at_device)
 
 
 def sideband_rates(n_th: float, p_s_read: float, p_s_write: float,

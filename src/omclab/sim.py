@@ -1,12 +1,12 @@
 """Monte Carlo generation of time-tagged detector clicks.
 
 For every repetition of the configured pulse sequence the engine draws, per
-pulse, a threshold-detector click from the exact Fock-space statistics of
+pulse, a threshold-detector click from the exact (closed-form) statistics of
 that pulse, OR-ed with dark counts (Poisson over the detector gating window)
 and residual pump leakage (Poisson per pulse, set by the configured filter
 suppression applied to the pump photon number).  The first pair-creation
 pulse and the following state-swap pulse are correlated by sampling the joint
-click table computed by the Fock oracle, so simulator and oracle agree by
+click table computed by the ``fock`` oracle, so simulator and oracle agree by
 construction; any extra occupation the read pulse sees from pulse heating
 enters as an additional independent thermal click source (exact for the
 rates used here, where per-pulse click probabilities are far below one).
@@ -66,12 +66,6 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return int(self.sequence_index.size)
-
-    def to_records(self) -> list[TimeTagRecord]:
-        origins = self.origin if self.origin is not None else [None] * len(self)
-        return [TimeTagRecord(int(s), str(l), float(t), o if o is None else str(o))
-                for s, l, t, o in zip(self.sequence_index, self.pulse_label,
-                                      self.click_time, origins)]
 
     def label_totals(self) -> dict[str, int]:
         labels, counts = np.unique(self.pulse_label, return_counts=True)
@@ -420,11 +414,19 @@ def read_records_csv(path: str | Path) -> RecordBatch:
             continue
         rows.append(raw.split(","))
     if header is None or n_sequences is None:
-        raise ValueError(f"{path}: not a record CSV (missing header or n_sequences)")
+        raise ConfigError(f"{path}: not a record CSV (missing header or n_sequences)")
     has_origin = "origin" in header
-    seq = np.array([int(r[0]) for r in rows], dtype=np.int64)
+    short = next((r for r in rows if len(r) != len(header)), None)
+    if short is not None:
+        raise ConfigError(f"{path}: row {','.join(short)!r} does not match the header")
+    try:
+        seq = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        times = np.array([float(r[2]) * 1e-9 for r in rows], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad record row: {exc}") from None
+    if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
+        raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
     labels = np.array([r[1] for r in rows]) if rows else np.empty(0, dtype="<U5")
-    times = np.array([float(r[2]) * 1e-9 for r in rows], dtype=float)
     origin = (np.array([r[3] for r in rows]) if rows else np.empty(0, dtype="<U7")) \
         if has_origin else None
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,

@@ -91,11 +91,18 @@ def test_g2_pipeline(tmp_path, device_config_path):
 
 
 def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
-    assert run("g2", "--oracle", "--config", device_config_path) == 0
-    out = capsys.readouterr().out
-    assert "g2 oracle:" in out
-    value = float(out.split("g2 oracle:")[1].strip())
-    assert value > 2.0
+    out_json = tmp_path / "oracle.json"
+    assert run("g2", "--oracle", "--config", device_config_path, "--out", out_json) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ideal_line, full_line = lines
+    assert ideal_line.startswith("g2 ideal (dark counts only):")
+    assert full_line.startswith("g2 full model (dark counts, pump leakage, heating):")
+    ideal = float(ideal_line.rsplit(":", 1)[1])
+    predicted = float(full_line.rsplit(":", 1)[1])
+    assert 2.0 < predicted < ideal  # backgrounds only dilute the correlation
+    payload = read_artifact_json(out_json)
+    assert payload["oracle_g2"] == pytest.approx(ideal, abs=5e-4)
+    assert payload["predicted_g2"] == pytest.approx(predicted, abs=5e-4)
 
 
 def test_fit_cli(tmp_path):
@@ -161,6 +168,7 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
                "--out", tmp_path, "--seed", 5, "--sequences", 50000) == 0
     payload = read_artifact_json(tmp_path / "fig3b_g2.json")
     assert payload["oracle_g2"] > 2.0
+    assert 2.0 < payload["predicted_g2"] < payload["oracle_g2"]
 
 
 def test_exit_codes(tmp_path, device_config_path):
@@ -184,3 +192,51 @@ def test_env_seed_override(tmp_path, device_config_path, monkeypatch):
     assert run("simulate", "--config", device_config_path, "--seed", 21,
                "--sequences", 20000, "--out", out2) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _config_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("omclab: configuration error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("10,read,210.0", "sequence_index outside [0, 10)"),
+    ("-1,read,210.0", "sequence_index outside [0, 10)"),
+    ("4,read", "does not match the header"),
+    ("x,read,210.0", "bad record row"),
+])
+def test_g2_records_malformed_row(tmp_path, capsys, row, message):
+    records = tmp_path / "records.csv"
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
+                       f"3,write,20.0\n{row}\n")
+    assert run("g2", "--records", records) == cli.EXIT_CONFIG
+    assert message in _config_error_line(capsys)
+
+
+def test_g2_records_not_a_record_csv(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("sequence_index,pulse_label,click_time_ns\n3,write,20.0\n")
+    assert run("g2", "--records", records) == cli.EXIT_CONFIG
+    assert "not a record CSV" in _config_error_line(capsys)
+
+
+def test_fit_cli_unparseable_row(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("x,y\n0,1\n1,abc\n2,5\n")
+    assert run("fit", "--model", "linear", "--data", data) == cli.EXIT_CONFIG
+    err = _config_error_line(capsys)
+    assert str(data) in err and "'1,abc'" in err
+
+
+def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("side,pulse_energy_j,clicks,n_pulses\n"
+                      "red,2e-15,100,1000000000\nblue,2e-15,2000,1000000000\n"
+                      "red,6e-15,300,1000000000\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert "2 red and 1 blue" in _config_error_line(capsys)
+    assert not (tmp_path / "thermometry.csv").exists()

@@ -124,8 +124,8 @@ def test_blue_red_ratio_reproduces_occupation_scaling():
     eta = 0.023
     for n in (0.04, 0.1, 1.0):
         for p_s in (1e-3, 1e-2):
-            blue = fock.single_pulse_click_probability("blue", n, p_s, eta, d=20)
-            red = fock.single_pulse_click_probability("red", n, p_s, eta, d=20)
+            blue = fock.single_pulse_click_probability("blue", n, p_s, eta)
+            red = fock.single_pulse_click_probability("red", n, p_s, eta)
             assert blue / red == pytest.approx((n + 1) / n, rel=1e-3)
 
 
@@ -133,25 +133,52 @@ def test_two_pulse_table_matches_first_order_theory():
     n, p_w, p_r, eta = 0.041, 6e-4, 0.02, 0.023
     table = fock.two_pulse_click_table(n, p_w, p_r, eta)
     assert table.p_write == pytest.approx(eta * p_w * (n + 1), rel=1e-3)
-    n_after_write = n + p_w * (n + 1) ** 2  # pair creation raises the mean
-    assert table.p_read == pytest.approx(eta * p_r * n_after_write, rel=1e-3)
+    n_after_write = (1 + p_w) * n + p_w  # pair creation raises the mean
+    assert table.p_read == pytest.approx(eta * p_r * n_after_write, rel=1e-4)
     assert table.p_read_given_write == pytest.approx(eta * p_r * (1 + 2 * n), rel=5e-3)
 
 
-def test_truncation_doubling_stability():
-    n, p_w, p_r, eta = 0.041, 6e-4, 0.02, 0.023
-    small = fock.two_pulse_click_table(n, p_w, p_r, eta, d=16)
-    large = fock.two_pulse_click_table(n, p_w, p_r, eta, d=32)
-    for field in ("p00", "p01", "p10", "p11"):
-        assert abs(getattr(small, field) - getattr(large, field)) < 1e-8
+def _dense_click_table(n, p_w, p_r, eta):
+    """(p_write, p_read, p11) from the truncated-Fock unitaries: write, herald,
+    then re-embed the mechanical state with optical vacuum for the read."""
+    d = fock.suggested_dim(n) + 8
+    state = fock.apply_two_mode_squeeze(fock.thermal_state(n, d), math.asinh(math.sqrt(p_w)))
+    theta = math.asin(math.sqrt(p_r))
+
+    def read_click(mech):
+        rho = np.zeros((d * d, d * d), dtype=complex)
+        rho[:d, :d] = mech  # optical vacuum block
+        return fock.click_probability(
+            fock.apply_beamsplitter(fock.TwoModeState(rho=rho, d=d), theta), eta)
+
+    p_write = fock.click_probability(state, eta)
+    p_read = read_click(state.mechanical_reduced())
+    p11 = p_write * read_click(fock.heralded_state(state, eta))
+    return p_write, p_read, p11
+
+
+@pytest.mark.parametrize("n, p_w, p_r, eta", [
+    (0.041, 6e-4, 0.02, 0.023),  # published operating point
+    (1.0, 0.02, 1.0, 1.0),       # lossless detection, full swap
+    (0.5, 0.05, 0.3, 1.0),
+    (0.2, 0.01, 0.5, 0.3),
+    (0.0, 0.05, 1.0, 1.0),       # ground state: write and read clicks coincide
+])
+def test_closed_form_table_matches_dense_fock(n, p_w, p_r, eta):
+    table = fock.two_pulse_click_table(n, p_w, p_r, eta)
+    dense = _dense_click_table(n, p_w, p_r, eta)
+    for value, reference in zip((table.p_write, table.p_read, table.p11), dense):
+        assert value == pytest.approx(reference, rel=1e-8)
 
 
 def test_oracle_g2_thermal_limit():
     # large thermal occupation: correlations approach the thermal value
-    # (2n+1)/n, i.e. 2 from above
-    g2 = fock.oracle_g2(10.0, 1e-3, 1e-3, 0.023)
-    assert g2 == pytest.approx(21 / 10, abs=0.02)
-    assert g2 > 2.0
+    # (2n+1)/n, i.e. 2 from above; no truncation limits the occupation
+    for n in (10.0, 30.0):
+        g2 = fock.oracle_g2(n, 1e-3, 1e-3, 0.023)
+        assert g2 == pytest.approx((2 * n + 1) / n, abs=0.02)
+        assert g2 > 2.0
+    assert math.isfinite(fock.oracle_g2(30.0, 6e-4, 0.02, 0.023, 3.2e-6))
 
 
 def test_oracle_g2_paper_scale_nonclassical():

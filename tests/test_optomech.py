@@ -41,8 +41,6 @@ def test_validity_ceiling_rejected():
     energy = 1.2 / scale  # p_blue = e^1.2 - 1 > 0.5
     with pytest.raises(ModelValidityError):
         optomech.scattering_probability("blue", energy, G0, CAVITY, MODE)
-    with pytest.raises(ModelValidityError):
-        optomech.ScatterSpec("blue", 0.6, 1e-15)
 
 
 @given(x=st.floats(min_value=1e-8, max_value=0.4))
