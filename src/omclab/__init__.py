@@ -24,6 +24,7 @@ from .core import (
     MechanicalMode,
     ModelValidityError,
     OpticalCavity,
+    PiezoInterface,
     Pulse,
     PulseSequence,
     ValidationError,
@@ -31,7 +32,7 @@ from .core import (
     parse_config,
     serialize_config,
 )
-from .transducer import ConversionBudget, PiezoInterface, conversion_budget
+from .transducer import ConversionBudget, conversion_budget
 
 __all__ = [
     "__version__",

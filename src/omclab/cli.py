@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -146,16 +147,22 @@ def cmd_thermometry(args) -> int:
         raise ConfigError(f"counts file has {len(red_rows)} red and {len(blue_rows)} blue "
                           "rows; they must pair up")
 
+    def counts(row):
+        try:
+            return (float(row[cols["pulse_energy_j"]]), int(row[cols["clicks"]]),
+                    int(row[cols["n_pulses"]]))
+        except (ValueError, IndexError):
+            raise ConfigError(f"{args.counts}: row {','.join(row)!r} needs a number "
+                              "pulse_energy_j and integer clicks and n_pulses") from None
+
     eta_det = config.detection.eta_det
     results = []
     for red, blue in zip(red_rows, blue_rows):
-        e_red = float(red[cols["pulse_energy_j"]])
-        e_blue = float(blue[cols["pulse_energy_j"]])
+        (e_red, clicks_r, n_r), (e_blue, clicks_b, n_b) = counts(red), counts(blue)
         p_r = optomech.scattering_probability("red", e_red, config.g0, config.cavity, config.mode)
         p_b = optomech.scattering_probability("blue", e_blue, config.g0, config.cavity, config.mode)
-        n_th, err = optomech.occupation_from_counts(
-            int(red[cols["clicks"]]), int(red[cols["n_pulses"]]), p_r,
-            int(blue[cols["clicks"]]), int(blue[cols["n_pulses"]]), p_b, eta_det)
+        n_th, err = optomech.occupation_from_counts(clicks_r, n_r, p_r, clicks_b, n_b, p_b,
+                                                    eta_det)
         # cooperativity of the read pulse drive at this energy
         duration = config.sequence.pulses[0].duration if config.sequence.pulses else 40e-9
         power_device = e_red / duration
@@ -173,8 +180,15 @@ def cmd_heating(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
     heating = config.mode.heating
-    ps_values = ([float(x) for x in args.ps.split(",")] if args.ps
-                 else [row[0] for row in heating.calibration])
+    if args.ps:
+        try:
+            ps_values = [float(x) for x in args.ps.split(",")]
+        except ValueError:
+            ps_values = [math.nan]
+        if not all(map(math.isfinite, ps_values)):
+            raise ConfigError(f"--ps {args.ps!r}: expected comma-separated finite numbers")
+    else:
+        ps_values = [row[0] for row in heating.calibration]
     if not ps_values:
         raise ConfigError("no scattering probabilities: none given and no calibration table")
     taus = np.geomspace(args.tmin, args.tmax, args.points)
@@ -215,11 +229,14 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_dn_range(text: str) -> list[int]:
-    lo, hi = text.split("..")
-    lo_i, hi_i = int(lo), int(hi)
-    if hi_i < lo_i:
-        raise ConfigError(f"bad dn range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    lo, _, hi = text.partition("..")
+    try:
+        dns = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        dns = []
+    if not dns:
+        raise ConfigError(f"bad dn range {text!r}: expected LO..HI with integers LO <= HI")
+    return dns
 
 
 def cmd_g2(args) -> int:
@@ -558,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: the environment defaults are read while building
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"omclab: configuration error: {exc}", file=sys.stderr)

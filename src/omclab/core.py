@@ -10,17 +10,20 @@ Unit conventions used throughout this package:
 * Mode occupations are dimensionless phonon numbers.
 
 All types are frozen dataclasses: immutable after construction and safe to
-share between threads.
+share between threads.  They are also the configuration-file schema: a key
+is ``<section>.<dataclass field>``, and a field without a default is a
+required key (see ``parse_config``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Literal
-
-from .transducer import PiezoInterface
 
 Frequency = float  # ordinary frequency in Hz (f, not omega)
 
@@ -49,14 +52,21 @@ _KAPPA_CONSISTENCY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class OpticalCavity:
-    """One-port optical cavity: resonance and linewidth budget (all in Hz)."""
+    """One-port optical cavity: resonance and linewidth budget (all in Hz).
+
+    ``kappa_e`` is derived as ``kappa - kappa_i`` when not given.  When all
+    three linewidths are supplied they must be consistent within 1 ppm;
+    inconsistent triples are rejected rather than renormalized.
+    """
 
     f_c: Frequency
     kappa: Frequency
     kappa_i: Frequency
-    kappa_e: Frequency
+    kappa_e: Frequency | None = None
 
     def __post_init__(self):
+        if self.kappa_e is None:
+            object.__setattr__(self, "kappa_e", self.kappa - self.kappa_i)
         if self.f_c <= 0:
             raise ValidationError("cavity: f_c must be positive")
         if not (0 < self.kappa_i <= self.kappa):
@@ -68,18 +78,6 @@ class OpticalCavity:
                 "cavity: kappa = kappa_i + kappa_e violated beyond 1 ppm "
                 f"(kappa={self.kappa!r}, kappa_i + kappa_e={self.kappa_i + self.kappa_e!r})"
             )
-
-    @classmethod
-    def from_linewidths(cls, f_c: Frequency, kappa: Frequency, kappa_i: Frequency,
-                        kappa_e: Frequency | None = None) -> "OpticalCavity":
-        """Build a cavity, deriving kappa_e = kappa - kappa_i when not given.
-
-        When all three linewidths are supplied they must be consistent within
-        1 ppm; inconsistent triples are rejected rather than renormalized.
-        """
-        if kappa_e is None:
-            kappa_e = kappa - kappa_i
-        return cls(f_c=f_c, kappa=kappa, kappa_i=kappa_i, kappa_e=kappa_e)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ class HeatingParams:
 
     tau_rise: float = 165e-9
     tau_decay: float = 22e-6
-    # rows of (p_s, amplitude, n_instant), sorted by p_s
+    # rows of (p_s, amplitude, n_instant), the fields of CalibrationPoint,
+    # sorted by p_s
     calibration: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
@@ -232,7 +231,7 @@ class PulseSequence:
 
     pulses: tuple[Pulse, ...]
     repetition_rate: float
-    n_sequences: int
+    n_sequences: int = 0
 
     def __post_init__(self):
         if self.repetition_rate <= 0:
@@ -251,6 +250,28 @@ class PulseSequence:
     @property
     def period(self) -> float:
         return 1.0 / self.repetition_rate
+
+
+@dataclass(frozen=True)
+class PiezoInterface:
+    """Piezo resonator electrical/mechanical parameters (frequencies in Hz)."""
+
+    f_s: float                 # series (mechanical) resonance
+    f_p: float                 # parallel resonance of the coupled system
+    c_piezo: float             # resonator capacitance, F
+    c_parasitic: float = 0.0   # on-chip parasitic capacitance, F
+    f_m: float = field(kw_only=True)      # mechanical mode frequency used in the budget
+    gamma_m: float = field(kw_only=True)  # mechanical loss rate, Hz
+    k_eff2: float | None = None  # optional override for the coupling coefficient
+    q_uw: float | None = None    # microwave resonator quality factor
+    n_m: float | None = None     # residual mechanical occupation
+    eta_e: float = 1.0           # external efficiency of the electrical input
+
+    def __post_init__(self):
+        if not (self.f_p >= self.f_s > 0):
+            raise ValidationError("piezo: f_p >= f_s > 0 required")
+        if self.c_piezo < 0 or self.c_parasitic < 0:
+            raise ValidationError("piezo: capacitances must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -273,11 +294,97 @@ class ExperimentConfig:
 #
 # One `key = value` per line, `#` starts a comment, blank lines ignored.
 # All values in SI base units (Hz, s, W, F); see the README for the key table.
+#
+# The dataclasses above are the schema: every key is `<section>.<field>` of
+# the dataclass that holds it (`g0` has no section), the value is converted
+# by the field's type (str, int or float), and a field without a default is
+# a required key.  Numbers must be finite, except an inf that is the field's
+# own default (`detection.filter_suppression_db = inf`: no filter line).
+# Indexed sections (`heating.calib.N`, `pulse.N`) repeat one dataclass per
+# index.  No key list is kept anywhere else.
 
-_PIEZO_KEYS = {
-    "f_s", "f_p", "k_eff2", "c_piezo", "c_parasitic", "f_m", "gamma_m",
-    "q_uw", "n_m", "eta_e",
-}
+
+@dataclass(frozen=True)
+class CalibrationPoint:
+    """One row of the heating calibration table (``heating.calib.N``)."""
+
+    p_s: float
+    amplitude: float
+    n_instant: float
+
+
+@functools.cache
+def _scalar_fields(cls) -> tuple[tuple[str, type, object], ...]:
+    """(name, str|int|float, default or MISSING) of each scalar field of ``cls``.
+
+    Fields holding another section (a dataclass, a tuple of them) are left to
+    the caller.
+    """
+    hints = typing.get_type_hints(cls)
+    spec = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        if typing.get_origin(kind) is Literal:
+            kind = str
+        elif typing.get_origin(kind) in (typing.Union, types.UnionType):  # X | None
+            (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
+        if kind in (str, int, float):
+            spec.append((f.name, kind, f.default))
+    return tuple(spec)
+
+
+def _convert(key: str, raw: str, kind: type, default):
+    if kind is str:
+        return raw
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # reported together with a literal NaN below
+    if not (math.isfinite(value) or value == default):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    if kind is int:
+        if not value.is_integer():
+            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}")
+        return int(value)
+    return value
+
+
+def _read(cls, entries: dict[str, str], prefix: str, **sections):
+    """Build ``cls`` from (and remove) the ``<prefix>.<field>`` entries."""
+    kwargs = dict(sections)
+    for name, kind, default in _scalar_fields(cls):
+        key = f"{prefix}.{name}" if prefix else name
+        if key in entries:
+            kwargs[name] = _convert(key, entries.pop(key), kind, default)
+        elif default is MISSING:
+            raise ConfigError(f"missing required key {key!r}")
+    return cls(**kwargs)
+
+
+def _write(obj, prefix: str) -> list[str]:
+    """``key = value`` lines for the scalar fields of ``obj``, in field order.
+
+    A field left at a None or inf default is omitted; reading restores it.
+    """
+    lines = []
+    for name, kind, default in _scalar_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is None or value == default == math.inf:
+            continue
+        key = f"{prefix}.{name}" if prefix else name
+        lines.append(f"{key} = {repr(float(value)) if kind is float else value}")
+    return lines
+
+
+def _indices(entries: dict[str, str], prefix: str) -> list[int]:
+    """Sorted indices i for which any key '<prefix>.<i>.*' exists."""
+    found = set()
+    for key in entries:
+        if key.startswith(prefix + "."):
+            rest = key[len(prefix) + 1:].split(".", 1)[0]
+            if rest.isdecimal():
+                found.add(int(rest))
+    return sorted(found)
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -297,131 +404,25 @@ def _parse_flat(text: str) -> dict[str, str]:
     return entries
 
 
-class _KeyReader:
-    """Typed access to flat-file entries with unknown-key detection."""
-
-    def __init__(self, entries: dict[str, str]):
-        self.entries = entries
-        self.seen: set[str] = set()
-
-    def _raw(self, key: str, default=None, required=False):
-        if key in self.entries:
-            self.seen.add(key)
-            return self.entries[key]
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def number(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        raw = self._raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
-
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        value = self.number(key, required=required)
-        if value is None:
-            return default
-        if value != int(value):
-            raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
-        return int(value)
-
-    def string(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        return self._raw(key, default=default, required=required)
-
-    def indexed(self, prefix: str) -> list[int]:
-        """Sorted indices i for which any key '<prefix>.<i>.*' exists."""
-        found = set()
-        for key in self.entries:
-            if key.startswith(prefix + "."):
-                rest = key[len(prefix) + 1:].split(".", 1)[0]
-                if rest.isdigit():
-                    found.add(int(rest))
-        return sorted(found)
-
-    def unknown(self) -> list[str]:
-        return sorted(set(self.entries) - self.seen)
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key = value configuration string."""
-    reader = _KeyReader(_parse_flat(text))
-
-    cavity = OpticalCavity.from_linewidths(
-        f_c=reader.number("cavity.f_c", required=True),
-        kappa=reader.number("cavity.kappa", required=True),
-        kappa_i=reader.number("cavity.kappa_i", required=True),
-        kappa_e=reader.number("cavity.kappa_e"),
+    entries = _parse_flat(text)
+    calibration = tuple(astuple(_read(CalibrationPoint, entries, f"heating.calib.{i}"))
+                        for i in _indices(entries, "heating.calib"))
+    heating = _read(HeatingParams, entries, "heating", calibration=calibration)
+    pulses = tuple(_read(Pulse, entries, f"pulse.{i}") for i in _indices(entries, "pulse"))
+    has_piezo = any(f"piezo.{name}" in entries for name, *_ in _scalar_fields(PiezoInterface))
+    sections = dict(
+        cavity=_read(OpticalCavity, entries, "cavity"),
+        mode=_read(MechanicalMode, entries, "mode", heating=heating),
+        detection=_read(DetectionChain, entries, "detection"),
+        sequence=_read(PulseSequence, entries, "sequence", pulses=pulses),
+        piezo=_read(PiezoInterface, entries, "piezo") if has_piezo else None,
     )
-
-    calib = []
-    for i in reader.indexed("heating.calib"):
-        calib.append((
-            reader.number(f"heating.calib.{i}.p_s", required=True),
-            reader.number(f"heating.calib.{i}.amplitude", required=True),
-            reader.number(f"heating.calib.{i}.n_instant", required=True),
-        ))
-    heating = HeatingParams(
-        tau_rise=reader.number("heating.tau_rise", default=165e-9),
-        tau_decay=reader.number("heating.tau_decay", default=22e-6),
-        calibration=tuple(calib),
-    )
-
-    mode = MechanicalMode(
-        f_m=reader.number("mode.f_m", required=True),
-        gamma_m=reader.number("mode.gamma_m", required=True),
-        n_baseline=reader.number("mode.n_baseline", default=0.0),
-        heating=heating,
-    )
-
-    detection = DetectionChain(
-        eta_dev=reader.number("detection.eta_dev", required=True),
-        eta_fc=reader.number("detection.eta_fc", required=True),
-        eta_rest=reader.number("detection.eta_rest", required=True),
-        dark_rate=reader.number("detection.dark_rate", default=0.0),
-        filter_suppression_db=reader.number("detection.filter_suppression_db", default=math.inf),
-    )
-
-    pulses = []
-    for i in reader.indexed("pulse"):
-        pulses.append(Pulse(
-            side=reader.string(f"pulse.{i}.side", required=True),
-            duration=reader.number(f"pulse.{i}.duration", required=True),
-            peak_power=reader.number(f"pulse.{i}.peak_power", required=True),
-            start=reader.number(f"pulse.{i}.start", required=True),
-            window=reader.number(f"pulse.{i}.window"),
-        ))
-    sequence = PulseSequence(
-        pulses=tuple(pulses),
-        repetition_rate=reader.number("sequence.repetition_rate", required=True),
-        n_sequences=reader.integer("sequence.n_sequences", default=0),
-    )
-
-    piezo = None
-    if any(reader.string(f"piezo.{k}") is not None for k in _PIEZO_KEYS):
-        piezo = PiezoInterface(
-            f_s=reader.number("piezo.f_s", required=True),
-            f_p=reader.number("piezo.f_p", required=True),
-            c_piezo=reader.number("piezo.c_piezo", required=True),
-            c_parasitic=reader.number("piezo.c_parasitic", default=0.0),
-            f_m=reader.number("piezo.f_m", required=True),
-            gamma_m=reader.number("piezo.gamma_m", required=True),
-            k_eff2=reader.number("piezo.k_eff2"),
-            q_uw=reader.number("piezo.q_uw"),
-            n_m=reader.number("piezo.n_m"),
-            eta_e=reader.number("piezo.eta_e", default=1.0),
-        )
-
-    g0 = reader.number("g0", required=True)
-    stray = reader.unknown()
-    if stray:
-        raise ConfigError(f"unknown configuration keys: {', '.join(stray)}")
-
-    return ExperimentConfig(cavity=cavity, mode=mode, detection=detection,
-                            sequence=sequence, g0=g0, piezo=piezo)
+    config = _read(ExperimentConfig, entries, "", **sections)
+    if entries:
+        raise ConfigError(f"unknown configuration keys: {', '.join(sorted(entries))}")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -429,70 +430,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a config back to flat key = value text (exact float round trip)."""
-    lines = [
-        f"cavity.f_c = {_fmt(config.cavity.f_c)}",
-        f"cavity.kappa = {_fmt(config.cavity.kappa)}",
-        f"cavity.kappa_i = {_fmt(config.cavity.kappa_i)}",
-        f"cavity.kappa_e = {_fmt(config.cavity.kappa_e)}",
-        f"mode.f_m = {_fmt(config.mode.f_m)}",
-        f"mode.gamma_m = {_fmt(config.mode.gamma_m)}",
-        f"mode.n_baseline = {_fmt(config.mode.n_baseline)}",
-        f"g0 = {_fmt(config.g0)}",
-        f"heating.tau_rise = {_fmt(config.mode.heating.tau_rise)}",
-        f"heating.tau_decay = {_fmt(config.mode.heating.tau_decay)}",
-    ]
-    for i, (p_s, amp, n_i) in enumerate(config.mode.heating.calibration):
-        lines += [
-            f"heating.calib.{i}.p_s = {_fmt(p_s)}",
-            f"heating.calib.{i}.amplitude = {_fmt(amp)}",
-            f"heating.calib.{i}.n_instant = {_fmt(n_i)}",
-        ]
-    det = config.detection
-    lines += [
-        f"detection.eta_dev = {_fmt(det.eta_dev)}",
-        f"detection.eta_fc = {_fmt(det.eta_fc)}",
-        f"detection.eta_rest = {_fmt(det.eta_rest)}",
-        f"detection.dark_rate = {_fmt(det.dark_rate)}",
-    ]
-    if math.isfinite(det.filter_suppression_db):
-        lines.append(f"detection.filter_suppression_db = {_fmt(det.filter_suppression_db)}")
-    for i, pulse in enumerate(config.sequence.pulses):
-        lines += [
-            f"pulse.{i}.side = {pulse.side}",
-            f"pulse.{i}.duration = {_fmt(pulse.duration)}",
-            f"pulse.{i}.peak_power = {_fmt(pulse.peak_power)}",
-            f"pulse.{i}.start = {_fmt(pulse.start)}",
-        ]
-        if pulse.window is not None:
-            lines.append(f"pulse.{i}.window = {_fmt(pulse.window)}")
-    lines += [
-        f"sequence.repetition_rate = {_fmt(config.sequence.repetition_rate)}",
-        f"sequence.n_sequences = {config.sequence.n_sequences}",
-    ]
+    heating = config.mode.heating
+    sections = [(config.cavity, "cavity"), (config.mode, "mode"), (config, ""),
+                (heating, "heating")]
+    sections += [(CalibrationPoint(*row), f"heating.calib.{i}")
+                 for i, row in enumerate(heating.calibration)]
+    sections.append((config.detection, "detection"))
+    sections += [(pulse, f"pulse.{i}") for i, pulse in enumerate(config.sequence.pulses)]
+    sections.append((config.sequence, "sequence"))
     if config.piezo is not None:
-        pz = config.piezo
-        lines += [
-            f"piezo.f_s = {_fmt(pz.f_s)}",
-            f"piezo.f_p = {_fmt(pz.f_p)}",
-            f"piezo.c_piezo = {_fmt(pz.c_piezo)}",
-            f"piezo.c_parasitic = {_fmt(pz.c_parasitic)}",
-            f"piezo.f_m = {_fmt(pz.f_m)}",
-            f"piezo.gamma_m = {_fmt(pz.gamma_m)}",
-        ]
-        if pz.k_eff2 is not None:
-            lines.append(f"piezo.k_eff2 = {_fmt(pz.k_eff2)}")
-        if pz.q_uw is not None:
-            lines.append(f"piezo.q_uw = {_fmt(pz.q_uw)}")
-        if pz.n_m is not None:
-            lines.append(f"piezo.n_m = {_fmt(pz.n_m)}")
-        lines.append(f"piezo.eta_e = {_fmt(pz.eta_e)}")
-    return "\n".join(lines) + "\n"
+        sections.append((config.piezo, "piezo"))
+    return "".join(f"{line}\n" for obj, prefix in sections for line in _write(obj, prefix))
 
 
 def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> ExperimentConfig:

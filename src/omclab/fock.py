@@ -217,6 +217,18 @@ def apply_beamsplitter(state: TwoModeState, theta: float) -> TwoModeState:
     return TwoModeState(rho=np.asarray(rho), d=state.d)
 
 
+def _click_weights(eta: float, d: int) -> np.ndarray:
+    """P(>= 1 of m photons detected) = 1 - (1-eta)^m for m < d.
+
+    Formed as -expm1(m log1p(-eta)), so a rare click is not the difference
+    of two numbers close to one.
+    """
+    m = np.arange(d)
+    if eta == 1.0:
+        return (m > 0).astype(float)
+    return -np.expm1(m * np.log1p(-eta))
+
+
 def click_probability(state: TwoModeState, eta: float) -> float:
     """Threshold click probability on the optical mode after loss eta.
 
@@ -226,8 +238,7 @@ def click_probability(state: TwoModeState, eta: float) -> float:
     if not (0.0 <= eta <= 1.0):
         raise ValueError("click: eta must lie in [0, 1]")
     diag = np.real(np.diag(state.rho)).reshape(state.d, state.d)
-    no_click = (1 - eta) ** np.arange(state.d)
-    return float(1.0 - no_click @ diag.sum(axis=1))
+    return float(_click_weights(eta, state.d) @ diag.sum(axis=1))
 
 
 def heralded_state(state: TwoModeState, eta: float) -> np.ndarray:
@@ -239,11 +250,8 @@ def heralded_state(state: TwoModeState, eta: float) -> np.ndarray:
     p_click = click_probability(state, eta)
     if p_click <= 0.0:
         raise HeraldingError("cannot herald on a zero-probability click")
-    rho4 = state._rho4()
-    no_click_w = (1 - eta) ** np.arange(state.d)
-    unconditional = np.einsum("mjmk->jk", rho4)
-    no_click = np.einsum("m,mjmk->jk", no_click_w, rho4)
-    return (unconditional - no_click) / p_click
+    clicked = np.einsum("m,mjmk->jk", _click_weights(eta, state.d), state._rho4())
+    return clicked / p_click
 
 
 @dataclass(frozen=True)

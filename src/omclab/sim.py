@@ -43,17 +43,6 @@ _ORIGINS = ("signal", "dark", "leakage")
 
 
 @dataclass(frozen=True)
-class TimeTagRecord:
-    """One detector click: which sequence, which pulse, when, and (unless the
-    stream is blinded) the ground-truth origin of the click."""
-
-    sequence_index: int
-    pulse_label: str
-    click_time: float  # seconds within the sequence
-    origin: str | None = None
-
-
-@dataclass(frozen=True)
 class RecordBatch:
     """Column-oriented click stream; the common currency of the estimators."""
 

@@ -61,29 +61,17 @@ class FitResult:
 # --- g2 cross-correlation ------------------------------------------------------
 
 
-def _click_masks(records, n_sequences: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Boolean per-sequence write/read click masks from a record stream."""
-    if hasattr(records, "sequence_index") and hasattr(records, "pulse_label"):
-        seq = np.asarray(records.sequence_index)
-        labels = np.asarray(records.pulse_label)
-        if n_sequences is None:
-            n_sequences = getattr(records, "n_sequences", None)
-    else:
-        rows = list(records)
-        seq = np.array([r.sequence_index for r in rows], dtype=np.int64)
-        labels = np.array([r.pulse_label for r in rows])
-    if n_sequences is None:
-        raise ValueError("n_sequences is required when records do not carry it")
+def _click_masks(batch) -> tuple[np.ndarray, np.ndarray, int]:
+    """Boolean per-sequence write/read click masks from a ``sim.RecordBatch``."""
+    n_sequences = int(batch.n_sequences)
     write = np.zeros(n_sequences, dtype=bool)
     read = np.zeros(n_sequences, dtype=bool)
-    if seq.size:
-        write[seq[labels == "write"]] = True
-        read[seq[labels == "read"]] = True
-    return write, read, int(n_sequences)
+    write[batch.sequence_index[batch.pulse_label == "write"]] = True
+    read[batch.sequence_index[batch.pulse_label == "read"]] = True
+    return write, read, n_sequences
 
 
-def g2_crosscorr(records, delta_n: int, n_sequences: int | None = None,
-                 level: float = 0.68) -> G2Estimate:
+def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
     """Write-read correlation between sequences offset by delta_n.
 
     value = P(write in sequence i and read in sequence i + delta_n) divided
@@ -91,7 +79,7 @@ def g2_crosscorr(records, delta_n: int, n_sequences: int | None = None,
     the usable sequence pairs.  The confidence interval comes from
     ``coincidence_ci``.
     """
-    write, read, n_seq = _click_masks(records, n_sequences)
+    write, read, n_seq = _click_masks(batch)
     if n_seq <= abs(delta_n):
         raise ValueError("g2: need more sequences than the requested offset")
     if delta_n >= 0:

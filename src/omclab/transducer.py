@@ -11,27 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PiezoInterface:
-    """Piezo resonator electrical/mechanical parameters (frequencies in Hz)."""
-
-    f_s: float                 # series (mechanical) resonance
-    f_p: float                 # parallel resonance of the coupled system
-    c_piezo: float             # resonator capacitance, F
-    c_parasitic: float = 0.0   # on-chip parasitic capacitance, F
-    f_m: float = 0.0           # mechanical mode frequency used in the budget
-    gamma_m: float = 0.0       # mechanical loss rate, Hz
-    k_eff2: float | None = None  # optional override for the coupling coefficient
-    q_uw: float | None = None    # microwave resonator quality factor
-    n_m: float | None = None     # residual mechanical occupation
-    eta_e: float = 1.0           # external efficiency of the electrical input
-
-    def __post_init__(self):
-        if not (self.f_p >= self.f_s > 0):
-            raise ValueError("piezo: f_p >= f_s > 0 required")
-        if self.c_piezo < 0 or self.c_parasitic < 0:
-            raise ValueError("piezo: capacitances must be non-negative")
+from .core import PiezoInterface
 
 
 @dataclass(frozen=True)

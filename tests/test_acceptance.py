@@ -38,7 +38,7 @@ ETA_DET = 0.023
 ETA_FC = 0.55
 N_TH = 0.041
 
-CAVITY = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=KAPPA, kappa_i=KAPPA_I)
+CAVITY = OpticalCavity(f_c=194.8e12, kappa=KAPPA, kappa_i=KAPPA_I)
 MODE = MechanicalMode(f_m=F_M, gamma_m=GAMMA_M, n_baseline=N_TH)
 
 

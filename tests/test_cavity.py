@@ -8,17 +8,17 @@ from omclab.core import MechanicalMode, OpticalCavity
 
 
 def make_cavity(kappa=5.14e9, kappa_i=1.31e9, f_c=194.8e12):
-    return OpticalCavity.from_linewidths(f_c=f_c, kappa=kappa, kappa_i=kappa_i)
+    return OpticalCavity(f_c=f_c, kappa=kappa, kappa_i=kappa_i)
 
 
 def test_reflection_critical_coupling_dip():
-    cav = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=2e9, kappa_i=1e9)
+    cav = OpticalCavity(f_c=194.8e12, kappa=2e9, kappa_i=1e9)
     assert cavity.reflection_amplitude(0.0, cav) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reflection_overcoupled_value():
     # kappa_e = 0.75 kappa: r(0) = 1 - 0.75/0.5 = -0.5 by direct algebra
-    cav = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=4e9, kappa_i=1e9)
+    cav = OpticalCavity(f_c=194.8e12, kappa=4e9, kappa_i=1e9)
     r0 = cavity.reflection_amplitude(0.0, cav)
     assert r0 == pytest.approx(-0.5)
     assert abs(r0) ** 2 == pytest.approx(0.25)
@@ -63,11 +63,11 @@ def test_coupling_efficiency_paper_point():
 
 
 def test_coupling_efficiency_limits():
-    all_intrinsic = OpticalCavity.from_linewidths(f_c=1e14, kappa=1e9, kappa_i=1e9)
+    all_intrinsic = OpticalCavity(f_c=1e14, kappa=1e9, kappa_i=1e9)
     eta, over = cavity.coupling_efficiency(all_intrinsic)
     assert eta == 0.0 and not over
     # fully external coupling needs a tiny intrinsic part to stay a valid cavity
-    nearly_external = OpticalCavity.from_linewidths(f_c=1e14, kappa=1e9, kappa_i=1e-3)
+    nearly_external = OpticalCavity(f_c=1e14, kappa=1e9, kappa_i=1e-3)
     eta, over = cavity.coupling_efficiency(nearly_external)
     assert eta == pytest.approx(1.0, abs=1e-11)
     assert over
@@ -96,11 +96,11 @@ def test_sideband_metrics_paper_point():
 
 def test_sideband_metrics_limits():
     mode = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
-    tiny = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=1e4, kappa_i=5e3)
+    tiny = OpticalCavity(f_c=194.8e12, kappa=1e4, kappa_i=5e3)
     m = cavity.sideband_metrics(tiny, mode)
     assert m["resolution"] < 1e-10
     assert m["suppression_db"] > 100
-    boundary = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=4 * mode.f_m, kappa_i=1e9)
+    boundary = OpticalCavity(f_c=194.8e12, kappa=4 * mode.f_m, kappa_i=1e9)
     assert cavity.sideband_metrics(boundary, mode)["resolution"] == pytest.approx(1.0)
 
 

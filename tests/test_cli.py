@@ -240,3 +240,56 @@ def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys)
                "--out", tmp_path) == cli.EXIT_CONFIG
     assert "2 red and 1 blue" in _config_error_line(capsys)
     assert not (tmp_path / "thermometry.csv").exists()
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("g0 = 845e3", "g0 = nan"),
+    ("mode.n_baseline = 0.041", "mode.n_baseline = nan"),
+    ("mode.n_baseline = 0.041", "mode.n_baseline = inf"),
+    ("sequence.n_sequences = 1000000", "sequence.n_sequences = 1e400"),
+])
+def test_non_finite_config_value_is_a_config_error(tmp_path, device_config_path, capsys,
+                                                     line, replacement):
+    text = device_config_path.read_text()
+    assert line in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(line, replacement))
+    assert run("g2", "--oracle", "--config", cfg) == cli.EXIT_CONFIG
+    assert replacement.split(" = ")[0] in _config_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name, value", [("OMCLAB_THREADS", "abc"), ("OMCLAB_SEED", "x")])
+def test_bad_environment_default_is_a_config_error(tmp_path, device_config_path, capsys,
+                                                   monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert run("cavity-probe", "--config", device_config_path,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert f"{name}={value!r}" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("dn_range", ["3", "1..x", "4..1"])
+def test_g2_bad_dn_range_is_a_config_error(tmp_path, capsys, dn_range):
+    records = tmp_path / "records.csv"
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
+                       "3,write,20.0\n3,read,210.0\n")
+    assert run("g2", "--records", records, f"--dn-range={dn_range}") == cli.EXIT_CONFIG
+    assert "bad dn range" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("ps", ["a,b", "0.01,nan"])
+def test_heating_bad_ps_is_a_config_error(tmp_path, device_config_path, capsys, ps):
+    assert run("heating", "--config", device_config_path, "--out", tmp_path,
+               "--ps", ps) == cli.EXIT_CONFIG
+    assert "--ps" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("red_row", ["red,2e-15,1.5,1000000000", "red,2e-15,100,many"])
+def test_thermometry_non_integer_counts_is_a_config_error(tmp_path, device_config_path,
+                                                          capsys, red_row):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"side,pulse_energy_j,clicks,n_pulses\n{red_row}\n"
+                      "blue,2e-15,2000,1000000000\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert repr(red_row) in _config_error_line(capsys)

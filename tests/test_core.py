@@ -1,6 +1,10 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omclab import core
 from omclab.core import (
@@ -15,6 +19,8 @@ from omclab.core import (
     parse_config,
     serialize_config,
 )
+
+DEVICE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gap_omc.cfg"
 
 MINIMAL = """
 cavity.f_c = 194.8e12
@@ -57,6 +63,95 @@ def test_config_round_trip(device_config):
     assert serialize_config(again) == text
 
 
+def test_every_field_is_a_serialized_key(device_config):
+    # every optional field set, so no key is omitted from the text
+    piezo = dataclasses.replace(device_config.piezo, k_eff2=1.7e-4, q_uw=170.0, n_m=0.35)
+    pulses = tuple(dataclasses.replace(p, window=20e-6) for p in device_config.sequence.pulses)
+    config = dataclasses.replace(
+        device_config, piezo=piezo,
+        detection=dataclasses.replace(device_config.detection, filter_suppression_db=90.0),
+        sequence=dataclasses.replace(device_config.sequence, pulses=pulses))
+    text = serialize_config(config)
+    keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+    sections = [(config, ""), (config.cavity, "cavity"), (config.mode, "mode"),
+                (config.mode.heating, "heating"), (config.detection, "detection"),
+                (config.sequence, "sequence"), (piezo, "piezo")]
+    sections += [(p, f"pulse.{i}") for i, p in enumerate(pulses)]
+    expected = {f"{prefix}.{f.name}".lstrip(".")
+                for obj, prefix in sections for f in dataclasses.fields(obj)
+                if isinstance(getattr(obj, f.name), (str, int, float))}
+    expected |= {f"heating.calib.{i}.{name}"
+                 for i in range(len(config.mode.heating.calibration))
+                 for name in ("p_s", "amplitude", "n_instant")}
+    assert len(keys) == len(set(keys))
+    assert set(keys) == expected
+    assert parse_config(text) == config
+
+
+def test_non_finite_values_rejected():
+    with pytest.raises(ConfigError, match="g0"):
+        parse_config(MINIMAL.replace("g0 = 845e3", "g0 = nan"))
+    with pytest.raises(ConfigError, match="n_sequences"):
+        parse_config(MINIMAL + "sequence.n_sequences = 1e400\n")
+    with pytest.raises(ConfigError, match="n_baseline"):
+        parse_config(MINIMAL + "mode.n_baseline = inf\n")
+    with pytest.raises(ConfigError, match="filter_suppression_db"):
+        parse_config(MINIMAL + "detection.filter_suppression_db = -inf\n")
+    with pytest.raises(ConfigError, match="n_sequences"):
+        parse_config(MINIMAL + "sequence.n_sequences = 2.5\n")
+    # inf where it is the field's default (no filter line) round-trips
+    config = parse_config(MINIMAL + "detection.filter_suppression_db = inf\n")
+    assert config.detection.filter_suppression_db == math.inf
+    assert parse_config(serialize_config(config)) == config
+
+
+def _device_entries() -> list[tuple[str, str]]:
+    entries = []
+    for raw in DEVICE_CONFIG.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries.append((key, value))
+    return entries
+
+
+_DEVICE_ENTRIES = _device_entries()
+_ODD_VALUES = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0", "", "0",
+                               "-1", "1e-400", "red", "blue", "1.5"])
+
+
+def _mutated_device_text(kind: str, draw) -> str:
+    entries = list(_DEVICE_ENTRIES)
+    i = draw(st.integers(0, len(entries) - 1))
+    key, value = entries[i]
+    if kind == "replace":
+        entries[i] = (key, draw(st.one_of(_ODD_VALUES, st.floats().map(repr),
+                                          st.text(max_size=12))))
+    elif kind == "drop":
+        del entries[i]
+    elif kind == "unknown":
+        name = draw(st.from_regex(r"[a-z_0-9]{1,8}", fullmatch=True))
+        entries.insert(i, (f"{key.rpartition('.')[0]}.x{name}".lstrip("."), "1.0"))
+    else:
+        entries.insert(i + 1, (key, value))
+    return "".join(f"{k} = {v}\n" for k, v in entries)
+
+
+@pytest.mark.parametrize("kind", ["replace", "drop", "unknown", "duplicate"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_config_round_trips_or_raises_config_error(kind, data):
+    # starting from the device config: one value replaced by arbitrary text,
+    # one key dropped, one unknown key added, or one key duplicated
+    text = _mutated_device_text(kind, data.draw)
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert kind in ("replace", "drop")  # unknown and duplicate keys never parse
+    assert parse_config(serialize_config(config)) == config
+
+
 def test_inconsistent_kappa_triple_rejected():
     bad = MINIMAL + "cavity.kappa_e = 3.9e9\n"
     with pytest.raises(ValidationError, match="kappa"):
@@ -68,7 +163,7 @@ def test_inconsistent_kappa_triple_rejected():
 
 def test_kappa_i_larger_than_kappa_rejected():
     with pytest.raises(ValidationError):
-        OpticalCavity.from_linewidths(f_c=194.8e12, kappa=1.0e9, kappa_i=2.0e9)
+        OpticalCavity(f_c=194.8e12, kappa=1.0e9, kappa_i=2.0e9)
 
 
 def test_unknown_key_rejected():

@@ -168,7 +168,7 @@ def test_closed_form_table_matches_dense_fock(n, p_w, p_r, eta):
     table = fock.two_pulse_click_table(n, p_w, p_r, eta)
     dense = _dense_click_table(n, p_w, p_r, eta)
     for value, reference in zip((table.p_write, table.p_read, table.p11), dense):
-        assert value == pytest.approx(reference, rel=1e-8)
+        assert value == pytest.approx(reference, rel=1e-9, abs=0)
 
 
 def test_oracle_g2_thermal_limit():

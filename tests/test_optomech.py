@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from omclab import optomech
 from omclab.core import MechanicalMode, ModelValidityError, OpticalCavity
 
-CAVITY = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
+CAVITY = OpticalCavity(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
 MODE = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
 G0 = 845e3
 ETA_FC = 0.55

@@ -5,18 +5,19 @@ import pytest
 from scipy.stats import chi2
 
 from omclab import stats
-from omclab.sim import TimeTagRecord
+from omclab.sim import RecordBatch
 
 
 def _records_from_masks(write, read):
-    rows = []
-    for i, w in enumerate(write):
-        if w:
-            rows.append(TimeTagRecord(i, "write", 20e-9))
-    for i, r in enumerate(read):
-        if r:
-            rows.append(TimeTagRecord(i, "read", 210e-9))
-    return rows
+    w, r = np.flatnonzero(write), np.flatnonzero(read)
+    return RecordBatch(
+        n_sequences=write.size,
+        sequence_index=np.concatenate([w, r]),
+        pulse_index=np.repeat(np.array([0, 1], dtype=np.int16), [w.size, r.size]),
+        pulse_label=np.repeat(["write", "read"], [w.size, r.size]),
+        click_time=np.repeat([20e-9, 210e-9], [w.size, r.size]),
+        origin=None,
+    )
 
 
 def test_g2_independent_streams_consistent_with_one():
@@ -24,8 +25,7 @@ def test_g2_independent_streams_consistent_with_one():
     n = 200_000
     write = rng.random(n) < 0.01
     read = rng.random(n) < 0.012
-    est = stats.g2_crosscorr(_records_from_masks(write, read), 0, n_sequences=n,
-                             level=0.997)
+    est = stats.g2_crosscorr(_records_from_masks(write, read), 0, level=0.997)
     assert est.ci_low <= 1.0 <= est.ci_high
 
 
@@ -35,7 +35,7 @@ def test_g2_deterministic_pairing_gives_inverse_rate():
     n = 100_000
     p = 0.02
     write = rng.random(n) < p
-    est = stats.g2_crosscorr(_records_from_masks(write, write.copy()), 0, n_sequences=n)
+    est = stats.g2_crosscorr(_records_from_masks(write, write.copy()), 0)
     p_hat = write.mean()
     assert est.value == pytest.approx(1.0 / p_hat, rel=1e-12)
     assert est.value == pytest.approx(1.0 / p, rel=0.05)
@@ -47,9 +47,9 @@ def test_g2_offset_uses_shifted_pairs():
     read = np.zeros(n, dtype=bool)
     write[::10] = True
     read[1::10] = True  # read always one sequence after a write
-    est = stats.g2_crosscorr(_records_from_masks(write, read), 1, n_sequences=n)
+    est = stats.g2_crosscorr(_records_from_masks(write, read), 1)
     assert est.counts[0] == est.counts[1]  # every usable write pairs up
-    est0 = stats.g2_crosscorr(_records_from_masks(write, read), 0, n_sequences=n)
+    est0 = stats.g2_crosscorr(_records_from_masks(write, read), 0)
     assert est0.counts[0] == 0
 
 
@@ -58,8 +58,7 @@ def test_g2_requires_clicks():
     write = np.zeros(n, dtype=bool)
     write[3] = True
     with pytest.raises(stats.UndefinedEstimateError):
-        stats.g2_crosscorr(_records_from_masks(write, np.zeros(n, dtype=bool)), 0,
-                           n_sequences=n)
+        stats.g2_crosscorr(_records_from_masks(write, np.zeros(n, dtype=bool)), 0)
 
 
 def test_g2_thinning_invariance():
@@ -69,13 +68,12 @@ def test_g2_thinning_invariance():
     write = rng.random(n) < 0.02
     read = write & (rng.random(n) < 0.5)
     read |= rng.random(n) < 0.005
-    base = stats.g2_crosscorr(_records_from_masks(write, read), 0, n_sequences=n)
+    base = stats.g2_crosscorr(_records_from_masks(write, read), 0)
     shifts = []
     for trial in range(100):
         keep_w = write & (rng.random(n) < 0.5)
         keep_r = read & (rng.random(n) < 0.5)
-        thinned = stats.g2_crosscorr(_records_from_masks(keep_w, keep_r), 0,
-                                     n_sequences=n)
+        thinned = stats.g2_crosscorr(_records_from_masks(keep_w, keep_r), 0)
         shifts.append(abs(thinned.value - base.value))
     width = base.ci_high - base.ci_low
     assert np.median(shifts) < width
@@ -229,7 +227,7 @@ def test_linear_fit_slope_matches_quoted_calibration():
     # p_s versus fiber peak power in uW for 40 ns pulses at 55% fiber coupling
     from omclab.core import MechanicalMode, OpticalCavity
     from omclab import optomech
-    cav = OpticalCavity.from_linewidths(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
+    cav = OpticalCavity(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
     mode = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
     powers_uw = np.linspace(0.01, 1.0, 12)
     p_s = [optomech.scattering_probability("red", p * 1e-6 * 40e-9 * 0.55, 845e3, cav, mode)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omclab import transducer
+from omclab import ValidationError, transducer
 from omclab.transducer import PiezoInterface
 
 
@@ -121,7 +121,8 @@ def test_budget_requires_q_and_occupation():
 
 
 def test_piezo_interface_invariants():
-    with pytest.raises(ValueError):
-        PiezoInterface(f_s=3.05e9, f_p=3.0e9, c_piezo=1e-15)
-    with pytest.raises(ValueError):
-        PiezoInterface(f_s=3.05e9, f_p=3.06e9, c_piezo=-1e-15)
+    mech = dict(f_m=3.05e9, gamma_m=7.96e3)
+    with pytest.raises(ValidationError):
+        PiezoInterface(f_s=3.05e9, f_p=3.0e9, c_piezo=1e-15, **mech)
+    with pytest.raises(ValidationError):
+        PiezoInterface(f_s=3.05e9, f_p=3.06e9, c_piezo=-1e-15, **mech)
