@@ -2,7 +2,7 @@
 
 Modules:
 
-* ``core``        shared domain types, unit conventions, config files
+* ``core``        shared domain types, unit conventions, config files, CSV tables
 * ``cavity``      one-port cavity response and coupling diagnostics
 * ``optomech``    scattering probabilities, thermometry, cooperativity
 * ``dynamics``    heating dynamics and the thermal mechanical spectrum

@@ -7,24 +7,11 @@ conversion happens inside each formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar
 
 from .core import Frequency, MechanicalMode, OpticalCavity
-
-
-@dataclass(frozen=True)
-class ReflectionPoint:
-    """Complex reflection coefficient at one laser-cavity detuning."""
-
-    detuning: Frequency
-    amplitude: complex
-
-    def __post_init__(self):
-        if abs(self.amplitude) > 1 + 1e-9:
-            raise ValueError("reflection amplitude cannot exceed unit modulus")
 
 
 def reflection_amplitude(delta, cavity: OpticalCavity):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,24 +27,18 @@ from . import __version__, cavity, dynamics, fock, optomech, sim, stats, transdu
 from .core import (
     ConfigError,
     ExperimentConfig,
-    ModelValidityError,
     PulseSequence,
     load_config,
+    read_table,
     serialize_config,
     with_sequence,
+    write_table,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_NUMERICAL_ERRORS = (
-    ModelValidityError,
-    stats.UndefinedEstimateError,
-    fock.TruncationError,
-    fock.HeraldingError,
-)
 
 
 def _config_hash(text: str) -> str:
@@ -52,18 +47,11 @@ def _config_hash(text: str) -> str:
 
 def _header(config_hash: str, seed: int | None) -> str:
     seed_part = "none" if seed is None else str(seed)
-    return f"# omclab {__version__} config={config_hash} seed={seed_part}"
-
-
-def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
-    lines = [header, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return f"omclab {__version__} config={config_hash} seed={seed_part}"
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
-    path.write_text(header + "\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(f"# {header}\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_artifact_json(path: str | Path) -> dict:
@@ -99,9 +87,9 @@ def cmd_cavity_probe(args) -> int:
     out = _out_dir(args)
     header = _header(chash, None)
     spectrum = cavity.reflection_spectrum(config.cavity, span=args.span, n_points=args.points)
-    _write_csv(out / "reflection_spectrum.csv", header,
-               ["detuning_hz", "power_reflectance", "phase_rad"],
-               ([float(a), float(b), float(c)] for a, b, c in spectrum))
+    write_table(out / "reflection_spectrum.csv", [header],
+                ["detuning_hz", "power_reflectance", "phase_rad"],
+                ([float(a), float(b), float(c)] for a, b, c in spectrum))
     eta_dev, over = cavity.coupling_efficiency(config.cavity)
     metrics = cavity.sideband_metrics(config.cavity, config.mode)
     _write_json(out / "cavity_report.json", header, {
@@ -115,32 +103,17 @@ def cmd_cavity_probe(args) -> int:
     return EXIT_OK
 
 
-def _read_table_csv(path: Path) -> list[list[str]]:
-    rows = []
-    header = None
-    for raw in path.read_text().splitlines():
-        if raw.startswith("#") or not raw.strip():
-            continue
-        if header is None:
-            header = [c.strip() for c in raw.split(",")]
-            continue
-        rows.append([c.strip() for c in raw.split(",")])
-    if header is None:
-        raise ConfigError(f"{path}: empty table")
-    return [header, *rows]
-
-
 def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
     header_line = _header(chash, None)
-    table = _read_table_csv(Path(args.counts))
-    cols = {name: i for i, name in enumerate(table[0])}
+    _, columns, rows = read_table(args.counts)
+    cols = {name: i for i, name in enumerate(columns)}
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
     if not required.issubset(cols):
         raise ConfigError(f"counts file must have columns {sorted(required)}")
-    red_rows = [r for r in table[1:] if r[cols["side"]] == "red"]
-    blue_rows = [r for r in table[1:] if r[cols["side"]] == "blue"]
+    red_rows = [r for r in rows if r[cols["side"]] == "red"]
+    blue_rows = [r for r in rows if r[cols["side"]] == "blue"]
     if not red_rows or not blue_rows:
         raise ConfigError("counts file needs both red and blue rows")
     if len(red_rows) != len(blue_rows):
@@ -149,11 +122,14 @@ def cmd_thermometry(args) -> int:
 
     def counts(row):
         try:
-            return (float(row[cols["pulse_energy_j"]]), int(row[cols["clicks"]]),
-                    int(row[cols["n_pulses"]]))
-        except (ValueError, IndexError):
-            raise ConfigError(f"{args.counts}: row {','.join(row)!r} needs a number "
-                              "pulse_energy_j and integer clicks and n_pulses") from None
+            energy = float(row[cols["pulse_energy_j"]])
+            clicks, n_pulses = int(row[cols["clicks"]]), int(row[cols["n_pulses"]])
+        except ValueError:
+            energy = math.nan
+        if not math.isfinite(energy):
+            raise ConfigError(f"{args.counts}: row {','.join(row)!r} needs a finite number "
+                              "pulse_energy_j and integer clicks and n_pulses")
+        return energy, clicks, n_pulses
 
     eta_det = config.detection.eta_det
     results = []
@@ -170,8 +146,8 @@ def cmd_thermometry(args) -> int:
         n_c = cavity.intracavity_photons(power_device, config.mode.f_m, config.cavity, f_l)
         coop = optomech.cooperativity(config.g0, n_c, config.cavity, config.mode)
         results.append([p_r, p_b, n_th, err, coop])
-    _write_csv(out / "thermometry.csv", header_line,
-               ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"], results)
+    write_table(out / "thermometry.csv", [header_line],
+                ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"], results)
     print(f"thermometry: {len(results)} asymmetry points -> {out / 'thermometry.csv'}")
     return EXIT_OK
 
@@ -199,8 +175,8 @@ def cmd_heating(args) -> int:
         for tau in taus:
             n = config.mode.n_baseline + dynamics.heating_occupation(float(tau), heating, amp, n_i)
             rows.append([p_s, float(tau), n])
-    _write_csv(out / "heating_curves.csv", _header(chash, None),
-               ["p_s", "tau_s", "n_th"], rows)
+    write_table(out / "heating_curves.csv", [_header(chash, None)],
+                ["p_s", "tau_s", "n_th"], rows)
     print(f"heating: {len(ps_values)} curves -> {out / 'heating_curves.csv'}")
     return EXIT_OK
 
@@ -214,8 +190,7 @@ def cmd_simulate(args) -> int:
     batch, report = sim.simulate(config, args.seed, blind=args.blind)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    sim.write_records_csv(batch, out_path,
-                          header_lines=[_header(chash, args.seed)[2:]])
+    sim.write_records_csv(batch, out_path, header_lines=[_header(chash, args.seed)])
     report_path = out_path.with_suffix(".report.json")
     _write_json(report_path, _header(chash, args.seed), {
         "n_sequences": report.n_sequences,
@@ -263,13 +238,7 @@ def cmd_g2(args) -> int:
     if not args.records:
         raise ConfigError("g2 requires --records (or --oracle)")
     batch = sim.read_records_csv(args.records)
-    dns = _parse_dn_range(args.dn_range)
-    threads = args.threads
-
-    def estimate(dn: int):
-        return stats.g2_crosscorr(batch, dn)
-
-    estimates = _pmap(estimate, dns, threads)
+    estimates = [stats.g2_crosscorr(batch, dn) for dn in _parse_dn_range(args.dn_range)]
     payload = {"estimates": [
         {"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low, "ci_high": e.ci_high,
          "counts": {"n_coinc": e.counts[0], "n_write": e.counts[1],
@@ -285,14 +254,16 @@ def cmd_g2(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    table = _read_table_csv(Path(args.data))
     rows = []
-    for row in table[1:]:
+    for row in read_table(args.data)[2]:
         try:
-            rows.append([float(row[0]), float(row[1])])
+            point = [float(row[0]), float(row[1])]
         except (ValueError, IndexError):
+            point = [math.nan]
+        if not all(map(math.isfinite, point)):
             raise ConfigError(f"{args.data}: row {','.join(row)!r} is not an x,y pair "
-                              "of numbers") from None
+                              "of finite numbers")
+        rows.append(point)
     pts = np.array(rows)
     fitters = {
         "lorentzian": stats.fit_lorentzian_with_offset,
@@ -334,15 +305,11 @@ def cmd_budget(args) -> int:
         "added_noise_photons": budget.added_noise,
         "impedance_ohm": budget.impedance,
     })
-    qs = np.geomspace(args.q_min, args.q_max, args.q_points)
     rows = []
-    for q in qs:
-        c_em = transducer.electromech_cooperativity(
-            budget.k_eff2_reduced, config.piezo.f_m, config.piezo.f_m / q,
-            config.piezo.gamma_m)
-        rows.append([float(q), c_em,
-                     transducer.added_noise(config.piezo.n_m, config.piezo.eta_e, c_em)])
-    _write_csv(out / "noise_vs_q.csv", header, ["q_uw", "c_em", "added_noise"], rows)
+    for q in np.geomspace(args.q_min, args.q_max, args.q_points).tolist():
+        point = transducer.conversion_budget(dataclasses.replace(config.piezo, q_uw=q))
+        rows.append([q, point.c_em, point.added_noise])
+    write_table(out / "noise_vs_q.csv", [header], ["q_uw", "c_em", "added_noise"], rows)
     print(f"budget: N={budget.added_noise:.4f} photons at C_em={budget.c_em:.2f} "
           f"-> {out / 'budget.json'}")
     return EXIT_OK
@@ -357,9 +324,9 @@ def _reproduce_fig1b(config, chash, out, args):
     r = cavity.reflection_amplitude(grid, config.cavity)
     power = np.abs(r) ** 2
     fit = stats.fit_lorentzian_with_offset(np.column_stack([grid, power]))
-    _write_csv(out / "fig1b_reflection.csv", header,
-               ["detuning_hz", "power_reflectance"],
-               ([float(x), float(y)] for x, y in zip(grid, power)))
+    write_table(out / "fig1b_reflection.csv", [header],
+                ["detuning_hz", "power_reflectance"],
+                ([float(x), float(y)] for x, y in zip(grid, power)))
     _write_json(out / "fig1b_fit.json", header, {
         "kappa_fit_hz": fit.params["fwhm"],
         "kappa_true_hz": config.cavity.kappa,
@@ -379,8 +346,8 @@ def _reproduce_fig1c(config, chash, out, args):
         "q_factor": mode.f_m / fit.params["fwhm"] if fit.params["fwhm"] else None,
         "converged": fit.converged,
     })
-    _write_csv(out / "fig1c_psd.csv", header, ["frequency_hz", "psd"],
-               ([float(x), float(y)] for x, y in zip(grid, psd)))
+    write_table(out / "fig1c_psd.csv", [header], ["frequency_hz", "psd"],
+                ([float(x), float(y)] for x, y in zip(grid, psd)))
 
 
 def _reproduce_fig2(config, chash, out, args):
@@ -407,8 +374,8 @@ def _reproduce_fig2(config, chash, out, args):
         return [float(p_s), n_th, err, coop, red_rep.pulse_occupations[0]]
 
     rows = _pmap(point, list(enumerate(ps_grid)), args.threads)
-    _write_csv(out / "fig2_thermometry.csv", header,
-               ["p_s", "n_th_est", "n_th_err", "cooperativity", "n_th_true"], rows)
+    write_table(out / "fig2_thermometry.csv", [header],
+                ["p_s", "n_th_est", "n_th_err", "cooperativity", "n_th_true"], rows)
 
 
 def _reproduce_fig3a(config, chash, out, args):
@@ -456,7 +423,7 @@ def _reproduce_figs1(config, chash, out, args):
                                               config.cavity, config.mode)
         rows.append([float(p_uw), p_s])
     fit = stats.fit_linear(np.array(rows))
-    _write_csv(out / "figs1_calibration.csv", header, ["peak_power_uw", "p_s"], rows)
+    write_table(out / "figs1_calibration.csv", [header], ["peak_power_uw", "p_s"], rows)
     g0, g0_err = optomech.g0_from_calibration(
         [[r[0] * 1e-6 * duration * config.detection.eta_fc, r[1]] for r in rows],
         config.cavity, config.mode)
@@ -579,10 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         # inside the try: the environment defaults are read while building
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # or an input file that is not text
         print(f"omclab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (*_NUMERICAL_ERRORS, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"omclab: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Shared domain types, unit conventions, and configuration parsing.
+"""Shared domain types, unit conventions, configuration parsing and CSV tables.
 
 Unit conventions used throughout this package:
 
@@ -40,10 +40,6 @@ class ValidationError(ConfigError):
 
 class ModelValidityError(ValueError):
     """Inputs are outside the validity range of the physical model."""
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to converge."""
 
 
 # relative tolerance for the kappa = kappa_i + kappa_e consistency check
@@ -448,3 +444,52 @@ def serialize_config(config: ExperimentConfig) -> str:
 def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> ExperimentConfig:
     """Copy of ``config`` with a different pulse sequence."""
     return replace(config, sequence=sequence)
+
+
+# --- comma tables ----------------------------------------------------------------
+#
+# Every CSV omclab reads or writes (click records, user inputs, artifacts):
+# `#` comment lines first, where `# <name>=<value>` is metadata; then one line
+# of column names; then rows with exactly one field per column.
+
+
+def _field(value) -> str:
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
+def write_table(path: str | Path, comment_lines: list[str], columns: list[str],
+                rows) -> None:
+    """Write a comma table: ``# <line>`` per comment line, the column names,
+    then one line per row; floats are written ``%.10g``."""
+    lines = [f"# {line}" for line in comment_lines]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_field, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Read a comma table: (metadata, column names, rows), every field stripped.
+
+    Comment and blank lines are skipped.  A file without a column line, or a
+    row whose field count differs from it, is a ``ConfigError`` naming the
+    file (and the row).
+    """
+    metadata: dict[str, str] = {}
+    body = []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            name, eq, value = line[1:].partition("=")
+            if eq and name.strip().isidentifier():
+                metadata[name.strip()] = value.strip()
+        elif line and not line.isspace():
+            body.append(line)
+    if not body:
+        raise ConfigError(f"{path}: no column names line")
+    table = [[f.strip() for f in line.split(",")] for line in body]
+    columns = table[0]
+    if len(set(map(len, table))) > 1:
+        line, fields = next((line, fields) for line, fields in zip(body, table)
+                            if len(fields) != len(columns))
+        raise ConfigError(f"{path}: row {line!r} has {len(fields)} fields for "
+                          f"{len(columns)} columns; it does not match the header")
+    return metadata, columns, table[1:]

@@ -57,15 +57,12 @@ def occupation_after_sequence(sequence: PulseSequence, params: HeatingParams,
 
 
 def occupation_at_pulse(sequence: PulseSequence, params: HeatingParams,
-                        p_s_per_pulse, index: int, n_baseline: float = 0.0,
-                        include_own_instant: bool = True) -> float:
+                        p_s_per_pulse, index: int, n_baseline: float = 0.0) -> float:
     """Occupation seen by pulse ``index``: prior pulses' heating at its start
-    plus, by default, its own quasi-instantaneous contribution."""
+    plus its own quasi-instantaneous contribution."""
     pulse = sequence.pulses[index]
     n = occupation_after_sequence(sequence, params, p_s_per_pulse, pulse.start, n_baseline)
-    if include_own_instant:
-        n += params.instant_occupation(p_s_per_pulse[index])
-    return n
+    return n + params.instant_occupation(p_s_per_pulse[index])
 
 
 def mechanical_psd(f, mode: MechanicalMode, n_th: float):

@@ -33,8 +33,9 @@ from .core import (
     Pulse,
     PulseSequence,
     ValidationError,
-    serialize_config,
+    read_table,
     with_sequence,
+    write_table,
 )
 
 CHUNK_SEQUENCES = 1 << 18
@@ -56,28 +57,16 @@ class RecordBatch:
     def __len__(self) -> int:
         return int(self.sequence_index.size)
 
-    def label_totals(self) -> dict[str, int]:
-        labels, counts = np.unique(self.pulse_label, return_counts=True)
-        return {str(l): int(c) for l, c in zip(labels, counts)}
-
 
 @dataclass(frozen=True)
 class SimReport:
-    """Run provenance: config echo, seed, ground truth, and click totals."""
+    """Run ground truth: per-pulse probabilities, occupations and click totals."""
 
-    config_text: str
-    seed: int
     n_sequences: int
     pulse_labels: tuple[str, ...]
     pulse_ps: tuple[float, ...]
     pulse_occupations: tuple[float, ...]
     pulse_totals: tuple[dict[str, int], ...]  # per pulse: origin -> count
-
-    def label_totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for label, totals in zip(self.pulse_labels, self.pulse_totals):
-            out[label] = out.get(label, 0) + sum(totals.values())
-        return out
 
 
 def pulse_energy_at_device(pulse, eta_fc: float) -> float:
@@ -294,8 +283,6 @@ def simulate(config: ExperimentConfig, seed: int,
         origin=None if blind else origins,
     )
     report = SimReport(
-        config_text=serialize_config(config),
-        seed=seed,
         n_sequences=n_total,
         pulse_labels=tuple(p.label for p in seq.pulses),
         pulse_ps=tuple(p_s),
@@ -305,7 +292,7 @@ def simulate(config: ExperimentConfig, seed: int,
     return batch, report
 
 
-# --- windowed counting ----------------------------------------------------------
+# --- record CSV I/O ---------------------------------------------------------------
 
 
 def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordBatch:
@@ -331,93 +318,48 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
                        origin=batch.origin)
 
 
-def count_in_windows(batch: RecordBatch, sequence: PulseSequence,
-                     windows: dict[str, tuple[float, float]]) -> dict[str, int]:
-    """Per-label click totals restricted to fraction-of-pulse windows.
-
-    ``windows`` maps a pulse label to (lo, hi) fractions of the pulse
-    duration measured from the pulse start; labels without an entry keep
-    their full record count.  Empty or inverted windows are rejected.
-    """
-    return trim_records(batch, sequence, windows).label_totals()
-
-
-def trim_records(batch: RecordBatch, sequence: PulseSequence,
-                 windows: dict[str, tuple[float, float]]) -> RecordBatch:
-    """Subset of ``batch`` whose click times fall inside the given windows."""
-    for label, (lo, hi) in windows.items():
-        if not (hi > lo):
-            raise ValueError(f"window for {label!r} is empty")
-    keep = np.ones(len(batch), dtype=bool)
-    for i, pulse in enumerate(sequence.pulses):
-        if pulse.label not in windows:
-            continue
-        lo, hi = windows[pulse.label]
-        t0 = pulse.start + lo * pulse.duration
-        t1 = pulse.start + hi * pulse.duration
-        mine = batch.pulse_index == i
-        keep &= ~mine | ((batch.click_time >= t0) & (batch.click_time < t1))
-    return RecordBatch(
-        n_sequences=batch.n_sequences,
-        sequence_index=batch.sequence_index[keep],
-        pulse_index=batch.pulse_index[keep],
-        pulse_label=batch.pulse_label[keep],
-        click_time=batch.click_time[keep],
-        origin=None if batch.origin is None else batch.origin[keep],
-    )
-
-
-# --- record CSV I/O ---------------------------------------------------------------
+RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
 
 
 def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
     """Record stream as CSV: sequence_index, pulse_label, click_time_ns[, origin]."""
-    blind = batch.origin is None
-    lines = [f"# {line}" for line in (header_lines or [])]
-    lines.append(f"# n_sequences={batch.n_sequences}")
-    columns = "sequence_index,pulse_label,click_time_ns" + ("" if blind else ",origin")
-    lines.append(columns)
-    for i in range(len(batch)):
-        row = (f"{int(batch.sequence_index[i])},{batch.pulse_label[i]},"
-               f"{batch.click_time[i] * 1e9:.6f}")
-        if not blind:
-            row += f",{batch.origin[i]}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = list(RECORD_COLUMNS)
+    data = [batch.sequence_index.tolist(), batch.pulse_label.tolist(),
+            [f"{t:.6f}" for t in (batch.click_time * 1e9).tolist()]]
+    if batch.origin is not None:
+        columns.append("origin")
+        data.append(batch.origin.tolist())
+    write_table(path, [*(header_lines or []), f"n_sequences={batch.n_sequences}"],
+                columns, zip(*data))
 
 
 def read_records_csv(path: str | Path) -> RecordBatch:
     """Parse a record CSV written by ``write_records_csv``."""
-    n_sequences = None
-    rows = []
-    header = None
-    for raw in Path(path).read_text().splitlines():
-        if raw.startswith("#"):
-            stripped = raw[1:].strip()
-            if stripped.startswith("n_sequences="):
-                n_sequences = int(stripped.split("=", 1)[1])
-            continue
-        if header is None:
-            header = raw.split(",")
-            continue
-        rows.append(raw.split(","))
-    if header is None or n_sequences is None:
-        raise ConfigError(f"{path}: not a record CSV (missing header or n_sequences)")
-    has_origin = "origin" in header
-    short = next((r for r in rows if len(r) != len(header)), None)
-    if short is not None:
-        raise ConfigError(f"{path}: row {','.join(short)!r} does not match the header")
+    metadata, columns, rows = read_table(path)
+    if ("n_sequences" not in metadata
+            or tuple(columns) not in (RECORD_COLUMNS, (*RECORD_COLUMNS, "origin"))):
+        raise ConfigError(f"{path}: not a record CSV (needs an n_sequences line and the "
+                          f"columns {','.join(RECORD_COLUMNS)}[,origin])")
     try:
-        seq = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        times = np.array([float(r[2]) * 1e-9 for r in rows], dtype=float)
-    except ValueError as exc:
+        n_sequences = int(metadata["n_sequences"])
+    except ValueError:
+        n_sequences = -1
+    if n_sequences < 0:
+        raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
+                          "non-negative integer")
+    seq_col, label_col, time_col, *origin_col = ([row[i] for row in rows]
+                                                 for i in range(len(columns)))
+    try:
+        seq = np.array(seq_col, dtype=np.int64)
+        times = np.array(time_col, dtype=float) * 1e-9
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad record row: {exc}") from None
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
-    labels = np.array([r[1] for r in rows]) if rows else np.empty(0, dtype="<U5")
-    origin = (np.array([r[3] for r in rows]) if rows else np.empty(0, dtype="<U7")) \
-        if has_origin else None
+    if not np.isfinite(times).all():
+        raise ConfigError(f"{path}: click_time_ns must be finite")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,
                        pulse_index=np.zeros(len(rows), dtype=np.int16),
-                       pulse_label=labels, click_time=times, origin=origin)
+                       pulse_label=np.array(label_col, dtype=str), click_time=times,
+                       origin=np.array(origin_col[0], dtype=str) if origin_col else None)

@@ -36,12 +36,6 @@ def test_reflection_modulus_bounded():
     assert np.all(np.abs(cavity.reflection_amplitude(grid, cav)) <= 1 + 1e-12)
 
 
-def test_reflection_point_rejects_gain():
-    cavity.ReflectionPoint(0.0, -0.5 + 0.0j)
-    with pytest.raises(ValueError):
-        cavity.ReflectionPoint(0.0, 1.5 + 0.0j)
-
-
 def test_energy_conservation():
     rng = np.random.default_rng(7)
     for _ in range(20):

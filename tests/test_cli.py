@@ -1,7 +1,14 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omclab import __version__, cli, load_config, sim
 from omclab.cli import main, read_artifact_json
+from omclab.core import ConfigError
 
 
 def run(*argv):
@@ -180,6 +187,10 @@ def test_exit_codes(tmp_path, device_config_path):
     incomplete = tmp_path / "incomplete.cfg"
     incomplete.write_text("cavity.f_c = 1e14\n")
     assert run("cavity-probe", "--config", incomplete, "--out", tmp_path) == cli.EXIT_CONFIG
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"x,y\n0,1\n1,\xff3\n")
+    assert run("fit", "--model", "linear", "--data", not_utf8) == cli.EXIT_CONFIG
+    assert run("cavity-probe", "--config", not_utf8, "--out", tmp_path) == cli.EXIT_CONFIG
 
 
 def test_env_seed_override(tmp_path, device_config_path, monkeypatch):
@@ -207,6 +218,10 @@ def _config_error_line(capsys) -> str:
     ("-1,read,210.0", "sequence_index outside [0, 10)"),
     ("4,read", "does not match the header"),
     ("x,read,210.0", "bad record row"),
+    ("99999999999999999999,read,210.0", "bad record row"),
+    ("4,read,nan", "click_time_ns must be finite"),
+    ("4,read,-inf", "click_time_ns must be finite"),
+    ("4,read,1e400", "click_time_ns must be finite"),
 ])
 def test_g2_records_malformed_row(tmp_path, capsys, row, message):
     records = tmp_path / "records.csv"
@@ -214,6 +229,15 @@ def test_g2_records_malformed_row(tmp_path, capsys, row, message):
                        f"3,write,20.0\n{row}\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
     assert message in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1e3", ""])
+def test_g2_records_bad_n_sequences(tmp_path, capsys, value):
+    records = tmp_path / "records.csv"
+    records.write_text(f"# n_sequences={value}\nsequence_index,pulse_label,click_time_ns\n"
+                       "3,write,20.0\n3,read,210.0\n")
+    assert run("g2", "--records", records) == cli.EXIT_CONFIG
+    assert f"n_sequences={value!r}" in _config_error_line(capsys)
 
 
 def test_g2_records_not_a_record_csv(tmp_path, capsys):
@@ -225,10 +249,11 @@ def test_g2_records_not_a_record_csv(tmp_path, capsys):
 
 def test_fit_cli_unparseable_row(tmp_path, capsys):
     data = tmp_path / "bad.csv"
-    data.write_text("x,y\n0,1\n1,abc\n2,5\n")
-    assert run("fit", "--model", "linear", "--data", data) == cli.EXIT_CONFIG
-    err = _config_error_line(capsys)
-    assert str(data) in err and "'1,abc'" in err
+    for row in ("1,abc", "1,nan", "inf,3"):
+        data.write_text(f"x,y\n0,1\n{row}\n2,5\n")
+        assert run("fit", "--model", "linear", "--data", data) == cli.EXIT_CONFIG
+        err = _config_error_line(capsys)
+        assert str(data) in err and repr(row) in err
 
 
 def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys):
@@ -240,6 +265,17 @@ def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys)
                "--out", tmp_path) == cli.EXIT_CONFIG
     assert "2 red and 1 blue" in _config_error_line(capsys)
     assert not (tmp_path / "thermometry.csv").exists()
+
+
+def test_thermometry_short_row_is_a_config_error(tmp_path, device_config_path, capsys):
+    # the side column last, so a short row lacks the field the pairing reads first
+    counts = tmp_path / "counts.csv"
+    counts.write_text("pulse_energy_j,clicks,n_pulses,side\n2e-15,100\n"
+                      "2e-15,2000,1000000000,blue\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    err = _config_error_line(capsys)
+    assert str(counts) in err and "'2e-15,100'" in err
 
 
 @pytest.mark.parametrize("line, replacement", [
@@ -284,7 +320,8 @@ def test_heating_bad_ps_is_a_config_error(tmp_path, device_config_path, capsys, 
     assert "--ps" in _config_error_line(capsys)
 
 
-@pytest.mark.parametrize("red_row", ["red,2e-15,1.5,1000000000", "red,2e-15,100,many"])
+@pytest.mark.parametrize("red_row", ["red,2e-15,1.5,1000000000", "red,2e-15,100,many",
+                                     "red,nan,100,1000000000"])
 def test_thermometry_non_integer_counts_is_a_config_error(tmp_path, device_config_path,
                                                           capsys, red_row):
     counts = tmp_path / "counts.csv"
@@ -293,3 +330,86 @@ def test_thermometry_non_integer_counts_is_a_config_error(tmp_path, device_confi
     assert run("thermometry", "--config", device_config_path, "--counts", counts,
                "--out", tmp_path) == cli.EXIT_CONFIG
     assert repr(red_row) in _config_error_line(capsys)
+
+
+# --- record and table CSV fuzzing ---------------------------------------------------
+
+_RECORDS = sim.RecordBatch(
+    n_sequences=10,
+    sequence_index=np.array([0, 3, 3, 7, 9]),
+    pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
+    pulse_label=np.array(["write", "write", "read", "read", "write"]),
+    click_time=np.array([20e-9, 25e-9, 200e-9, 210e-9, 5e-6]),
+    origin=np.array(["signal", "dark", "signal", "leakage", "dark"]),
+)
+_FIT_TABLE = "x,y\n0,1\n1,3\n2,5\n3,7\n"
+_ODD_FIELDS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "", "1e400", "1.5"]),
+                        st.text(st.characters(codec="ascii"), max_size=12))
+
+
+def _mutated_table(kind: str, text: str, draw) -> str:
+    """``text`` with one field replaced, dropped or added, or (record files)
+    the n_sequences line dropped or set below the largest sequence index."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    if kind == "drop_n_sequences":
+        lines = lines[1:]
+    elif kind == "n_sequences_below_index":
+        lines[0] = f"# n_sequences={draw(st.integers(0, 9))}"
+    else:
+        i = draw(st.integers(first, len(lines) - 1))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        if kind == "replace":
+            fields[j] = draw(_ODD_FIELDS)
+        elif kind == "drop_field":
+            del fields[j]
+        else:
+            fields.insert(j, draw(_ODD_FIELDS))
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _records_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        sim.write_records_csv(_RECORDS, path)
+        return path.read_text()
+
+
+_RECORD_KINDS = ["replace", "drop_field", "add_field", "drop_n_sequences",
+                 "n_sequences_below_index"]
+
+
+@pytest.mark.parametrize("kind", _RECORD_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_records_read_or_raise_config_error(kind, data):
+    text = _mutated_table(kind, _records_text(), data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_text(text)
+        try:
+            batch = sim.read_records_csv(path)
+        except ConfigError:
+            return
+    assert kind == "replace"  # a dropped or added field or a bad n_sequences never reads
+    assert isinstance(batch, sim.RecordBatch)
+    assert np.isfinite(batch.click_time).all()
+    assert np.all((batch.sequence_index >= 0) & (batch.sequence_index < batch.n_sequences))
+
+
+@pytest.mark.parametrize("command, kind", [
+    *(("g2", kind) for kind in _RECORD_KINDS),
+    *(("fit", kind) for kind in ["replace", "drop_field", "add_field"]),
+])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_table_exit_code(command, kind, data):
+    text = _records_text() if command == "g2" else _FIT_TABLE
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(_mutated_table(kind, text, data.draw))
+        argv = ["g2", "--records", path] if command == "g2" else \
+            ["fit", "--model", "linear", "--data", path]
+        assert run(*argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)

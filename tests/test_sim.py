@@ -70,7 +70,8 @@ def test_report_totals_match_record_counts(device_config):
     config = _pair_config(device_config, 0.03, 0.08, 0.3, 20000,
                           eta_rest=0.4, dark_rate=5.0)
     batch, report = sim.simulate(config, 3)
-    assert report.label_totals() == batch.label_totals()
+    per_pulse = [sum(totals.values()) for totals in report.pulse_totals]
+    assert np.bincount(batch.pulse_index, minlength=2).tolist() == per_pulse
 
 
 def test_rate_recovery_against_closed_form(device_config):
@@ -197,44 +198,6 @@ def test_blind_mode_hides_origin(device_config):
     config = _pair_config(device_config, 0.03, 0.08, 0.3, 5000, eta_rest=0.4)
     batch, _ = sim.simulate(config, 8, blind=True)
     assert batch.origin is None
-
-
-def test_count_in_windows_full_equals_totals(device_config):
-    config = _pair_config(device_config, 0.03, 0.08, 0.3, 30000, eta_rest=0.4)
-    batch, _ = sim.simulate(config, 9)
-    totals = sim.count_in_windows(batch, config.sequence,
-                                  {"write": (0.0, 1.0), "read": (0.0, 1.0)})
-    assert totals == batch.label_totals()
-
-
-def test_count_in_windows_half_read(device_config):
-    config = _pair_config(device_config, 0.03, 0.2, 0.5, 40000, eta_rest=0.5)
-    batch, _ = sim.simulate(config, 10)
-    full = batch.label_totals()
-    half = sim.count_in_windows(batch, config.sequence, {"read": (0.0, 0.5)})
-    expected = full["read"] / 2
-    assert abs(half["read"] - expected) < 3 * math.sqrt(expected)
-    assert half["write"] == full["write"]
-
-
-def test_count_in_windows_trims_darks_proportionally(device_config):
-    window = 20e-6
-    pulses = (Pulse("red", 400e-9, 0.0, 0.0, window=window),)
-    config = _config(device_config, dark_rate=3000.0, pulses=pulses, n_sequences=100_000)
-    batch, _ = sim.simulate(config, 12)
-    kept = sim.count_in_windows(batch, config.sequence, {"read": (0.0, 0.5)})
-    # darks are uniform over the 20 us window; keeping half the 400 ns pulse
-    # keeps a fraction 0.5 * duration / window of them
-    frac = 0.5 * 400e-9 / window
-    expected = len(batch) * frac
-    assert abs(kept["read"] - expected) < 4 * math.sqrt(expected)
-
-
-def test_count_in_windows_rejects_empty_window(device_config):
-    config = _pair_config(device_config, 0.03, 0.08, 0.3, 100, eta_rest=0.4)
-    batch, _ = sim.simulate(config, 13)
-    with pytest.raises(ValueError, match="empty"):
-        sim.count_in_windows(batch, config.sequence, {"read": (0.6, 0.6)})
 
 
 def test_records_csv_round_trip(tmp_path, device_config):
