@@ -6,8 +6,8 @@ Modules:
 * ``cavity``      one-port cavity response and coupling diagnostics
 * ``optomech``    scattering probabilities, thermometry, cooperativity
 * ``dynamics``    heating dynamics and the thermal mechanical spectrum
-* ``fock``        closed-form Gaussian oracle for the pulse protocol, with a
-                  dense truncated-Fock reference for the tests
+* ``fock``        closed-form Gaussian oracle for the pulse protocol (its
+                  dense truncated-Fock reference is ``tests/fock_reference.py``)
 * ``sim``         Monte Carlo time-tagged click generation
 * ``stats``       estimators, likelihood intervals, least-squares fits
 * ``transducer``  microwave-to-optics conversion budget

@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.constants import hbar
 
-from .core import Frequency, MechanicalMode, OpticalCavity
+from .core import HBAR, Frequency, MechanicalMode, OpticalCavity
 
 
 def reflection_amplitude(delta, cavity: OpticalCavity):
@@ -89,7 +88,7 @@ def intracavity_photons(power_at_device: float, delta: Frequency,
     if power_at_device < 0:
         raise ValueError("intracavity_photons: power must be non-negative")
     two_pi = 2 * math.pi
-    rate_in = two_pi * cavity.kappa_e * power_at_device / (hbar * two_pi * f_l)
+    rate_in = two_pi * cavity.kappa_e * power_at_device / (HBAR * two_pi * f_l)
     return rate_in / ((two_pi * delta) ** 2 + (two_pi * cavity.kappa / 2) ** 2)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cavity, dynamics, fock, optomech, sim, stats, transducer
+from . import __version__, cavity, dynamics, optomech, sim, stats, transducer
 from .core import (
     ConfigError,
     ExperimentConfig,
@@ -219,20 +219,13 @@ def cmd_g2(args) -> int:
         if not args.config:
             raise ConfigError("g2 --oracle requires --config")
         config, chash = _load(args)
-        p_s, occupations, pair, *_, darks, _ = sim._sequence_statistics(config)
-        if pair is None:
+        model = sim.g2_model(config)
+        if model is None:
             raise ConfigError("g2 --oracle: config has no write/read pulse pair")
-        w, r = pair
-        value = fock.oracle_g2(occupations[w], p_s[w], p_s[r],
-                               config.detection.eta_det, (darks[w], darks[r]))
-        predicted = sim.predicted_g2(config)
-        payload = {"oracle_g2": value, "predicted_g2": predicted, "n_th": occupations[w],
-                   "p_write": p_s[w], "p_read": p_s[r], "eta_det": config.detection.eta_det,
-                   "dark_write": darks[w], "dark_read": darks[r]}
         if args.out:
-            _write_json(Path(args.out), _header(chash, None), payload)
-        print(f"g2 ideal (dark counts only): {value:.3f}")
-        print(f"g2 full model (dark counts, pump leakage, heating): {predicted:.3f}")
+            _write_json(Path(args.out), _header(chash, None), dataclasses.asdict(model))
+        print(f"g2 ideal (dark counts only): {model.oracle_g2:.3f}")
+        print(f"g2 full model (dark counts, pump leakage, heating): {model.predicted_g2:.3f}")
         return EXIT_OK
 
     if not args.records:
@@ -400,15 +393,11 @@ def _reproduce_fig3b(config, chash, out, args):
         estimates.append({"delta_n": e.delta_n, "g2": e.value,
                           "ci_low": e.ci_low, "ci_high": e.ci_high,
                           "counts": list(e.counts)})
-    p_s, occupations, pair, *_, darks, _ = sim._sequence_statistics(run_cfg)
-    oracle = predicted = None
-    if pair is not None:
-        w, r = pair
-        oracle = fock.oracle_g2(occupations[w], p_s[w], p_s[r], config.detection.eta_det,
-                                (darks[w], darks[r]))
-        predicted = sim.predicted_g2(run_cfg)
+    model = sim.g2_model(run_cfg)
     _write_json(out / "fig3b_g2.json", header,
-                {"estimates": estimates, "oracle_g2": oracle, "predicted_g2": predicted,
+                {"estimates": estimates,
+                 "oracle_g2": None if model is None else model.oracle_g2,
+                 "predicted_g2": None if model is None else model.predicted_g2,
                  "n_sequences": n_seq})
 
 

@@ -29,6 +29,9 @@ Frequency = float  # ordinary frequency in Hz (f, not omega)
 
 Side = Literal["red", "blue"]
 
+# reduced Planck constant in J s; exact, as h is exact in SI since 2019
+HBAR = 6.62607015e-34 / (2 * math.pi)
+
 
 class ConfigError(ValueError):
     """Configuration file cannot be parsed or refers to unknown keys."""

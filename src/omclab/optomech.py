@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.constants import hbar
 
 from .core import (
+    HBAR,
     Frequency,
     MechanicalMode,
     ModelValidityError,
@@ -43,7 +43,7 @@ def scattering_exponent(pulse_energy_at_device: float, g0: Frequency,
     two_pi = 2 * math.pi
     eta_dev = cavity.kappa_e / cavity.kappa
     numerator = 4 * eta_dev * (two_pi * g0) ** 2 * pulse_energy_at_device
-    denominator = hbar * two_pi * cavity.f_c * (
+    denominator = HBAR * two_pi * cavity.f_c * (
         (two_pi * mode.f_m) ** 2 + (two_pi * cavity.kappa / 2) ** 2
     )
     return numerator / denominator
@@ -144,7 +144,7 @@ def g0_from_calibration(points, cavity: OpticalCavity,
         raise ValueError("g0 calibration: non-positive slope, cannot invert for g0")
     two_pi = 2 * math.pi
     eta_dev = cavity.kappa_e / cavity.kappa
-    scale = hbar * two_pi * cavity.f_c * (
+    scale = HBAR * two_pi * cavity.f_c * (
         (two_pi * mode.f_m) ** 2 + (two_pi * cavity.kappa / 2) ** 2
     ) / (4 * eta_dev)
     g0 = math.sqrt(slope * scale) / two_pi

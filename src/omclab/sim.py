@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar
 
 from . import dynamics, fock, optomech
 from .core import (
+    HBAR,
     ConfigError,
     ExperimentConfig,
     Pulse,
@@ -98,7 +98,7 @@ def pump_leakage_probability(pulse, config: ExperimentConfig) -> float:
     if math.isinf(db):
         return 0.0
     f_l = config.cavity.f_c + (config.mode.f_m if pulse.side == "blue" else -config.mode.f_m)
-    photons = pulse.peak_power * pulse.duration / (hbar * 2 * math.pi * f_l)
+    photons = pulse.peak_power * pulse.duration / (HBAR * 2 * math.pi * f_l)
     mean_clicks = photons * 10 ** (-db / 10.0)
     return -math.expm1(-mean_clicks)
 
@@ -157,23 +157,46 @@ def _sequence_statistics(config: ExperimentConfig):
     return p_s, occupations, pair, table, extra_read, singles, darks, leaks
 
 
-def predicted_g2(config: ExperimentConfig) -> float:
-    """Same-sequence write/read g2 implied by the full simulation model.
+@dataclass(frozen=True)
+class G2Model:
+    """Same-sequence write/read g2 of the model, with the oracle inputs."""
 
-    ``fock.oracle_g2`` at the write pulse's occupation, with every independent
-    background of each window folded into its (write, read) background pair:
-    dark counts and pump leakage on both windows, plus the heating-induced
-    extra thermal click on the read window.  These are exactly the sources
-    ``simulate`` ORs onto the oracle's joint click table, so this is the value
-    the Monte Carlo estimate converges to.
+    oracle_g2: float     # ideal: dark counts are the only background
+    predicted_g2: float  # full model: dark counts, pump leakage and heating
+    n_th: float
+    p_write: float
+    p_read: float
+    eta_det: float
+    dark_write: float
+    dark_read: float
+
+
+def g2_model(config: ExperimentConfig) -> G2Model | None:
+    """The ideal and the full-model g2 of the write/read pair, or None without one.
+
+    Both are ``fock.oracle_g2`` at the write pulse's occupation.  The ideal
+    value takes dark counts as each window's only background.  The full model
+    folds every independent background of a window into its (write, read)
+    background pair: dark counts and pump leakage on both windows, plus the
+    heating-induced extra thermal click on the read window.  These are
+    exactly the sources ``simulate`` ORs onto the oracle's joint click table,
+    so ``predicted_g2`` is the value the Monte Carlo estimate converges to.
     """
     p_s, occupations, pair, _, extra_read, _, darks, leaks = _sequence_statistics(config)
     if pair is None:
-        raise ConfigError("predicted_g2: config has no write/read pulse pair")
+        return None
     w, r = pair
-    backgrounds = (_any_of(darks[w], leaks[w]), _any_of(darks[r], leaks[r], extra_read))
-    return fock.oracle_g2(occupations[w], p_s[w], p_s[r], config.detection.eta_det,
-                          backgrounds)
+    n_th, eta = occupations[w], config.detection.eta_det
+
+    def g2(backgrounds: tuple[float, float]) -> float:
+        return fock.oracle_g2(n_th, p_s[w], p_s[r], eta, backgrounds)
+
+    return G2Model(
+        oracle_g2=g2((darks[w], darks[r])),
+        predicted_g2=g2((_any_of(darks[w], leaks[w]),
+                         _any_of(darks[r], leaks[r], extra_read))),
+        n_th=n_th, p_write=p_s[w], p_read=p_s[r], eta_det=eta,
+        dark_write=darks[w], dark_read=darks[r])
 
 
 def _any_of(*probabilities: float) -> float:

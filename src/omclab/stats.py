@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import chi2
+
+# scipy.optimize is imported in the functions that call it: it takes about
+# 0.5 s to load, which every command that never fits or solves for an
+# interval would otherwise pay at start-up.
 
 
 class UndefinedEstimateError(ValueError):
@@ -61,14 +64,20 @@ class FitResult:
 # --- g2 cross-correlation ------------------------------------------------------
 
 
-def _click_masks(batch) -> tuple[np.ndarray, np.ndarray, int]:
-    """Boolean per-sequence write/read click masks from a ``sim.RecordBatch``."""
-    n_sequences = int(batch.n_sequences)
-    write = np.zeros(n_sequences, dtype=bool)
-    read = np.zeros(n_sequences, dtype=bool)
-    write[batch.sequence_index[batch.pulse_label == "write"]] = True
-    read[batch.sequence_index[batch.pulse_label == "read"]] = True
-    return write, read, n_sequences
+def _clicked_sequences(batch, label: str) -> np.ndarray:
+    """Sorted distinct sequence indices holding a ``label`` click."""
+    idx = batch.sequence_index[batch.pulse_label == label]
+    if np.any(idx[1:] <= idx[:-1]):  # unsorted or repeated; simulate output is neither
+        idx = np.sort(idx)
+        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    return idx
+
+
+def _within(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The part of sorted ``idx`` inside [lo, hi); ``hi`` may exceed int64."""
+    start = np.searchsorted(idx, lo)
+    stop = idx.size if not idx.size or hi > int(idx[-1]) else np.searchsorted(idx, hi)
+    return idx[start:stop]
 
 
 def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
@@ -76,26 +85,26 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
 
     value = P(write in sequence i and read in sequence i + delta_n) divided
     by the product of the marginal click probabilities, all estimated over
-    the usable sequence pairs.  The confidence interval comes from
-    ``coincidence_ci``.
+    the usable sequence pairs.  Counts come from the sorted clicked-sequence
+    indices, so the cost scales with the clicks, not with ``n_sequences``.
+    The confidence interval comes from ``coincidence_ci``.
     """
-    write, read, n_seq = _click_masks(batch)
+    n_seq = int(batch.n_sequences)
     if n_seq <= abs(delta_n):
         raise ValueError("g2: need more sequences than the requested offset")
-    if delta_n >= 0:
-        w = write[: n_seq - delta_n]
-        r = read[delta_n:]
-    else:
-        w = write[-delta_n:]
-        r = read[: n_seq + delta_n]
-    n_pairs = w.size
-    n_w = int(w.sum())
-    n_r = int(r.sum())
-    n_c = int((w & r).sum())
+    # usable pairs: write i in [w_lo, w_hi), read i + delta_n in [0, n_seq)
+    w_lo, w_hi = max(0, -delta_n), n_seq - max(0, delta_n)
+    w = _within(_clicked_sequences(batch, "write"), w_lo, w_hi)
+    r = _within(_clicked_sequences(batch, "read"), w_lo + delta_n, w_hi + delta_n)
+    n_pairs = w_hi - w_lo
+    n_w, n_r = w.size, r.size
     if n_w == 0 or n_r == 0:
         raise UndefinedEstimateError(
             f"g2 undefined at dn={delta_n}: write clicks={n_w}, read clicks={n_r}"
         )
+    shifted = w + delta_n
+    hit = np.minimum(np.searchsorted(r, shifted), n_r - 1)
+    n_c = int(np.count_nonzero(r[hit] == shifted))
     value = (n_c / n_pairs) / ((n_w / n_pairs) * (n_r / n_pairs))
     lo, hi = coincidence_ci(n_c, n_w, n_r, n_pairs, level=level)
     return G2Estimate(delta_n=delta_n, value=value, ci_low=lo, ci_high=hi,
@@ -118,7 +127,8 @@ def coincidence_ci(n_coinc: int, n_w: int, n_r: int, n_seq: int,
         raise UndefinedEstimateError("coincidence_ci: zero marginal counts")
     if not (0 < level < 1):
         raise ValueError("coincidence_ci: level must lie in (0, 1)")
-    delta = chi2.ppf(level, df=1) / 2.0
+    # chi2(level, 1) quantile, the square of the two-sided normal quantile
+    delta = NormalDist().inv_cdf((1 + level) / 2) ** 2 / 2.0
     n = n_seq
     k = n_coinc
 
@@ -137,6 +147,8 @@ def coincidence_ci(n_coinc: int, n_w: int, n_r: int, n_seq: int,
         p_lo = 0.0
         p_hi = -math.expm1(-delta / n)  # exact root of n*log(1-p) = -delta
     else:
+        from scipy import optimize
+
         tiny = min(p_hat, 1.0 / n) * 1e-12
         p_lo = optimize.brentq(lambda p: log_lik(p) - target, tiny, p_hat,
                                xtol=1e-16, rtol=1e-13)
@@ -231,6 +243,8 @@ def fit_lorentzian_with_offset(points) -> FitResult:
     extremum against the edge-estimated background and its half-maximum
     crossings.  Flat data yields a flagged (converged=False) result.
     """
+    from scipy import optimize
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 6 or pts.shape[1] != 2:
         raise ValueError("lorentzian fit: need at least six (x, y) points")
@@ -300,6 +314,8 @@ def fit_biexponential(points) -> FitResult:
     Zero-amplitude data leaves the time constants unidentifiable and is
     flagged via converged=False.
     """
+    from scipy import optimize
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 8 or pts.shape[1] != 2:
         raise ValueError("biexponential fit: need at least eight (t, y) points")

@@ -4,7 +4,7 @@ Each test prints one pass/fail line.  Two checks compare a model against a
 published figure whose source is coarser than the model:
 
 * criterion 6d compares the measured correlation 5.66 with the full
-  simulation model's prediction (``sim.predicted_g2``: dark counts, pump
+  simulation model's prediction (``sim.g2_model``: dark counts, pump
   leakage and pulse heating on top of the exact two-pulse oracle) at the
   published operating point; the ideal oracle, with dark counts alone,
   lies a factor ~3 above both and is reported alongside;
@@ -28,6 +28,8 @@ from omclab.core import (
     OpticalCavity,
     PulseSequence,
 )
+
+import fock_reference as ref
 
 KAPPA = 5.14e9
 KAPPA_I = 1.31e9
@@ -172,7 +174,7 @@ def test_criterion_06_nonclassicality_oracle_and_monte_carlo(device_config):
 
 
 def test_criterion_06d_measured_value_within_factor_two(device_config):
-    predicted = sim.predicted_g2(device_config)
+    predicted = sim.g2_model(device_config).predicted_g2
     config = _dlcz_acceptance_config(device_config, 1)
     ideal = fock.oracle_g2(N_TH, 6e-4, 0.02, ETA_DET, _dlcz_dark_probs(config))
     measured = 5.66
@@ -290,10 +292,10 @@ def test_criterion_09_fitter_exactness():
 
 
 def test_criterion_09_trace_preservation():
-    state = fock.thermal_state(0.5, 20)
+    state = ref.thermal_state(0.5, 20)
     worst = 0.0
-    for channel in (lambda s: fock.apply_two_mode_squeeze(s, 0.1),
-                    lambda s: fock.apply_beamsplitter(s, 0.25)):
+    for channel in (lambda s: ref.apply_two_mode_squeeze(s, 0.1),
+                    lambda s: ref.apply_beamsplitter(s, 0.25)):
         out = channel(state)
         worst = max(worst, abs(complex(np.trace(out.rho)) - 1.0))
         out.validate()

@@ -247,6 +247,21 @@ def test_g2_records_not_a_record_csv(tmp_path, capsys):
     assert "not a record CSV" in _config_error_line(capsys)
 
 
+@pytest.mark.parametrize("n_sequences", [10**12, 2**63 - 1, 10**30])
+def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
+    # the counts scale with the clicks, so no n_sequences-long array is built
+    records = tmp_path / "records.csv"
+    records.write_text(f"# n_sequences={n_sequences}\n"
+                       "sequence_index,pulse_label,click_time_ns\n"
+                       "3,write,20.0\n3,read,210.0\n7,read,210.0\n")
+    out_json = tmp_path / "g2.json"
+    assert run("g2", "--records", records, "--dn-range=-1..1", "--out", out_json) == 0
+    by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
+    assert by_dn[0]["counts"] == {"n_coinc": 1, "n_write": 1, "n_read": 2,
+                                  "n_pairs": n_sequences}
+    assert by_dn[1]["counts"]["n_coinc"] == 0
+
+
 def test_fit_cli_unparseable_row(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     for row in ("1,abc", "1,nan", "inf,3"):

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy.constants
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omclab
 from omclab import core
 from omclab.core import (
     ConfigError,
@@ -34,6 +39,17 @@ detection.eta_rest = 0.05614
 sequence.repetition_rate = 25e3
 g0 = 845e3
 """
+
+
+def test_cli_import_list_leaves_out_scipy_stats_and_constants():
+    package_root = Path(omclab.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, omclab.cli; "
+         "print(*(m for m in ('scipy.stats', 'scipy.constants') if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
+    assert core.HBAR == scipy.constants.hbar
 
 
 def test_device_config_loads(device_config):

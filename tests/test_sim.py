@@ -235,7 +235,9 @@ def test_predicted_g2_is_the_oracle_without_heating_or_leakage(device_config):
     oracle = fock.oracle_g2(report.pulse_occupations[0], report.pulse_ps[0],
                             report.pulse_ps[1], config.detection.eta_det, darks)
     assert report.pulse_occupations == (0.3, 0.3)
-    assert sim.predicted_g2(config) == pytest.approx(oracle, rel=1e-12)
+    model = sim.g2_model(config)
+    assert model.predicted_g2 == pytest.approx(oracle, rel=1e-12)
+    assert model.oracle_g2 == pytest.approx(oracle, rel=1e-12)
 
 
 def test_predicted_g2_matches_monte_carlo_with_heating_and_leakage(device_config):
@@ -256,7 +258,7 @@ def test_predicted_g2_matches_monte_carlo_with_heating_and_leakage(device_config
     assert report.pulse_occupations[1] > report.pulse_occupations[0]
 
     est = stats.g2_crosscorr(batch, 0, level=0.997)
-    predicted = sim.predicted_g2(config)
+    predicted = sim.g2_model(config).predicted_g2
     darks = tuple(-math.expm1(-5e3 * p.window_length) for p in pulses)
     ideal = fock.oracle_g2(report.pulse_occupations[0], report.pulse_ps[0],
                            report.pulse_ps[1], detection.eta_det, darks)

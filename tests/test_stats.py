@@ -53,6 +53,31 @@ def test_g2_offset_uses_shifted_pairs():
     assert est0.counts[0] == 0
 
 
+def test_g2_unsorted_duplicate_clicks_count_as_sorted_distinct():
+    # a record file may list clicks in any row order and repeat a sequence
+    rng = np.random.default_rng(41)
+    n = 2000
+    write = rng.random(n) < 0.1
+    read = (write & (rng.random(n) < 0.5)) | (rng.random(n) < 0.05)
+    clean = _records_from_masks(write, read)
+    doubled = np.concatenate([np.arange(len(clean)), rng.choice(len(clean), 150)])
+    order = rng.permutation(doubled)
+    messy = RecordBatch(n_sequences=n, sequence_index=clean.sequence_index[order],
+                        pulse_index=clean.pulse_index[order],
+                        pulse_label=clean.pulse_label[order],
+                        click_time=clean.click_time[order], origin=None)
+    assert np.any(np.diff(messy.sequence_index) < 0)
+    for label in ("write", "read"):
+        clicked = messy.sequence_index[messy.pulse_label == label]
+        assert np.unique(clicked).size < clicked.size
+    for dn in range(-3, 4):
+        w = write[max(0, -dn):n - max(0, dn)]
+        r = read[max(0, dn):n - max(0, -dn)]
+        expected = (int((w & r).sum()), int(w.sum()), int(r.sum()), w.size)
+        assert stats.g2_crosscorr(clean, dn).counts == expected
+        assert stats.g2_crosscorr(messy, dn).counts == expected
+
+
 def test_g2_requires_clicks():
     n = 100
     write = np.zeros(n, dtype=bool)
@@ -84,6 +109,12 @@ def test_coincidence_ci_zero_count_one_sided():
     lo, hi = stats.coincidence_ci(0, 40, 50, 10_000)
     assert lo == 0.0
     assert hi > 0.0
+    # the upper bound is closed form in the chi2(level, 1) quantile
+    n, n_w, n_r = 10**6, 400, 500
+    for level in (0.5, 0.68, 0.95, 0.997):
+        _, hi = stats.coincidence_ci(0, n_w, n_r, n, level=level)
+        p_hi = -math.expm1(-chi2.ppf(level, 1) / 2 / n)
+        assert hi == pytest.approx(p_hi / ((n_w / n) * (n_r / n)), rel=1e-13)
 
 
 def test_coincidence_ci_validates_counts():
