@@ -214,6 +214,17 @@ def _parse_dn_range(text: str) -> list[int]:
     return dns
 
 
+def _g2_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
+    """g2 at each offset in ``dns`` that has one; says which offsets it skips."""
+    estimates = []
+    for dn in dns:
+        try:
+            estimates.append(stats.g2_crosscorr(batch, dn))
+        except stats.UndefinedEstimateError as exc:
+            print(exc)
+    return estimates
+
+
 def cmd_g2(args) -> int:
     if args.oracle:
         if not args.config:
@@ -231,7 +242,9 @@ def cmd_g2(args) -> int:
     if not args.records:
         raise ConfigError("g2 requires --records (or --oracle)")
     batch = sim.read_records_csv(args.records)
-    estimates = [stats.g2_crosscorr(batch, dn) for dn in _parse_dn_range(args.dn_range)]
+    estimates = _g2_estimates(batch, _parse_dn_range(args.dn_range))
+    if not estimates:
+        raise stats.UndefinedEstimateError(f"g2 undefined at every dn in {args.dn_range}")
     payload = {"estimates": [
         {"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low, "ci_high": e.ci_high,
          "counts": {"n_coinc": e.counts[0], "n_write": e.counts[1],
@@ -384,15 +397,9 @@ def _reproduce_fig3b(config, chash, out, args):
     seq = config.sequence
     run_cfg = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate, n_seq))
     batch, _ = sim.simulate(run_cfg, args.seed)
-    estimates = []
-    for dn in range(-4, 5):
-        try:
-            e = stats.g2_crosscorr(batch, dn)
-        except stats.UndefinedEstimateError:
-            continue
-        estimates.append({"delta_n": e.delta_n, "g2": e.value,
-                          "ci_low": e.ci_low, "ci_high": e.ci_high,
-                          "counts": list(e.counts)})
+    estimates = [{"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low,
+                  "ci_high": e.ci_high, "counts": list(e.counts)}
+                 for e in _g2_estimates(batch, range(-4, 5))]
     model = sim.g2_model(run_cfg)
     _write_json(out / "fig3b_g2.json", header,
                 {"estimates": estimates,

@@ -11,10 +11,12 @@ construction; any extra occupation the read pulse sees from pulse heating
 enters as an additional independent thermal click source (exact for the
 rates used here, where per-pulse click probabilities are far below one).
 
-Randomness is counter-based: sequence ``i`` always consumes the same fixed,
-counter-aligned slice of the Philox stream keyed by the master seed, so a
-given (config, seed) yields bit-identical records no matter how the work is
-chunked or parallelized, and disjoint seeds give independent streams.
+Each independent click source is a Bernoulli process over the sequences,
+drawn directly as a binomial number of distinct, uniformly placed sequence
+indices, so the cost scales with the clicks, not with the sequences.  One
+Philox stream (Salmon et al., SC'11) keyed by the seed feeds the sources in
+a fixed order, so a given (config, seed) yields identical records and
+distinct seeds give independent streams.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, fock, optomech
+from . import dynamics, fock, optomech, stats
 from .core import (
     HBAR,
     ConfigError,
@@ -37,8 +39,6 @@ from .core import (
     with_sequence,
     write_table,
 )
-
-CHUNK_SEQUENCES = 1 << 18
 
 _ORIGINS = ("signal", "dark", "leakage")
 
@@ -204,12 +204,9 @@ def _any_of(*probabilities: float) -> float:
     return -math.expm1(sum(math.log1p(-p) for p in probabilities))
 
 
-def _chunk_generator(seed: int, start_sequence: int, slots4: int) -> np.random.Generator:
-    # every sequence owns raw outputs [i*slots4, (i+1)*slots4) of the Philox
-    # stream keyed by the master seed; slots4 is a multiple of 4 so chunk
-    # starts are always counter-aligned and chunking cannot change the draws
-    bit_gen = np.random.Philox(key=seed, counter=start_sequence * (slots4 // 4))
-    return np.random.Generator(bit_gen)
+def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted indices of the successes among n independent Bernoulli(p) trials."""
+    return np.sort(rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False))
 
 
 def simulate(config: ExperimentConfig, seed: int,
@@ -225,83 +222,52 @@ def simulate(config: ExperimentConfig, seed: int,
 
     p_s, occupations, pair, table, extra_read, singles, darks, leaks = \
         _sequence_statistics(config)
-    n_pulses = len(seq.pulses)
-    slots = 1 + 4 * n_pulses  # pair draw + per pulse (signal, dark, leak, time)
-    slots4 = -(-slots // 4) * 4  # per-sequence raw-draw allocation (counter-aligned)
-
-    if table is not None:
-        cum0 = table.p00
-        cum1 = cum0 + table.p01
-        cum2 = cum1 + table.p10
-
-    seq_cols: list[np.ndarray] = []
-    pulse_cols: list[np.ndarray] = []
-    time_cols: list[np.ndarray] = []
-    origin_cols: list[np.ndarray] = []
-    totals = [dict.fromkeys(_ORIGINS, 0) for _ in range(n_pulses)]
-
     n_total = seq.n_sequences
-    n_chunks = (n_total + CHUNK_SEQUENCES - 1) // CHUNK_SEQUENCES
-    for chunk in range(n_chunks):
-        start = chunk * CHUNK_SEQUENCES
-        rows = min(CHUNK_SEQUENCES, n_total - start)
-        u = _chunk_generator(seed, start, slots4).random((rows, slots4))
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
-        if table is not None:
-            u_pair = u[:, 0]
-            pair_w = u_pair >= cum1
-            pair_r = ((u_pair >= cum0) & (u_pair < cum1)) | (u_pair >= cum2)
+    # signal clicks of the write and read pulses; every other pulse draws its own below
+    signals = {}
+    if table is not None:
+        # the sequences with any pair click, then one uniform per sequence splits
+        # them into 01 (read only), 10 (write only) and 11 (both)
+        q = table.p01 + table.p10 + table.p11
+        pairs = _bernoulli(rng, n_total, q)
+        u = rng.random(pairs.size) * q
+        w, r = pair
+        signals[w] = pairs[u >= table.p01]
+        read = pairs[(u < table.p01) | (u >= table.p01 + table.p10)]
+        signals[r] = stats._sorted_distinct(
+            np.concatenate((read, _bernoulli(rng, n_total, extra_read))))
 
-        for i, pulse in enumerate(seq.pulses):
-            base = 1 + 4 * i
-            if pair is not None and i == pair[0]:
-                signal = pair_w
-            elif pair is not None and i == pair[1]:
-                signal = pair_r
-                if extra_read > 0.0:
-                    signal = signal | (u[:, base] < extra_read)
-            else:
-                signal = u[:, base] < singles[i]
-            dark = u[:, base + 1] < darks[i]
-            leak = u[:, base + 2] < leaks[i]
-            click = signal | dark | leak
-            idx = np.nonzero(click)[0]
-            if idx.size == 0:
-                continue
-            sig_i, leak_i = signal[idx], leak[idx]
-            origin = np.where(sig_i, "signal", np.where(leak_i, "leakage", "dark"))
-            u_time = u[idx, base + 3]
-            is_dark = ~sig_i & ~leak_i
-            span = np.where(is_dark, pulse.window_length, pulse.duration)
-            times = pulse.start + u_time * span
+    # per pulse: (sequence index, pulse index, click time, origin), after an
+    # empty first entry that fixes the dtypes when there is no pulse
+    columns = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16),
+                np.empty(0), np.empty(0, dtype="<U7"))]
+    totals = []
+    for i, pulse in enumerate(seq.pulses):
+        signal = signals[i] if i in signals else _bernoulli(rng, n_total, singles[i])
+        leak = _bernoulli(rng, n_total, leaks[i])
+        dark = _bernoulli(rng, n_total, darks[i])
+        idx = stats._sorted_distinct(np.concatenate((signal, leak, dark)))
+        is_signal = stats._isin_sorted(idx, signal)
+        is_leak = ~is_signal & stats._isin_sorted(idx, leak)
+        origin = np.where(is_signal, "signal", np.where(is_leak, "leakage", "dark"))
+        span = np.where(is_signal | is_leak, pulse.duration, pulse.window_length)
+        columns.append((idx, np.full(idx.size, i, dtype=np.int16),
+                        pulse.start + rng.random(idx.size) * span, origin))
+        totals.append({name: int(np.count_nonzero(origin == name)) for name in _ORIGINS})
 
-            seq_cols.append(start + idx.astype(np.int64))
-            pulse_cols.append(np.full(idx.size, i, dtype=np.int16))
-            time_cols.append(times)
-            origin_cols.append(origin)
-            for name in _ORIGINS:
-                totals[i][name] += int(np.count_nonzero(origin == name))
+    seq_idx, pulse_idx, times, origins = (np.concatenate(col) for col in zip(*columns))
+    order = np.lexsort((times, seq_idx))
+    seq_idx, pulse_idx, times, origins = (a[order] for a in
+                                          (seq_idx, pulse_idx, times, origins))
 
-    if seq_cols:
-        seq_idx = np.concatenate(seq_cols)
-        pulse_idx = np.concatenate(pulse_cols)
-        times = np.concatenate(time_cols)
-        origins = np.concatenate(origin_cols)
-        order = np.lexsort((times, seq_idx))
-        seq_idx, pulse_idx, times, origins = (a[order] for a in
-                                              (seq_idx, pulse_idx, times, origins))
-    else:
-        seq_idx = np.empty(0, dtype=np.int64)
-        pulse_idx = np.empty(0, dtype=np.int16)
-        times = np.empty(0, dtype=float)
-        origins = np.empty(0, dtype="<U7")
-
-    labels = np.array([p.label for p in seq.pulses] or ["none"])
+    labels = np.array([p.label for p in seq.pulses], dtype=str)
     batch = RecordBatch(
         n_sequences=n_total,
         sequence_index=seq_idx,
         pulse_index=pulse_idx,
-        pulse_label=labels[pulse_idx] if len(seq.pulses) else np.empty(0, dtype="<U5"),
+        pulse_label=labels[pulse_idx],
         click_time=times,
         origin=None if blind else origins,
     )

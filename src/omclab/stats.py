@@ -64,13 +64,30 @@ class FitResult:
 # --- g2 cross-correlation ------------------------------------------------------
 
 
+def _sorted_distinct(idx: np.ndarray) -> np.ndarray:
+    """``idx`` sorted with repeats dropped; returned as is if it already is.
+
+    Sort and neighbour comparison, not ``np.unique``, which hashes.
+    """
+    if np.any(idx[1:] <= idx[:-1]):
+        idx = np.sort(idx)
+        keep = np.ones(idx.size, dtype=bool)
+        keep[1:] = idx[1:] != idx[:-1]
+        idx = idx[keep]
+    return idx
+
+
+def _isin_sorted(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the sorted array ``idx``."""
+    if not idx.size:
+        return np.zeros(values.shape, dtype=bool)
+    hit = np.minimum(np.searchsorted(idx, values), idx.size - 1)
+    return idx[hit] == values
+
+
 def _clicked_sequences(batch, label: str) -> np.ndarray:
     """Sorted distinct sequence indices holding a ``label`` click."""
-    idx = batch.sequence_index[batch.pulse_label == label]
-    if np.any(idx[1:] <= idx[:-1]):  # unsorted or repeated; simulate output is neither
-        idx = np.sort(idx)
-        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-    return idx
+    return _sorted_distinct(batch.sequence_index[batch.pulse_label == label])
 
 
 def _within(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -100,11 +117,9 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
     n_w, n_r = w.size, r.size
     if n_w == 0 or n_r == 0:
         raise UndefinedEstimateError(
-            f"g2 undefined at dn={delta_n}: write clicks={n_w}, read clicks={n_r}"
+            f"g2(dn={delta_n:+d}) undefined: {n_w} usable write clicks, {n_r} usable read clicks"
         )
-    shifted = w + delta_n
-    hit = np.minimum(np.searchsorted(r, shifted), n_r - 1)
-    n_c = int(np.count_nonzero(r[hit] == shifted))
+    n_c = int(np.count_nonzero(_isin_sorted(w + delta_n, r)))
     value = (n_c / n_pairs) / ((n_w / n_pairs) * (n_r / n_pairs))
     lo, hi = coincidence_ci(n_c, n_w, n_r, n_pairs, level=level)
     return G2Estimate(delta_n=delta_n, value=value, ci_low=lo, ci_high=hi,
@@ -150,13 +165,14 @@ def coincidence_ci(n_coinc: int, n_w: int, n_r: int, n_seq: int,
         from scipy import optimize
 
         tiny = min(p_hat, 1.0 / n) * 1e-12
+        xtol = p_hat * 1e-16  # relative: an absolute one swallows a tiny interval
         p_lo = optimize.brentq(lambda p: log_lik(p) - target, tiny, p_hat,
-                               xtol=1e-16, rtol=1e-13)
+                               xtol=xtol, rtol=1e-13)
         if k == n:
             p_hi = 1.0
         else:
             p_hi = optimize.brentq(lambda p: log_lik(p) - target, p_hat, 1.0 - 1e-15,
-                                   xtol=1e-16, rtol=1e-13)
+                                   xtol=xtol, rtol=1e-13)
 
     scale = (n_w / n) * (n_r / n)
     return p_lo / scale, p_hi / scale

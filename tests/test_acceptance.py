@@ -20,13 +20,15 @@ import time
 import numpy as np
 import pytest
 
-from omclab import cavity, fock, optomech, sim, stats, transducer
+from omclab import cavity, cli, fock, optomech, sim, stats, transducer
 from omclab.core import (
     DetectionChain,
     HeatingParams,
     MechanicalMode,
     OpticalCavity,
     PulseSequence,
+    read_table,
+    with_sequence,
 )
 
 import fock_reference as ref
@@ -106,6 +108,23 @@ def test_criterion_04_thermometry_round_trip(device_config):
     ok = abs(n_est - N_TH) <= 3 * n_err and elapsed < 60
     _report("4", ok, f"n_th={n_est:.4f} +- {n_err:.4f} (truth {N_TH}), "
                      f"{clicks_r}/{clicks_b} red/blue clicks, runtime={elapsed:.1f} s")
+
+
+def test_criterion_04b_fig2_pulls_at_1e8_sequences(tmp_path, device_config_path):
+    # at 1e8 sequences per point the statistical error (~0.5%) dominates the
+    # first-order estimator's bias (at most +0.16% over the grid)
+    t0 = time.perf_counter()
+    code = cli.main(["reproduce", "fig2", "--config", str(device_config_path),
+                     "--out", str(tmp_path), "--seed", "0", "--sequences", "100000000"])
+    elapsed = time.perf_counter() - t0
+    _, columns, rows = read_table(tmp_path / "fig2_thermometry.csv")
+    col = {name: i for i, name in enumerate(columns)}
+    pulls = [(float(r[col["n_th_est"]]) - float(r[col["n_th_true"]]))
+             / float(r[col["n_th_err"]]) for r in rows]
+    ok = code == 0 and len(pulls) == 6 and all(abs(z) <= 3 for z in pulls)
+    _report("4b (fig2 thermometry pulls)", ok,
+            f"(n_est - n_true)/err = {', '.join(f'{z:+.2f}' for z in pulls)} over the "
+            f"six-point grid at 1e8 sequences per point, runtime={elapsed:.1f} s")
 
 
 def test_criterion_05_oracle_sideband_ratio():
@@ -192,6 +211,31 @@ def test_criterion_06d_measured_value_within_factor_two(device_config):
             f"heating backgrounds) vs measured {measured}, ratio "
             f"{measured / predicted:.2f}; ideal oracle with dark counts only "
             f"g2={ideal:.2f} at n_th=0.041, p_w=6e-4, p_r=0.02, eta=0.023")
+
+
+def test_criterion_06e_published_point_monte_carlo(device_config):
+    # 1e10 sequences at the published operating point give ~75 coincidences,
+    # enough for the Monte Carlo to tell the full model from the ideal oracle
+    t0 = time.perf_counter()
+    seq = device_config.sequence
+    config = with_sequence(device_config,
+                           PulseSequence(seq.pulses, seq.repetition_rate, 10**10))
+    batch, _ = sim.simulate(config, 10)
+    model = sim.g2_model(config)
+    same = stats.g2_crosscorr(batch, 0, level=0.997)
+    covers = same.ci_low <= model.predicted_g2 <= same.ci_high
+    excludes = not same.ci_low <= model.oracle_g2 <= same.ci_high
+    offsets = [stats.g2_crosscorr(batch, dn, level=0.997)
+               for dn in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    offsets_ok = all(e.ci_low <= 1.0 <= e.ci_high for e in offsets)
+    elapsed = time.perf_counter() - t0
+    ok = covers and excludes and offsets_ok
+    _report("6e (published point, 1e10 sequences)", ok,
+            f"MC g2(0)={same.value:.2f} from counts={same.counts}, 99.7% interval "
+            f"[{same.ci_low:.2f}, {same.ci_high:.2f}] covers the full model "
+            f"{model.predicted_g2:.2f}: {covers}; excludes the ideal oracle "
+            f"{model.oracle_g2:.2f}: {excludes}; off-sequence g2 consistent with 1: "
+            f"{offsets_ok}; runtime={elapsed:.1f} s")
 
 
 def test_criterion_07_heating_fit_recovery():

@@ -260,6 +260,24 @@ def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
     assert by_dn[0]["counts"] == {"n_coinc": 1, "n_write": 1, "n_read": 2,
                                   "n_pairs": n_sequences}
     assert by_dn[1]["counts"]["n_coinc"] == 0
+    assert by_dn[0]["ci_low"] < by_dn[0]["g2"] < by_dn[0]["ci_high"]
+
+
+def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
+    # the only write click is in sequence 3, so dn = -4 has no usable write click
+    header = "# n_sequences=1000000000000\nsequence_index,pulse_label,click_time_ns\n"
+    records = tmp_path / "records.csv"
+    records.write_text(header + "3,write,20.0\n3,read,210.0\n7,read,210.0\n")
+    out_json = tmp_path / "g2.json"
+    assert run("g2", "--records", records, "--out", out_json) == 0
+    out = capsys.readouterr().out
+    assert "g2(dn=-4) undefined: 0 usable write clicks, 2 usable read clicks" in out
+    by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
+    assert sorted(by_dn) == list(range(-3, 5))
+    assert by_dn[0]["counts"]["n_coinc"] == 1
+    no_write = tmp_path / "no_write.csv"
+    no_write.write_text(header + "3,read,210.0\n")
+    assert run("g2", "--records", no_write) == cli.EXIT_NUMERICAL
 
 
 def test_fit_cli_unparseable_row(tmp_path, capsys):

@@ -53,19 +53,6 @@ def test_reproducibility_bit_identical(device_config):
         assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
 
-def test_chunking_does_not_change_the_stream(device_config):
-    config = _pair_config(device_config, 0.03, 0.08, 0.3, 3000, eta_rest=0.4)
-    b1, _ = sim.simulate(config, 99)
-    old = sim.CHUNK_SEQUENCES
-    try:
-        sim.CHUNK_SEQUENCES = 700  # force several unaligned chunks
-        b2, _ = sim.simulate(config, 99)
-    finally:
-        sim.CHUNK_SEQUENCES = old
-    assert np.array_equal(b1.sequence_index, b2.sequence_index)
-    assert np.array_equal(b1.click_time, b2.click_time)
-
-
 def test_report_totals_match_record_counts(device_config):
     config = _pair_config(device_config, 0.03, 0.08, 0.3, 20000,
                           eta_rest=0.4, dark_rate=5.0)
@@ -121,6 +108,26 @@ def test_paired_statistics_match_oracle(device_config):
     oracle = fock.oracle_g2(n_th, report.pulse_ps[0], report.pulse_ps[1], eta)
     lo, hi = stats.coincidence_ci(*est.counts, level=0.997)
     assert lo <= oracle <= hi
+
+
+def test_pair_outcomes_follow_the_click_table(device_config):
+    # chi-square of the per-sequence (write, read) outcomes 00/01/10/11 against
+    # the oracle's joint table, summed over seeds, at a dense_analysis-like
+    # high-rate pair with darks and leakage off
+    n_seq, seeds = 100_000, 50
+    config = _pair_config(device_config, 0.05, 0.38, 0.041, n_seq, eta_rest=0.41)
+    stat = 0.0
+    for seed in range(seeds):
+        batch, report = sim.simulate(config, seed)
+        table = fock.two_pulse_click_table(0.041, report.pulse_ps[0], report.pulse_ps[1],
+                                           config.detection.eta_det)
+        w = batch.sequence_index[batch.pulse_label == "write"]
+        r = batch.sequence_index[batch.pulse_label == "read"]
+        n11 = np.intersect1d(w, r, assume_unique=True).size
+        observed = np.array([n_seq - w.size - r.size + n11, r.size - n11, w.size - n11, n11])
+        expected = n_seq * np.array([table.p00, table.p01, table.p10, table.p11])
+        stat += float(((observed - expected) ** 2 / expected).sum())
+    assert stat < chi2.ppf(0.999, 3 * seeds)
 
 
 def test_seed_independence_over_pairs(device_config):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from omclab import stats
@@ -139,6 +140,28 @@ def test_coincidence_ci_matches_gaussian_at_large_counts():
     p = k / n
     width_gauss = 2 * z * math.sqrt(p * (1 - p) / n) / ((n_w / n) * (n_r / n))
     assert (hi - lo) == pytest.approx(width_gauss, rel=0.05)
+
+
+def test_coincidence_ci_relative_accuracy_at_1e10_sequences():
+    # counts of a 1e10-sequence run at the published point, where k/n ~ 9e-9
+    k, n_w, n_r, n = 86, 162666, 852363, 10**10
+    p_hat = k / n
+    scale = (n_w / n) * (n_r / n)
+    for level in (0.68, 0.997):
+        delta = chi2.ppf(level, 1) / 2
+
+        def drop(t):
+            # log likelihood at p = e^t relative to its maximum, plus delta
+            return (k * (t - math.log(p_hat))
+                    + (n - k) * (math.log1p(-math.exp(t)) - math.log1p(-p_hat)) + delta)
+
+        # a tighter solve, in log p, so its tolerance is relative
+        t_hat = math.log(p_hat)
+        p_lo = math.exp(brentq(drop, t_hat - 10, t_hat, xtol=1e-15, rtol=1e-15))
+        p_hi = math.exp(brentq(drop, t_hat, t_hat + 5, xtol=1e-15, rtol=1e-15))
+        lo, hi = stats.coincidence_ci(k, n_w, n_r, n, level=level)
+        assert lo == pytest.approx(p_lo / scale, rel=1e-12)
+        assert hi == pytest.approx(p_hi / scale, rel=1e-12)
 
 
 def test_coincidence_ci_coverage():
