@@ -88,8 +88,7 @@ def cmd_cavity_probe(args) -> int:
     header = _header(chash, None)
     spectrum = cavity.reflection_spectrum(config.cavity, span=args.span, n_points=args.points)
     write_table(out / "reflection_spectrum.csv", [header],
-                ["detuning_hz", "power_reflectance", "phase_rad"],
-                ([float(a), float(b), float(c)] for a, b, c in spectrum))
+                ["detuning_hz", "power_reflectance", "phase_rad"], spectrum.T.tolist())
     eta_dev, over = cavity.coupling_efficiency(config.cavity)
     metrics = cavity.sideband_metrics(config.cavity, config.mode)
     _write_json(out / "cavity_report.json", header, {
@@ -107,27 +106,28 @@ def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
     header_line = _header(chash, None)
-    _, columns, rows = read_table(args.counts)
-    cols = {name: i for i, name in enumerate(columns)}
+    _, names, columns = read_table(args.counts)
+    table = dict(zip(names, columns))
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
-    if not required.issubset(cols):
+    if not required.issubset(table):
         raise ConfigError(f"counts file must have columns {sorted(required)}")
-    red_rows = [r for r in rows if r[cols["side"]] == "red"]
-    blue_rows = [r for r in rows if r[cols["side"]] == "blue"]
+    red_rows = [i for i, side in enumerate(table["side"]) if side == "red"]
+    blue_rows = [i for i, side in enumerate(table["side"]) if side == "blue"]
     if not red_rows or not blue_rows:
         raise ConfigError("counts file needs both red and blue rows")
     if len(red_rows) != len(blue_rows):
         raise ConfigError(f"counts file has {len(red_rows)} red and {len(blue_rows)} blue "
                           "rows; they must pair up")
 
-    def counts(row):
+    def counts(i):
         try:
-            energy = float(row[cols["pulse_energy_j"]])
-            clicks, n_pulses = int(row[cols["clicks"]]), int(row[cols["n_pulses"]])
+            energy = float(table["pulse_energy_j"][i])
+            clicks, n_pulses = int(table["clicks"][i]), int(table["n_pulses"][i])
         except ValueError:
             energy = math.nan
         if not math.isfinite(energy):
-            raise ConfigError(f"{args.counts}: row {','.join(row)!r} needs a finite number "
+            row = ",".join(column[i] for column in columns)
+            raise ConfigError(f"{args.counts}: row {row!r} needs a finite number "
                               "pulse_energy_j and integer clicks and n_pulses")
         return energy, clicks, n_pulses
 
@@ -147,7 +147,8 @@ def cmd_thermometry(args) -> int:
         coop = optomech.cooperativity(config.g0, n_c, config.cavity, config.mode)
         results.append([p_r, p_b, n_th, err, coop])
     write_table(out / "thermometry.csv", [header_line],
-                ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"], results)
+                ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"],
+                list(zip(*results)))
     print(f"thermometry: {len(results)} asymmetry points -> {out / 'thermometry.csv'}")
     return EXIT_OK
 
@@ -167,16 +168,17 @@ def cmd_heating(args) -> int:
         ps_values = [row[0] for row in heating.calibration]
     if not ps_values:
         raise ConfigError("no scattering probabilities: none given and no calibration table")
-    taus = np.geomspace(args.tmin, args.tmax, args.points)
-    rows = []
+    taus = np.geomspace(args.tmin, args.tmax, args.points).tolist()
+    columns = ([], [], [])
     for p_s in ps_values:
         amp = heating.amplitude(p_s)
         n_i = heating.instant_occupation(p_s)
-        for tau in taus:
-            n = config.mode.n_baseline + dynamics.heating_occupation(float(tau), heating, amp, n_i)
-            rows.append([p_s, float(tau), n])
+        columns[0].extend([p_s] * len(taus))
+        columns[1].extend(taus)
+        columns[2].extend(config.mode.n_baseline
+                          + dynamics.heating_occupation(tau, heating, amp, n_i) for tau in taus)
     write_table(out / "heating_curves.csv", [_header(chash, None)],
-                ["p_s", "tau_s", "n_th"], rows)
+                ["p_s", "tau_s", "n_th"], columns)
     print(f"heating: {len(ps_values)} curves -> {out / 'heating_curves.csv'}")
     return EXIT_OK
 
@@ -251,8 +253,8 @@ def cmd_g2(args) -> int:
                     "n_read": e.counts[2], "n_pairs": e.counts[3]}}
         for e in estimates
     ]}
-    source_hash = _config_hash(Path(args.records).read_text())
     if args.out:
+        source_hash = _config_hash(Path(args.records).read_text())
         _write_json(Path(args.out), _header(source_hash, None), payload)
     for e in estimates:
         print(f"g2(dn={e.delta_n:+d}) = {e.value:.3f}  CI68 [{e.ci_low:.3f}, {e.ci_high:.3f}]")
@@ -261,7 +263,7 @@ def cmd_g2(args) -> int:
 
 def cmd_fit(args) -> int:
     rows = []
-    for row in read_table(args.data)[2]:
+    for row in zip(*read_table(args.data)[2]):
         try:
             point = [float(row[0]), float(row[1])]
         except (ValueError, IndexError):
@@ -311,11 +313,11 @@ def cmd_budget(args) -> int:
         "added_noise_photons": budget.added_noise,
         "impedance_ohm": budget.impedance,
     })
-    rows = []
-    for q in np.geomspace(args.q_min, args.q_max, args.q_points).tolist():
-        point = transducer.conversion_budget(dataclasses.replace(config.piezo, q_uw=q))
-        rows.append([q, point.c_em, point.added_noise])
-    write_table(out / "noise_vs_q.csv", [header], ["q_uw", "c_em", "added_noise"], rows)
+    qs = np.geomspace(args.q_min, args.q_max, args.q_points).tolist()
+    points = [transducer.conversion_budget(dataclasses.replace(config.piezo, q_uw=q))
+              for q in qs]
+    write_table(out / "noise_vs_q.csv", [header], ["q_uw", "c_em", "added_noise"],
+                [qs, [p.c_em for p in points], [p.added_noise for p in points]])
     print(f"budget: N={budget.added_noise:.4f} photons at C_em={budget.c_em:.2f} "
           f"-> {out / 'budget.json'}")
     return EXIT_OK
@@ -331,8 +333,7 @@ def _reproduce_fig1b(config, chash, out, args):
     power = np.abs(r) ** 2
     fit = stats.fit_lorentzian_with_offset(np.column_stack([grid, power]))
     write_table(out / "fig1b_reflection.csv", [header],
-                ["detuning_hz", "power_reflectance"],
-                ([float(x), float(y)] for x, y in zip(grid, power)))
+                ["detuning_hz", "power_reflectance"], [grid.tolist(), power.tolist()])
     _write_json(out / "fig1b_fit.json", header, {
         "kappa_fit_hz": fit.params["fwhm"],
         "kappa_true_hz": config.cavity.kappa,
@@ -353,7 +354,7 @@ def _reproduce_fig1c(config, chash, out, args):
         "converged": fit.converged,
     })
     write_table(out / "fig1c_psd.csv", [header], ["frequency_hz", "psd"],
-                ([float(x), float(y)] for x, y in zip(grid, psd)))
+                [grid.tolist(), psd.tolist()])
 
 
 def _reproduce_fig2(config, chash, out, args):
@@ -381,7 +382,8 @@ def _reproduce_fig2(config, chash, out, args):
 
     rows = _pmap(point, list(enumerate(ps_grid)), args.threads)
     write_table(out / "fig2_thermometry.csv", [header],
-                ["p_s", "n_th_est", "n_th_err", "cooperativity", "n_th_true"], rows)
+                ["p_s", "n_th_est", "n_th_err", "cooperativity", "n_th_true"],
+                list(zip(*rows)))
 
 
 def _reproduce_fig3a(config, chash, out, args):
@@ -410,19 +412,19 @@ def _reproduce_fig3b(config, chash, out, args):
 
 def _reproduce_figs1(config, chash, out, args):
     header = _header(chash, None)
-    powers_uw = np.geomspace(0.005, 1.0, 10)
+    powers_uw = np.geomspace(0.005, 1.0, 10).tolist()
     duration = 40e-9
-    rows = []
-    for p_uw in powers_uw:
-        energy = p_uw * 1e-6 * duration * config.detection.eta_fc
-        p_s = optomech.scattering_probability("red", energy, config.g0,
+    energies = [p_uw * 1e-6 * duration * config.detection.eta_fc for p_uw in powers_uw]
+    p_s = [optomech.scattering_probability("red", energy, config.g0, config.cavity, config.mode)
+           for energy in energies]
+    fit = stats.fit_linear(np.column_stack([powers_uw, p_s]))
+    write_table(out / "figs1_calibration.csv", [header], ["peak_power_uw", "p_s"],
+                [powers_uw, p_s])
+    # g0 from the red exponent -log(1 - p_s), which is exactly linear in pulse
+    # energy; p_s itself saturates and would put g0 low
+    exponents = [-math.log1p(-p) for p in p_s]
+    g0, g0_err = optomech.g0_from_calibration(np.column_stack([energies, exponents]),
                                               config.cavity, config.mode)
-        rows.append([float(p_uw), p_s])
-    fit = stats.fit_linear(np.array(rows))
-    write_table(out / "figs1_calibration.csv", [header], ["peak_power_uw", "p_s"], rows)
-    g0, g0_err = optomech.g0_from_calibration(
-        [[r[0] * 1e-6 * duration * config.detection.eta_fc, r[1]] for r in rows],
-        config.cavity, config.mode)
     _write_json(out / "figs1_fit.json", header, {
         "slope_per_uw": fit.params["slope"],
         "g0_hz": g0, "g0_err_hz": g0_err, "g0_true_hz": config.g0,

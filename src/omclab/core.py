@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import types
 import typing
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Literal
 
@@ -453,46 +455,63 @@ def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> Experime
 #
 # Every CSV omclab reads or writes (click records, user inputs, artifacts):
 # `#` comment lines first, where `# <name>=<value>` is metadata; then one line
-# of column names; then rows with exactly one field per column.
+# of column names; then rows with exactly one field per column.  Tables move
+# one column at a time: a column is a list, and no Python code runs per field
+# or per row.
 
 
 def _field(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def write_table(path: str | Path, comment_lines: list[str], columns: list[str],
-                rows) -> None:
+def _column_fields(values):
+    """The ``_field`` text of each value; no Python call per value when all
+    values share a type."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if len(kinds) != 1:
+        return list(map(_field, values))
+    return list(map("{:.10g}".format if issubclass(kinds.pop(), float) else str, values))
+
+
+def write_table(path: str | Path, comment_lines: list[str], names: list[str],
+                columns) -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
-    then one line per row; floats are written ``%.10g``."""
+    then one line per row of the equal-length ``columns`` (one sequence per
+    name); floats are written ``%.10g``."""
+    cells = [_column_fields(column) for column in columns]
+    if len(cells) != len(names):
+        raise ValueError(f"{path}: {len(cells)} columns for {len(names)} names")
     lines = [f"# {line}" for line in comment_lines]
-    lines.append(",".join(columns))
-    lines.extend(",".join(map(_field, row)) for row in rows)
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read a comma table: (metadata, column names, rows), every field stripped.
+    """Read a comma table: (metadata, column names, one list of fields per
+    column), every field stripped.
 
-    Comment and blank lines are skipped.  A file without a column line, or a
-    row whose field count differs from it, is a ``ConfigError`` naming the
-    file (and the row).
+    Comment and blank lines are skipped wherever they are.  A file without a
+    column line, or a row whose field count differs from it, is a
+    ``ConfigError`` naming the file (and the row).
     """
+    lines = Path(path).read_text().splitlines()
+    is_comment = list(map(str.startswith, lines, repeat("#")))
     metadata: dict[str, str] = {}
-    body = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            name, eq, value = line[1:].partition("=")
-            if eq and name.strip().isidentifier():
-                metadata[name.strip()] = value.strip()
-        elif line and not line.isspace():
-            body.append(line)
+    for line in compress(lines, is_comment):
+        name, eq, value = line[1:].partition("=")
+        if eq and name.strip().isidentifier():
+            metadata[name.strip()] = value.strip()
+    body = list(filter(str.strip, compress(lines, map(operator.not_, is_comment))))
     if not body:
         raise ConfigError(f"{path}: no column names line")
-    table = [[f.strip() for f in line.split(",")] for line in body]
-    columns = table[0]
-    if len(set(map(len, table))) > 1:
-        line, fields = next((line, fields) for line, fields in zip(body, table)
-                            if len(fields) != len(columns))
-        raise ConfigError(f"{path}: row {line!r} has {len(fields)} fields for "
-                          f"{len(columns)} columns; it does not match the header")
-    return metadata, columns, table[1:]
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(commas[0]) != len(commas):
+        row = next(i for i, n in enumerate(commas) if n != commas[0])
+        raise ConfigError(f"{path}: row {body[row]!r} has {commas[row] + 1} fields for "
+                          f"{commas[0] + 1} columns; it does not match the header")
+    width = commas[0] + 1
+    fields = list(map(str.strip, ",".join(body).split(",")))
+    return metadata, fields[:width], [fields[width + j::width] for j in range(width)]

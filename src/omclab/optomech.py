@@ -126,11 +126,13 @@ def occupation_from_counts(clicks_r: int, pulses_r: int, p_s_read: float,
 
 def g0_from_calibration(points, cavity: OpticalCavity,
                         mode: MechanicalMode) -> tuple[Frequency, Frequency]:
-    """Coupling rate g0 (Hz) and its standard error from a (E_p, p_s) calibration.
+    """Coupling rate g0 (Hz) and its standard error from an (E_p, x) calibration.
 
-    Fits the small-p_s line p_s = s * E_p and inverts the weak-coupling
-    exponent for g0.  Requires at least two distinct pulse energies and a
-    positive fitted slope.
+    ``x`` is the scattering exponent of each pulse (``scattering_exponent``:
+    ``-log(1 - p_s)`` for red, ``log(1 + p_s)`` for blue), which is exactly
+    linear in the pulse energy.  Fits the line x = s * E_p and inverts the
+    exponent's slope for g0; raw p_s saturates and would put g0 low.  Requires
+    at least two distinct pulse energies and a positive fitted slope.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:

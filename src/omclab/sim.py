@@ -313,21 +313,22 @@ RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
 def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
     """Record stream as CSV: sequence_index, pulse_label, click_time_ns[, origin]."""
-    columns = list(RECORD_COLUMNS)
-    data = [batch.sequence_index.tolist(), batch.pulse_label.tolist(),
-            [f"{t:.6f}" for t in (batch.click_time * 1e9).tolist()]]
+    names = list(RECORD_COLUMNS)
+    times_ns = (batch.click_time * 1e9).tolist()
+    columns = [batch.sequence_index.tolist(), batch.pulse_label.tolist(),
+               ("%.6f " * len(times_ns) % tuple(times_ns)).split()]  # one format call
     if batch.origin is not None:
-        columns.append("origin")
-        data.append(batch.origin.tolist())
+        names.append("origin")
+        columns.append(batch.origin.tolist())
     write_table(path, [*(header_lines or []), f"n_sequences={batch.n_sequences}"],
-                columns, zip(*data))
+                names, columns)
 
 
 def read_records_csv(path: str | Path) -> RecordBatch:
     """Parse a record CSV written by ``write_records_csv``."""
-    metadata, columns, rows = read_table(path)
+    metadata, names, columns = read_table(path)
     if ("n_sequences" not in metadata
-            or tuple(columns) not in (RECORD_COLUMNS, (*RECORD_COLUMNS, "origin"))):
+            or tuple(names) not in (RECORD_COLUMNS, (*RECORD_COLUMNS, "origin"))):
         raise ConfigError(f"{path}: not a record CSV (needs an n_sequences line and the "
                           f"columns {','.join(RECORD_COLUMNS)}[,origin])")
     try:
@@ -337,8 +338,7 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if n_sequences < 0:
         raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
                           "non-negative integer")
-    seq_col, label_col, time_col, *origin_col = ([row[i] for row in rows]
-                                                 for i in range(len(columns)))
+    seq_col, label_col, time_col, *origin_col = columns
     try:
         seq = np.array(seq_col, dtype=np.int64)
         times = np.array(time_col, dtype=float) * 1e-9
@@ -349,6 +349,6 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if not np.isfinite(times).all():
         raise ConfigError(f"{path}: click_time_ns must be finite")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,
-                       pulse_index=np.zeros(len(rows), dtype=np.int16),
+                       pulse_index=np.zeros(seq.size, dtype=np.int16),
                        pulse_label=np.array(label_col, dtype=str), click_time=times,
                        origin=np.array(origin_col[0], dtype=str) if origin_col else None)

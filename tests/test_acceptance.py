@@ -117,10 +117,10 @@ def test_criterion_04b_fig2_pulls_at_1e8_sequences(tmp_path, device_config_path)
     code = cli.main(["reproduce", "fig2", "--config", str(device_config_path),
                      "--out", str(tmp_path), "--seed", "0", "--sequences", "100000000"])
     elapsed = time.perf_counter() - t0
-    _, columns, rows = read_table(tmp_path / "fig2_thermometry.csv")
-    col = {name: i for i, name in enumerate(columns)}
-    pulls = [(float(r[col["n_th_est"]]) - float(r[col["n_th_true"]]))
-             / float(r[col["n_th_err"]]) for r in rows]
+    _, names, columns = read_table(tmp_path / "fig2_thermometry.csv")
+    col = dict(zip(names, columns))
+    pulls = [(float(est) - float(true)) / float(err)
+             for est, true, err in zip(col["n_th_est"], col["n_th_true"], col["n_th_err"])]
     ok = code == 0 and len(pulls) == 6 and all(abs(z) <= 3 for z in pulls)
     _report("4b (fig2 thermometry pulls)", ok,
             f"(n_est - n_true)/err = {', '.join(f'{z:+.2f}' for z in pulls)} over the "

@@ -170,6 +170,15 @@ def test_reproduce_fig1b_and_figs1(tmp_path, device_config_path):
     assert cal["g0_hz"] == pytest.approx(845e3, rel=0.02)
 
 
+def test_reproduce_figs1_g0_within_its_stated_error(tmp_path, device_config,
+                                                    device_config_path):
+    # fitting the saturating p_s itself put g0 0.56% low, ~10x its stated error
+    assert run("reproduce", "figs1", "--config", device_config_path, "--out", tmp_path) == 0
+    cal = read_artifact_json(tmp_path / "figs1_fit.json")
+    assert abs(cal["g0_hz"] - device_config.g0) <= cal["g0_err_hz"]
+    assert cal["g0_hz"] == pytest.approx(device_config.g0, rel=1e-6)
+
+
 def test_reproduce_fig3b_small(tmp_path, device_config_path):
     assert run("--threads", 2, "reproduce", "fig3b", "--config", device_config_path,
                "--out", tmp_path, "--seed", 5, "--sequences", 50000) == 0

@@ -168,6 +168,32 @@ def test_mutated_config_round_trips_or_raises_config_error(kind, data):
     assert parse_config(serialize_config(config)) == config
 
 
+# stripped, comma-free text that cannot open a comment line
+_TABLE_TEXT = (st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                     exclude_characters=","), min_size=1)
+               .map(str.strip).filter(lambda s: s and not s.startswith("#")))
+_TABLE_VALUES = (st.integers(), st.floats(allow_nan=False, allow_infinity=False), _TABLE_TEXT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
+    # each column is ints, floats or text alone (the writer's one-map path)
+    # or a mix of them (its per-value path)
+    n_rows = data.draw(st.integers(0, 6))
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        values = data.draw(st.sampled_from([*_TABLE_VALUES, st.one_of(*_TABLE_VALUES)]))
+        columns.append(data.draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    names = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
+    metadata, read_names, read_columns = core.read_table(path)
+    assert metadata == {"rows": str(n_rows)}
+    assert read_names == names
+    assert read_columns == [[core._field(value) for value in column] for column in columns]
+
+
 def test_inconsistent_kappa_triple_rejected():
     bad = MINIMAL + "cavity.kappa_e = 3.9e9\n"
     with pytest.raises(ValidationError, match="kappa"):

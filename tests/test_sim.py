@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import chi2, poisson
 
 from omclab import fock, sim, stats
 from omclab.core import (
+    ConfigError,
     DetectionChain,
     HeatingParams,
     MechanicalMode,
@@ -221,6 +223,66 @@ def test_records_csv_round_trip(tmp_path, device_config):
     assert np.array_equal(again.origin, batch.origin)
     restored = sim.assign_pulse_indices(again, config.sequence)
     assert np.array_equal(restored.pulse_index, batch.pulse_index)
+
+
+_GOLDEN_BATCH = sim.RecordBatch(
+    n_sequences=12,
+    sequence_index=np.array([0, 3, 3, 7, 11]),
+    pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
+    pulse_label=np.array(["write", "write", "read", "read", "write"]),
+    # 25.1234567 ns and 210.0000004 ns show the %.6f ns rounding
+    click_time=np.array([20e-9, 25.1234567e-9, 200.25e-9, 210.0000004e-9, 5e-6]),
+    origin=np.array(["signal", "dark", "signal", "leakage", "dark"]),
+)
+
+_GOLDEN_RECORDS = """\
+# omclab 0.2.0 config=abc seed=7
+# n_sequences=12
+sequence_index,pulse_label,click_time_ns,origin
+0,write,20.000000,signal
+3,write,25.123457,dark
+3,read,200.250000,signal
+7,read,210.000000,leakage
+11,write,5000.000000,dark
+"""
+
+_GOLDEN_BLIND = """\
+# n_sequences=12
+sequence_index,pulse_label,click_time_ns
+0,write,20.000000
+3,write,25.123457
+3,read,200.250000
+7,read,210.000000
+11,write,5000.000000
+"""
+
+
+def test_records_csv_golden_bytes(tmp_path):
+    path = tmp_path / "records.csv"
+    sim.write_records_csv(_GOLDEN_BATCH, path, header_lines=["omclab 0.2.0 config=abc seed=7"])
+    assert path.read_bytes() == _GOLDEN_RECORDS.encode()
+    sim.write_records_csv(dataclasses.replace(_GOLDEN_BATCH, origin=None), path)
+    assert path.read_bytes() == _GOLDEN_BLIND.encode()
+
+
+def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("# n_sequences=12\n"
+                    " sequence_index , pulse_label,click_time_ns,origin\n"
+                    "0, write ,20.5, signal\n"
+                    "# a comment between rows\n"
+                    "\n"
+                    "  \t\n"
+                    "  11,read,  200.25  ,dark \n")
+    batch = sim.read_records_csv(path)
+    assert batch.n_sequences == 12
+    assert batch.sequence_index.tolist() == [0, 11]
+    assert batch.pulse_label.tolist() == ["write", "read"]
+    assert batch.click_time.tolist() == [20.5e-9, 200.25e-9]
+    assert batch.origin.tolist() == ["signal", "dark"]
+    path.write_text(path.read_text() + "7,read\n")
+    with pytest.raises(ConfigError, match=re.escape("row '7,read' has 2 fields for 4 columns")):
+        sim.read_records_csv(path)
 
 
 def test_occupations_include_heating(device_config):
