@@ -205,12 +205,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_dn_range(text: str) -> list[int]:
+def _parse_dn_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        dns = list(range(int(lo), int(hi) + 1))
+        dns = range(int(lo), int(hi) + 1)
     except ValueError:
-        dns = []
+        dns = range(0)
     if not dns:
         raise ConfigError(f"bad dn range {text!r}: expected LO..HI with integers LO <= HI")
     return dns
@@ -287,8 +287,8 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "n_points": result.n_points,
     }
-    source_hash = _config_hash(Path(args.data).read_text())
     if args.out:
+        source_hash = _config_hash(Path(args.data).read_text())
         _write_json(Path(args.out), _header(source_hash, None), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not result.converged:
@@ -546,6 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, UnicodeDecodeError) as exc:  # or an input file that is not text
         print(f"omclab: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. --sequences far beyond what a run can hold
+        print(f"omclab: configuration error: the run does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         print(f"omclab: numerical error: {exc}", file=sys.stderr)

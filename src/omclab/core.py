@@ -237,8 +237,8 @@ class PulseSequence:
     def __post_init__(self):
         if self.repetition_rate <= 0:
             raise ValidationError("sequence: repetition_rate must be positive")
-        if self.n_sequences < 0:
-            raise ValidationError("sequence: n_sequences must be non-negative")
+        if not 0 <= self.n_sequences < 2**63:  # sequence indices are int64
+            raise ValidationError("sequence: n_sequences must lie in [0, 2**63)")
         ordered = sorted(self.pulses, key=lambda p: p.start)
         if tuple(ordered) != self.pulses:
             raise ValidationError("sequence: pulses must be listed in time order")
@@ -456,37 +456,49 @@ def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> Experime
 # Every CSV omclab reads or writes (click records, user inputs, artifacts):
 # `#` comment lines first, where `# <name>=<value>` is metadata; then one line
 # of column names; then rows with exactly one field per column.  Tables move
-# one column at a time: a column is a list, and no Python code runs per field
-# or per row.
+# one column at a time: the reader returns a list of field strings per
+# column, and the writer takes one sequence per column (a list, a tuple or a
+# numpy array).  No Python code runs per field or per row.
 
 
-def _field(value) -> str:
-    return f"{value:.10g}" if isinstance(value, float) else str(value)
+def _field(value, float_format: str = "%.10g") -> str:
+    return float_format % value if isinstance(value, float) else str(value)
 
 
-def _column_fields(values):
-    """The ``_field`` text of each value; no Python call per value when all
-    values share a type."""
+def _column(values, float_format: str) -> tuple[str, list]:
+    """(printf directive, values) of one column.
+
+    An array's directive comes from its dtype, a sequence's from one scan of
+    its value types: floats take ``float_format``, anything else its ``str``.
+    A sequence of mixed types is turned into its ``_field`` texts.
+    """
+    kind = getattr(getattr(values, "dtype", None), "kind", "O")
+    if kind != "O":
+        return (float_format if kind == "f" else "%s"), values.tolist()
     kinds = set(map(type, values))
-    if kinds == {str}:
-        return values
-    if len(kinds) != 1:
-        return list(map(_field, values))
-    return list(map("{:.10g}".format if issubclass(kinds.pop(), float) else str, values))
+    if len(kinds) > 1:
+        return "%s", [_field(value, float_format) for value in values]
+    return (float_format if kinds and issubclass(kinds.pop(), float) else "%s"), values
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
-                columns) -> None:
+                columns, float_format: str = "%.10g") -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
-    then one line per row of the equal-length ``columns`` (one sequence per
-    name); floats are written ``%.10g``."""
-    cells = [_column_fields(column) for column in columns]
-    if len(cells) != len(names):
-        raise ValueError(f"{path}: {len(cells)} columns for {len(names)} names")
-    lines = [f"# {line}" for line in comment_lines]
-    lines.append(",".join(names))
-    lines.extend(map(",".join, zip(*cells, strict=True)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    then one line per row of the equal-length ``columns`` (one list, tuple or
+    numpy array per name).  Floats are written with ``float_format``, every
+    other value as its ``str``; all rows come from one ``%`` call."""
+    spec = [_column(column, float_format) for column in columns]
+    if len(spec) != len(names):
+        raise ValueError(f"{path}: {len(spec)} columns for {len(names)} names")
+    n_rows = len(spec[0][1]) if spec else 0
+    if any(len(values) != n_rows for _, values in spec):
+        raise ValueError(f"{path}: columns differ in length")
+    cells = [None] * (n_rows * len(spec))
+    for j, (_, values) in enumerate(spec):
+        cells[j::len(spec)] = values
+    row = ",".join(directive for directive, _ in spec) + "\n"
+    head = "".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
+    Path(path).write_text(head + row * n_rows % tuple(cells))
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:

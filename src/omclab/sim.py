@@ -22,7 +22,7 @@ distinct seeds give independent streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,12 @@ _ORIGINS = ("signal", "dark", "leakage")
 
 @dataclass(frozen=True)
 class RecordBatch:
-    """Column-oriented click stream; the common currency of the estimators."""
+    """Column-oriented click stream; the common currency of the estimators.
+
+    Its arrays are made read-only, so what the estimators derive from them
+    once (``_clicked``: label -> sorted distinct clicked sequence indices)
+    cannot go stale.
+    """
 
     n_sequences: int
     sequence_index: np.ndarray   # int64
@@ -53,6 +58,13 @@ class RecordBatch:
     pulse_label: np.ndarray      # str
     click_time: np.ndarray       # float64 seconds
     origin: np.ndarray | None    # str, None when blinded
+    _clicked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for array in (self.sequence_index, self.pulse_index, self.pulse_label,
+                      self.click_time, self.origin):
+            if array is not None:
+                array.flags.writeable = False
 
     def __len__(self) -> int:
         return int(self.sequence_index.size)
@@ -209,6 +221,24 @@ def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return np.sort(rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False))
 
 
+def _click_order(seq_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``np.lexsort((times, seq_idx))``, ties included, at the cost of a merge.
+
+    ``seq_idx`` is a few sorted per-pulse runs back to back, which a stable
+    argsort merges; only the clicks that share their sequence with another
+    click then need ordering by time.
+    """
+    order = np.argsort(seq_idx, kind="stable")
+    ordered = seq_idx[order]
+    shared = np.zeros(ordered.size, dtype=bool)
+    repeat = np.flatnonzero(ordered[1:] == ordered[:-1])
+    shared[repeat] = shared[repeat + 1] = True
+    pos = np.flatnonzero(shared)
+    sub = order[pos]
+    order[pos] = sub[np.lexsort((times[sub], seq_idx[sub]))]
+    return order
+
+
 def simulate(config: ExperimentConfig, seed: int,
              blind: bool = False) -> tuple[RecordBatch, SimReport]:
     """Run the configured pulse sequence for config.sequence.n_sequences
@@ -258,7 +288,7 @@ def simulate(config: ExperimentConfig, seed: int,
         totals.append({name: int(np.count_nonzero(origin == name)) for name in _ORIGINS})
 
     seq_idx, pulse_idx, times, origins = (np.concatenate(col) for col in zip(*columns))
-    order = np.lexsort((times, seq_idx))
+    order = _click_order(seq_idx, times)
     seq_idx, pulse_idx, times, origins = (a[order] for a in
                                           (seq_idx, pulse_idx, times, origins))
 
@@ -314,14 +344,12 @@ def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
     """Record stream as CSV: sequence_index, pulse_label, click_time_ns[, origin]."""
     names = list(RECORD_COLUMNS)
-    times_ns = (batch.click_time * 1e9).tolist()
-    columns = [batch.sequence_index.tolist(), batch.pulse_label.tolist(),
-               ("%.6f " * len(times_ns) % tuple(times_ns)).split()]  # one format call
+    columns = [batch.sequence_index, batch.pulse_label, batch.click_time * 1e9]
     if batch.origin is not None:
         names.append("origin")
-        columns.append(batch.origin.tolist())
+        columns.append(batch.origin)
     write_table(path, [*(header_lines or []), f"n_sequences={batch.n_sequences}"],
-                names, columns)
+                names, columns, float_format="%.6f")
 
 
 def read_records_csv(path: str | Path) -> RecordBatch:

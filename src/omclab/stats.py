@@ -85,9 +85,24 @@ def _isin_sorted(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx[hit] == values
 
 
+def _n_common(a: np.ndarray, b: np.ndarray) -> int:
+    """How many values two sorted, distinct arrays share.
+
+    A stable sort of the two runs back to back is a single merge; a shared
+    value then sits next to itself.
+    """
+    merged = np.sort(np.concatenate((a, b)), kind="stable")
+    return int(np.count_nonzero(merged[1:] == merged[:-1]))
+
+
 def _clicked_sequences(batch, label: str) -> np.ndarray:
-    """Sorted distinct sequence indices holding a ``label`` click."""
-    return _sorted_distinct(batch.sequence_index[batch.pulse_label == label])
+    """Sorted distinct sequence indices holding a ``label`` click, computed
+    once per batch and label (a batch's arrays are read-only)."""
+    memo = batch._clicked
+    if label not in memo:
+        memo[label] = _sorted_distinct(batch.sequence_index[batch.pulse_label == label])
+        memo[label].flags.writeable = False
+    return memo[label]
 
 
 def _within(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -103,7 +118,8 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
     value = P(write in sequence i and read in sequence i + delta_n) divided
     by the product of the marginal click probabilities, all estimated over
     the usable sequence pairs.  Counts come from the sorted clicked-sequence
-    indices, so the cost scales with the clicks, not with ``n_sequences``.
+    indices, found once per batch for every offset, so the cost scales with
+    the clicks, not with ``n_sequences``.
     The confidence interval comes from ``coincidence_ci``.
     """
     n_seq = int(batch.n_sequences)
@@ -119,7 +135,7 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
         raise UndefinedEstimateError(
             f"g2(dn={delta_n:+d}) undefined: {n_w} usable write clicks, {n_r} usable read clicks"
         )
-    n_c = int(np.count_nonzero(_isin_sorted(w + delta_n, r)))
+    n_c = _n_common(w + delta_n, r)
     value = (n_c / n_pairs) / ((n_w / n_pairs) * (n_r / n_pairs))
     lo, hi = coincidence_ci(n_c, n_w, n_r, n_pairs, level=level)
     return G2Estimate(delta_n=delta_n, value=value, ci_low=lo, ci_high=hi,

@@ -122,6 +122,17 @@ def test_fit_cli(tmp_path):
     assert payload["converged"] is True
 
 
+def test_fit_cli_hashes_its_data_only_for_out(tmp_path, monkeypatch):
+    data = tmp_path / "line.csv"
+    data.write_text("x,y\n0,1\n1,3\n2,5\n3,7\n")
+    hashed = []
+    monkeypatch.setattr(cli, "_config_hash", lambda text: hashed.append(text) or "0" * 12)
+    assert run("fit", "--model", "linear", "--data", data) == 0
+    assert hashed == []
+    assert run("fit", "--model", "linear", "--data", data, "--out", tmp_path / "fit.json") == 0
+    assert hashed == [data.read_text()]
+
+
 def test_fit_cli_flags_degenerate(tmp_path):
     data = tmp_path / "flat.csv"
     rows = "\n".join(f"{x},1.0" for x in range(10))
@@ -455,3 +466,71 @@ def test_mutated_table_exit_code(command, kind, data):
         argv = ["g2", "--records", path] if command == "g2" else \
             ["fit", "--model", "linear", "--data", path]
         assert run(*argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+
+
+# flag values: small integers, integers past int64 or far too many sequences
+# for memory (both fail before any work), ranges, and short arbitrary text
+_FLAG_VALUES = st.one_of(
+    st.sampled_from([str(2**62), str(2**63 - 1), str(2**63), str(10**30), "-4..4", "4..-4",
+                     "0..9", "1e5", "nan", "", "linear", "biexp", "lorentzian"]),
+    st.integers(-10**4, 10**4).map(str),
+    st.text(st.characters(codec="ascii"), max_size=8),
+)
+_CLI_FLAGS = {
+    "simulate": {"--config": "config", "--out": "out", "--seed": None, "--sequences": None,
+                 "--blind": "switch"},
+    "g2": {"--records": "records", "--config": "config", "--out": "out", "--dn-range": None,
+           "--oracle": "switch"},
+    "fit": {"--data": "data", "--out": "out", "--model": None},
+}
+
+
+def _fuzzed_argv(command: str, files: dict, draw) -> list[str]:
+    """A working ``command`` line, then 1-3 edits: a flag set to a drawn value
+    (a path flag to one of ``files``), a switch added, a flag dropped or left
+    without its value, or an unknown flag added."""
+    flags = _CLI_FLAGS[command]
+    base = {"simulate": ["--config", "--out", "--sequences"], "g2": ["--records"],
+            "fit": ["--data", "--model"]}[command]
+    given = {"--sequences": "1000", "--model": "linear"}
+    argv = [command, *(token for flag in base
+                       for token in (flag, given.get(flag) or files[flags[flag]][0]))]
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(sorted(flags)))
+        kind = flags[flag]
+        edit = draw(st.sampled_from(["set", "set", "drop", "bare", "unknown"]))
+        if edit == "bare" or kind == "switch" and edit == "set":
+            argv.append(flag)
+        elif edit == "set":
+            value = draw(_FLAG_VALUES if kind is None else st.sampled_from(files[kind]))
+            argv.extend([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+        elif edit == "drop" and flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        elif edit == "unknown":
+            # "--x...": no prefix of a real flag, which argparse would expand
+            argv.extend([f"--x{draw(st.from_regex(r'[a-z]{0,4}', fullmatch=True))}",
+                         draw(_FLAG_VALUES)])
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_FLAGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_exit_code(device_config_path, command, data):
+    # every flag line ends in 0, 2 (configuration, argparse included) or 3,
+    # never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        records, fit_table = Path(tmp) / "records.csv", Path(tmp) / "fit.csv"
+        records.write_text(_records_text())
+        fit_table.write_text(_FIT_TABLE)
+        files = {"config": [str(device_config_path), str(records)],
+                 "records": [str(records), str(device_config_path)],
+                 "data": [str(fit_table), str(records)],
+                 "out": [str(Path(tmp) / "out")]}
+        argv = _fuzzed_argv(command, files, data.draw)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), argv

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.constants
 from hypothesis import given, settings
@@ -178,12 +179,14 @@ _TABLE_VALUES = (st.integers(), st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
-    # each column is ints, floats or text alone (the writer's one-map path)
-    # or a mix of them (its per-value path)
+    # each column is ints, floats, bools or text alone (one directive for the
+    # column) or a mix of them (its per-value path); a one-type column is
+    # also written as a numpy array, which must give the same bytes
     n_rows = data.draw(st.integers(0, 6))
     columns = []
     for _ in range(data.draw(st.integers(1, 4))):
-        values = data.draw(st.sampled_from([*_TABLE_VALUES, st.one_of(*_TABLE_VALUES)]))
+        values = data.draw(st.sampled_from([*_TABLE_VALUES, st.booleans(),
+                                            st.one_of(*_TABLE_VALUES)]))
         columns.append(data.draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
     names = [f"c{j}" for j in range(len(columns))]
     path = tmp_path_factory.mktemp("table") / "table.csv"
@@ -192,6 +195,17 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     assert metadata == {"rows": str(n_rows)}
     assert read_names == names
     assert read_columns == [[core._field(value) for value in column] for column in columns]
+
+    dtypes = {int: np.int64, float: np.float64, str: np.str_, bool: np.bool_}
+    arrays = []
+    for column in columns:
+        kinds = set(map(type, column))
+        int64 = all(-2**63 <= value < 2**63 for value in column if type(value) is int)
+        arrays.append(np.array(column, dtype=dtypes[kinds.pop()])
+                      if len(kinds) == 1 and int64 else column)
+    array_path = path.with_name("arrays.csv")
+    core.write_table(array_path, ["omclab fuzz", f"rows={n_rows}"], names, arrays)
+    assert array_path.read_bytes() == path.read_bytes()
 
 
 def test_inconsistent_kappa_triple_rejected():

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, poisson
 
-from omclab import fock, sim, stats
+from omclab import fock, load_config, sim, stats
 from omclab.core import (
     ConfigError,
     DetectionChain,
@@ -223,6 +224,54 @@ def test_records_csv_round_trip(tmp_path, device_config):
     assert np.array_equal(again.origin, batch.origin)
     restored = sim.assign_pulse_indices(again, config.sequence)
     assert np.array_equal(restored.pulse_index, batch.pulse_index)
+
+
+def test_record_batch_arrays_are_read_only(device_config):
+    batch, _ = sim.simulate(_pair_config(device_config, 0.3, 0.3, 0.5, 200), 3)
+    for name in ("sequence_index", "pulse_index", "pulse_label", "click_time", "origin"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(batch, name)[0] = getattr(batch, name)[1]
+
+
+def test_memoised_g2_counts_match_a_fresh_batch(device_config):
+    config = _pair_config(device_config, 0.05, 0.3, 0.3, 20_000, eta_rest=0.5, dark_rate=5e3)
+    batch, _ = sim.simulate(config, 5)
+    memoised = [stats.g2_crosscorr(batch, dn).counts for dn in range(-4, 5)]
+    assert set(batch._clicked) == {"write", "read"}
+    for dn, counts in zip(range(-4, 5), memoised):
+        fresh = dataclasses.replace(batch)
+        assert fresh._clicked == {}
+        assert stats.g2_crosscorr(fresh, dn).counts == counts
+        assert stats.g2_crosscorr(batch, dn).counts == counts
+
+
+DENSE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "dense_analysis.cfg"
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_records_come_in_sequence_then_time_order(blind):
+    config = load_config(DENSE_CONFIG)
+    seq = config.sequence
+    config = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate, 200_000))
+    batch, _ = sim.simulate(config, 8, blind=blind)
+    _, per_sequence = np.unique(batch.sequence_index, return_counts=True)
+    assert np.count_nonzero(per_sequence >= 2) > 2000
+    assert (batch.origin is None) == blind
+    order = np.lexsort((batch.click_time, batch.sequence_index))
+    for column in (batch.sequence_index, batch.pulse_index, batch.pulse_label,
+                   batch.click_time, batch.origin):
+        if column is not None:
+            assert np.array_equal(column, column[order])
+
+
+def test_click_order_is_lexsort_order_with_ties():
+    # a few sorted runs of sequence indices, as simulate concatenates them,
+    # with coarse click times so that (sequence, time) ties occur
+    rng = np.random.default_rng(12)
+    seq_idx = np.concatenate([np.sort(rng.integers(0, 300, 400)) for _ in range(3)])
+    times = rng.integers(0, 4, seq_idx.size).astype(float)
+    order = sim._click_order(seq_idx, times)
+    assert np.array_equal(order, np.lexsort((times, seq_idx)))
 
 
 _GOLDEN_BATCH = sim.RecordBatch(
