@@ -88,7 +88,7 @@ def cmd_cavity_probe(args) -> int:
     header = _header(chash, None)
     spectrum = cavity.reflection_spectrum(config.cavity, span=args.span, n_points=args.points)
     write_table(out / "reflection_spectrum.csv", [header],
-                ["detuning_hz", "power_reflectance", "phase_rad"], spectrum.T.tolist())
+                ["detuning_hz", "power_reflectance", "phase_rad"], spectrum.T)
     eta_dev, over = cavity.coupling_efficiency(config.cavity)
     metrics = cavity.sideband_metrics(config.cavity, config.mode)
     _write_json(out / "cavity_report.json", header, {
@@ -148,15 +148,28 @@ def cmd_thermometry(args) -> int:
         results.append([p_r, p_b, n_th, err, coop])
     write_table(out / "thermometry.csv", [header_line],
                 ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"],
-                list(zip(*results)))
+                np.array(results).T)
     print(f"thermometry: {len(results)} asymmetry points -> {out / 'thermometry.csv'}")
     return EXIT_OK
+
+
+def _write_heating(config: ExperimentConfig, path: Path, header: str, ps_values: list[float],
+                   taus: np.ndarray) -> None:
+    """Heating curves n_th(tau), one per scattering probability, to ``path``."""
+    if not ps_values:
+        raise ConfigError("no scattering probabilities: none given and no calibration table")
+    heating = config.mode.heating
+    curves = [(heating.amplitude(p_s), heating.instant_occupation(p_s)) for p_s in ps_values]
+    n_th = [config.mode.n_baseline + dynamics.heating_occupation(tau, heating, amp, n_i)
+            for amp, n_i in curves for tau in taus]
+    write_table(path, [header], ["p_s", "tau_s", "n_th"],
+                [np.repeat(ps_values, len(taus)), np.tile(taus, len(ps_values)),
+                 np.array(n_th)])
 
 
 def cmd_heating(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    heating = config.mode.heating
     if args.ps:
         try:
             ps_values = [float(x) for x in args.ps.split(",")]
@@ -165,20 +178,9 @@ def cmd_heating(args) -> int:
         if not all(map(math.isfinite, ps_values)):
             raise ConfigError(f"--ps {args.ps!r}: expected comma-separated finite numbers")
     else:
-        ps_values = [row[0] for row in heating.calibration]
-    if not ps_values:
-        raise ConfigError("no scattering probabilities: none given and no calibration table")
-    taus = np.geomspace(args.tmin, args.tmax, args.points).tolist()
-    columns = ([], [], [])
-    for p_s in ps_values:
-        amp = heating.amplitude(p_s)
-        n_i = heating.instant_occupation(p_s)
-        columns[0].extend([p_s] * len(taus))
-        columns[1].extend(taus)
-        columns[2].extend(config.mode.n_baseline
-                          + dynamics.heating_occupation(tau, heating, amp, n_i) for tau in taus)
-    write_table(out / "heating_curves.csv", [_header(chash, None)],
-                ["p_s", "tau_s", "n_th"], columns)
+        ps_values = [row[0] for row in config.mode.heating.calibration]
+    _write_heating(config, out / "heating_curves.csv", _header(chash, None), ps_values,
+                   np.geomspace(args.tmin, args.tmax, args.points))
     print(f"heating: {len(ps_values)} curves -> {out / 'heating_curves.csv'}")
     return EXIT_OK
 
@@ -296,14 +298,13 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_budget(args) -> int:
-    config, chash = _load(args)
+def _write_budget(config: ExperimentConfig, header: str, out: Path,
+                  qs: np.ndarray) -> transducer.ConversionBudget:
+    """``budget.json`` at the configured Q and ``noise_vs_q.csv`` over ``qs``."""
     if config.piezo is None:
         raise ConfigError("budget: config has no piezo.* section")
     if config.piezo.q_uw is None or config.piezo.n_m is None:
         raise ConfigError("budget: piezo.q_uw and piezo.n_m must be configured")
-    out = _out_dir(args)
-    header = _header(chash, None)
     budget = transducer.conversion_budget(config.piezo)
     _write_json(out / "budget.json", header, {
         "k_eff2": budget.k_eff2,
@@ -313,11 +314,19 @@ def cmd_budget(args) -> int:
         "added_noise_photons": budget.added_noise,
         "impedance_ohm": budget.impedance,
     })
-    qs = np.geomspace(args.q_min, args.q_max, args.q_points).tolist()
     points = [transducer.conversion_budget(dataclasses.replace(config.piezo, q_uw=q))
               for q in qs]
     write_table(out / "noise_vs_q.csv", [header], ["q_uw", "c_em", "added_noise"],
-                [qs, [p.c_em for p in points], [p.added_noise for p in points]])
+                [qs, np.array([p.c_em for p in points]),
+                 np.array([p.added_noise for p in points])])
+    return budget
+
+
+def cmd_budget(args) -> int:
+    config, chash = _load(args)
+    out = _out_dir(args)
+    budget = _write_budget(config, _header(chash, None), out,
+                           np.geomspace(args.q_min, args.q_max, args.q_points))
     print(f"budget: N={budget.added_noise:.4f} photons at C_em={budget.c_em:.2f} "
           f"-> {out / 'budget.json'}")
     return EXIT_OK
@@ -333,7 +342,7 @@ def _reproduce_fig1b(config, chash, out, args):
     power = np.abs(r) ** 2
     fit = stats.fit_lorentzian_with_offset(np.column_stack([grid, power]))
     write_table(out / "fig1b_reflection.csv", [header],
-                ["detuning_hz", "power_reflectance"], [grid.tolist(), power.tolist()])
+                ["detuning_hz", "power_reflectance"], [grid, power])
     _write_json(out / "fig1b_fit.json", header, {
         "kappa_fit_hz": fit.params["fwhm"],
         "kappa_true_hz": config.cavity.kappa,
@@ -353,8 +362,7 @@ def _reproduce_fig1c(config, chash, out, args):
         "q_factor": mode.f_m / fit.params["fwhm"] if fit.params["fwhm"] else None,
         "converged": fit.converged,
     })
-    write_table(out / "fig1c_psd.csv", [header], ["frequency_hz", "psd"],
-                [grid.tolist(), psd.tolist()])
+    write_table(out / "fig1c_psd.csv", [header], ["frequency_hz", "psd"], [grid, psd])
 
 
 def _reproduce_fig2(config, chash, out, args):
@@ -383,14 +391,13 @@ def _reproduce_fig2(config, chash, out, args):
     rows = _pmap(point, list(enumerate(ps_grid)), args.threads)
     write_table(out / "fig2_thermometry.csv", [header],
                 ["p_s", "n_th_est", "n_th_err", "cooperativity", "n_th_true"],
-                list(zip(*rows)))
+                np.array(rows).T)
 
 
 def _reproduce_fig3a(config, chash, out, args):
-    cmd_args = argparse.Namespace(config=args.config, out=str(out), ps=None,
-                                  tmin=2e-8, tmax=1e-4, points=240)
-    cmd_heating(cmd_args)
-    (out / "heating_curves.csv").rename(out / "fig3a_heating.csv")
+    _write_heating(config, out / "fig3a_heating.csv", _header(chash, None),
+                   [row[0] for row in config.mode.heating.calibration],
+                   np.geomspace(2e-8, 1e-4, 240))
 
 
 def _reproduce_fig3b(config, chash, out, args):
@@ -412,11 +419,11 @@ def _reproduce_fig3b(config, chash, out, args):
 
 def _reproduce_figs1(config, chash, out, args):
     header = _header(chash, None)
-    powers_uw = np.geomspace(0.005, 1.0, 10).tolist()
+    powers_uw = np.geomspace(0.005, 1.0, 10)
     duration = 40e-9
-    energies = [p_uw * 1e-6 * duration * config.detection.eta_fc for p_uw in powers_uw]
-    p_s = [optomech.scattering_probability("red", energy, config.g0, config.cavity, config.mode)
-           for energy in energies]
+    energies = powers_uw * 1e-6 * duration * config.detection.eta_fc
+    p_s = np.array([optomech.scattering_probability("red", energy, config.g0, config.cavity,
+                                                    config.mode) for energy in energies])
     fit = stats.fit_linear(np.column_stack([powers_uw, p_s]))
     write_table(out / "figs1_calibration.csv", [header], ["peak_power_uw", "p_s"],
                 [powers_uw, p_s])
@@ -432,9 +439,7 @@ def _reproduce_figs1(config, chash, out, args):
 
 
 def _reproduce_budget(config, chash, out, args):
-    cmd_args = argparse.Namespace(config=args.config, out=str(out),
-                                  q_min=20.0, q_max=2000.0, q_points=40)
-    cmd_budget(cmd_args)
+    _write_budget(config, _header(chash, None), out, np.geomspace(20.0, 2000.0, 40))
 
 
 _REPRODUCE = {
@@ -471,6 +476,21 @@ def _env_default(name: str, cast, fallback):
         raise ConfigError(f"bad environment value {name}={raw!r}") from exc
 
 
+def _grid_flag(cast, above, expected: str):
+    """argparse type of a grid end or size: a finite ``cast`` value > ``above``."""
+    def parse(text: str):
+        value = cast(text)
+        if not above < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid float value: ..." names it
+    return parse
+
+
+_POSITIVE = _grid_flag(float, 0, "a finite number > 0")
+_COUNT = _grid_flag(int, -1, "an integer >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omclab",
                                      description="pulsed optomechanics toolkit")
@@ -488,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
     p.add_argument("--span", type=float, default=4.0, help="sweep span in units of kappa")
-    p.add_argument("--points", type=int, default=801)
+    p.add_argument("--points", type=_COUNT, default=801)
 
     p = add("thermometry", cmd_thermometry, help="occupation and cooperativity from counts")
     p.add_argument("--config", required=True)
@@ -499,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
     p.add_argument("--ps", default=None, help="comma-separated scattering probabilities")
-    p.add_argument("--tmin", type=float, default=2e-8)
-    p.add_argument("--tmax", type=float, default=1e-4)
-    p.add_argument("--points", type=int, default=240)
+    p.add_argument("--tmin", type=_POSITIVE, default=2e-8)
+    p.add_argument("--tmax", type=_POSITIVE, default=1e-4)
+    p.add_argument("--points", type=_COUNT, default=240)
 
     p = add("simulate", cmd_simulate, help="Monte Carlo click generation")
     p.add_argument("--config", required=True)
@@ -525,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("budget", cmd_budget, help="microwave-to-optics conversion budget")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
-    p.add_argument("--q-min", type=float, default=20.0)
-    p.add_argument("--q-max", type=float, default=2000.0)
-    p.add_argument("--q-points", type=int, default=40)
+    p.add_argument("--q-min", type=_POSITIVE, default=20.0)
+    p.add_argument("--q-max", type=_POSITIVE, default=2000.0)
+    p.add_argument("--q-points", type=_COUNT, default=40)
 
     p = add("reproduce", cmd_reproduce, help="scripted figure pipelines")
     p.add_argument("figure", choices=[*_REPRODUCE, "all"])

@@ -457,46 +457,25 @@ def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> Experime
 # `#` comment lines first, where `# <name>=<value>` is metadata; then one line
 # of column names; then rows with exactly one field per column.  Tables move
 # one column at a time: the reader returns a list of field strings per
-# column, and the writer takes one sequence per column (a list, a tuple or a
-# numpy array).  No Python code runs per field or per row.
-
-
-def _field(value, float_format: str = "%.10g") -> str:
-    return float_format % value if isinstance(value, float) else str(value)
-
-
-def _column(values, float_format: str) -> tuple[str, list]:
-    """(printf directive, values) of one column.
-
-    An array's directive comes from its dtype, a sequence's from one scan of
-    its value types: floats take ``float_format``, anything else its ``str``.
-    A sequence of mixed types is turned into its ``_field`` texts.
-    """
-    kind = getattr(getattr(values, "dtype", None), "kind", "O")
-    if kind != "O":
-        return (float_format if kind == "f" else "%s"), values.tolist()
-    kinds = set(map(type, values))
-    if len(kinds) > 1:
-        return "%s", [_field(value, float_format) for value in values]
-    return (float_format if kinds and issubclass(kinds.pop(), float) else "%s"), values
+# column, and the writer takes one numpy array per column.  No Python code
+# runs per field or per row.
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
                 columns, float_format: str = "%.10g") -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
-    then one line per row of the equal-length ``columns`` (one list, tuple or
-    numpy array per name).  Floats are written with ``float_format``, every
-    other value as its ``str``; all rows come from one ``%`` call."""
-    spec = [_column(column, float_format) for column in columns]
-    if len(spec) != len(names):
-        raise ValueError(f"{path}: {len(spec)} columns for {len(names)} names")
-    n_rows = len(spec[0][1]) if spec else 0
-    if any(len(values) != n_rows for _, values in spec):
+    then one line per row of the equal-length ``columns`` (one numpy array
+    per name).  A float column is written with ``float_format``, any other
+    value as its ``str``; all rows come from one ``%`` call."""
+    if len(columns) != len(names):
+        raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
+    n_rows = len(columns[0]) if names else 0
+    if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{path}: columns differ in length")
-    cells = [None] * (n_rows * len(spec))
-    for j, (_, values) in enumerate(spec):
-        cells[j::len(spec)] = values
-    row = ",".join(directive for directive, _ in spec) + "\n"
+    cells = [None] * (n_rows * len(names))
+    for j, column in enumerate(columns):
+        cells[j::len(names)] = column.tolist()
+    row = ",".join(float_format if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     head = "".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
     Path(path).write_text(head + row * n_rows % tuple(cells))
 

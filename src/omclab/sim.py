@@ -244,7 +244,7 @@ def simulate(config: ExperimentConfig, seed: int,
     """Run the configured pulse sequence for config.sequence.n_sequences
     repetitions; deterministic given (config, seed)."""
     if not (0 <= seed < 2**63):
-        raise ValueError("seed must fit in a non-negative 63-bit integer")
+        raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
     seq = config.sequence
     for pulse in seq.pulses:
         if pulse.start + pulse.window_length > seq.period:

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -198,6 +199,43 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
     assert 2.0 < payload["predicted_g2"] < payload["oracle_g2"]
 
 
+# sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
+# a change that moves any of these bytes says which output changes, and why
+_REPRODUCE_ALL_SHA256 = {
+    "budget.json": "9557bca9b2d7846129d6e06104a90d490e71ec3118bc672fc6a1e85f94a277ff",
+    "fig1b_fit.json": "cabae6d65f001a4cff947ab899c387ae30629aa3709f2e0356c48c7393f46171",
+    "fig1b_reflection.csv": "1a09941c0367ee5b2fcb87b1549eb9f6d2912fdc932076fd2dcf3704cc2873c6",
+    "fig1c_fit.json": "5c246a1c22396569f8e593907e6d2227b67a692a84d749d43dfce703564f1d30",
+    "fig1c_psd.csv": "4b1370c85922fc35ad3662dca93f8095c23f3982514d09b0e8032575ff7e9046",
+    "fig2_thermometry.csv": "9daa8684156853a4db511fc4a4a9f4d988b6aca6d44b5b86a8d1efb3f993418b",
+    "fig3a_heating.csv": "2bb9de820aa90080066d1b78f82aabbbc0a6ea60e4039dcc9d098d016a7b4d9e",
+    "fig3b_g2.json": "7f9387f0514cbe156f79c91e6fd5be673671a4a7d3e707c676b638096f0ce024",
+    "figs1_calibration.csv": "1421cb114324daa22cc4562c78f7722153067665773a0f472012ac3f8c64ed63",
+    "figs1_fit.json": "eea3c38325da47c817105aa846ed570570f1aa0dac75ef6e970a5e4d5d43e3c5",
+    "noise_vs_q.csv": "9153f126133b13707dff1dfd1c1a3a8f1e32313f31ae0a5f2d04bd133f3124d7",
+}
+
+
+def test_reproduce_all_artifacts_are_golden(tmp_path, device_config_path, capsys):
+    assert run("reproduce", "all", "--config", device_config_path, "--seed", 0,
+               "--out", tmp_path) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == _REPRODUCE_ALL_SHA256
+    # one line per target, none from a subcommand
+    assert capsys.readouterr().out.splitlines() == [
+        f"reproduce {target}: artifacts in {tmp_path}" for target in cli._REPRODUCE]
+
+
+def test_reproduce_fig3a_keeps_a_heating_curves_file(tmp_path, device_config_path):
+    assert run("heating", "--config", device_config_path, "--out", tmp_path,
+               "--ps", 0.01) == 0
+    curves = (tmp_path / "heating_curves.csv").read_bytes()
+    assert run("reproduce", "fig3a", "--config", device_config_path, "--out", tmp_path) == 0
+    assert (tmp_path / "heating_curves.csv").read_bytes() == curves
+    assert (tmp_path / "fig3a_heating.csv").exists()
+
+
 def test_exit_codes(tmp_path, device_config_path):
     assert run("cavity-probe", "--config", tmp_path / "missing.cfg",
                "--out", tmp_path) == cli.EXIT_IO
@@ -371,6 +409,33 @@ def test_heating_bad_ps_is_a_config_error(tmp_path, device_config_path, capsys, 
     assert run("heating", "--config", device_config_path, "--out", tmp_path,
                "--ps", ps) == cli.EXIT_CONFIG
     assert "--ps" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", -1, "--out", "records.csv"],
+    ["reproduce", "fig2", "--seed", 2**63 - 8, "--out", "."],  # fig2 runs seed + 2i + 1
+])
+def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_config_path,
+                                                capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--config", device_config_path) == cli.EXIT_CONFIG
+    assert "63-bit" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("heating", "--tmin", "0"),
+    ("heating", "--tmax", "inf"),
+    ("budget", "--q-min", "0"),
+    ("budget", "--q-points", "-1"),
+    ("cavity-probe", "--points", "-3"),
+])
+def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
+                                        command, flag, value):
+    # a grid numpy rejects (or fills with nan) is refused as its flag is parsed
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--config", device_config_path, "--out", tmp_path, flag, value)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: expected" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("red_row", ["red,2e-15,1.5,1000000000", "red,2e-15,100,many",
