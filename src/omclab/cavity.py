@@ -70,14 +70,6 @@ def sideband_metrics(cavity: OpticalCavity, mode: MechanicalMode) -> dict[str, f
     return {"resolution": resolution, "suppression_db": suppression}
 
 
-def filter_stage_suppression_db(offset: Frequency, fwhm: Frequency, stages: int = 1) -> float:
-    """Power rejection of ``stages`` cascaded Lorentzian filters at ``offset``."""
-    if fwhm <= 0 or stages < 1:
-        raise ValueError("filter suppression: fwhm > 0 and stages >= 1 required")
-    per_stage = 10 * math.log10(1 + (2 * offset / fwhm) ** 2)
-    return stages * per_stage
-
-
 def intracavity_photons(power_at_device: float, delta: Frequency,
                         cavity: OpticalCavity, f_l: Frequency) -> float:
     """Steady-state intracavity photon number for a drive at detuning delta.
@@ -90,16 +82,6 @@ def intracavity_photons(power_at_device: float, delta: Frequency,
     two_pi = 2 * math.pi
     rate_in = two_pi * cavity.kappa_e * power_at_device / (HBAR * two_pi * f_l)
     return rate_in / ((two_pi * delta) ** 2 + (two_pi * cavity.kappa / 2) ** 2)
-
-
-def absorbed_fraction(delta, cavity: OpticalCavity):
-    """Fraction of incident power lost to intrinsic channels at detuning delta.
-
-    Complements |r|^2: |r|^2 + absorbed = 1 for the one-port cavity.
-    """
-    delta = np.asarray(delta, dtype=float)
-    out = cavity.kappa_i * cavity.kappa_e / (delta**2 + (cavity.kappa / 2) ** 2)
-    return out if out.ndim else float(out)
 
 
 def reflection_spectrum(cavity: OpticalCavity, span: float = 4.0,

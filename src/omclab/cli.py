@@ -489,6 +489,7 @@ def _grid_flag(cast, above, expected: str):
 
 _POSITIVE = _grid_flag(float, 0, "a finite number > 0")
 _COUNT = _grid_flag(int, -1, "an integer >= 0")
+_AT_LEAST_ONE = _grid_flag(int, 0, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cavity-probe", cmd_cavity_probe, help="reflection spectrum and coupling report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
-    p.add_argument("--span", type=float, default=4.0, help="sweep span in units of kappa")
+    p.add_argument("--span", type=_POSITIVE, default=4.0, help="sweep span in units of kappa")
     p.add_argument("--points", type=_COUNT, default=801)
 
     p = add("thermometry", cmd_thermometry, help="occupation and cooperativity from counts")
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
     p.add_argument("--seed", type=int, default=_env_default("OMCLAB_SEED", int, 0))
-    p.add_argument("--sequences", type=int, default=None)
+    p.add_argument("--sequences", type=_AT_LEAST_ONE, default=None)
 
     return parser
 

@@ -456,9 +456,8 @@ def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> Experime
 # Every CSV omclab reads or writes (click records, user inputs, artifacts):
 # `#` comment lines first, where `# <name>=<value>` is metadata; then one line
 # of column names; then rows with exactly one field per column.  Tables move
-# one column at a time: the reader returns a list of field strings per
-# column, and the writer takes one numpy array per column.  No Python code
-# runs per field or per row.
+# one column at a time: the reader returns one numpy array per column, and the
+# writer takes one.  No Python code runs per field.
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
@@ -480,14 +479,19 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     Path(path).write_text(head + row * n_rows % tuple(cells))
 
 
-def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read a comma table: (metadata, column names, one list of fields per
-    column), every field stripped.
+def read_table(path: str | Path,
+               dtypes: dict | None = None) -> tuple[dict[str, str], list[str], list]:
+    """Read a comma table: (metadata, column names, one numpy array per column).
 
-    Comment and blank lines are skipped wherever they are.  A file without a
-    column line, or a row whose field count differs from it, is a
-    ``ConfigError`` naming the file (and the row).
+    A column named in ``dtypes`` is parsed as that dtype; any other is text,
+    each field stripped.  Lines that start with ``#`` and blank lines are
+    skipped wherever they are; a ``#`` inside a row is text.  A file without
+    a column line, or a row whose field count differs from it, is a
+    ``ConfigError`` naming the file (and the row); a field that does not
+    parse as its dtype raises numpy's ``ValueError``.
     """
+    import numpy as np  # only the table reader needs numpy; config parsing does not
+
     lines = Path(path).read_text().splitlines()
     is_comment = list(map(str.startswith, lines, repeat("#")))
     metadata: dict[str, str] = {}
@@ -498,11 +502,24 @@ def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[s
     body = list(filter(str.strip, compress(lines, map(operator.not_, is_comment))))
     if not body:
         raise ConfigError(f"{path}: no column names line")
-    commas = list(map(str.count, body, repeat(",")))
-    if commas.count(commas[0]) != len(commas):
-        row = next(i for i, n in enumerate(commas) if n != commas[0])
-        raise ConfigError(f"{path}: row {body[row]!r} has {commas[row] + 1} fields for "
-                          f"{commas[0] + 1} columns; it does not match the header")
-    width = commas[0] + 1
-    fields = list(map(str.strip, ",".join(body).split(",")))
-    return metadata, fields[:width], [fields[width + j::width] for j in range(width)]
+    names = list(map(str.strip, body[0].split(",")))
+    rows = body[1:]
+    # the separators in the rows' UTF-8 bytes give each row's field count and
+    # each field's length in bytes, never fewer than its characters: loadtxt
+    # silently cuts a text field longer than its column's width
+    text = np.frombuffer("\n".join([*rows, ""]).encode(), np.uint8)
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    fields_per_row = np.diff(np.flatnonzero(text[ends] == ord("\n")), prepend=-1)
+    bad = np.flatnonzero(fields_per_row != len(names))
+    if bad.size:
+        raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields_per_row[bad[0]]} fields "
+                          f"for {len(names)} columns; it does not match the header")
+    lengths = np.diff(ends, prepend=-1) - 1
+    widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
+    dtypes = dtypes or {}
+    dtype = np.dtype([(f"f{j}", dtypes.get(name, f"U{width}"))
+                      for j, (name, width) in enumerate(zip(names, widths))])
+    table = (np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+             if rows else np.empty(0, dtype))
+    return metadata, names, [np.ascontiguousarray(table[f"f{j}"]) if name in dtypes
+                             else np.char.strip(table[f"f{j}"]) for j, name in enumerate(names)]

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import Frequency, HeatingParams, MechanicalMode, PulseSequence
+from .core import HeatingParams, MechanicalMode, PulseSequence
 
 
 def heating_occupation(tau: float, params: HeatingParams, amplitude: float,
@@ -28,11 +28,6 @@ def heating_occupation(tau: float, params: HeatingParams, amplitude: float,
         raise ValueError("heating: tau must be non-negative")
     rise = -math.expm1(-tau / params.tau_rise)
     return amplitude * math.exp(-tau / params.tau_decay) * rise + n_instant
-
-
-def heating_peak_delay(params: HeatingParams) -> float:
-    """Delay of the delayed-heating maximum: tau_rise * ln(1 + tau_decay/tau_rise)."""
-    return params.tau_rise * math.log1p(params.tau_decay / params.tau_rise)
 
 
 def occupation_after_sequence(sequence: PulseSequence, params: HeatingParams,
@@ -78,19 +73,3 @@ def mechanical_psd(f, mode: MechanicalMode, n_th: float):
     out = (n_th + 0.5) * (half / math.pi) / ((f - mode.f_m) ** 2 + half**2)
     return out if out.ndim else float(out)
 
-
-def decay_rate_from_tau(tau_decay: float) -> Frequency:
-    """Energy-decay linewidth equivalent (Hz) of an amplitude decay time."""
-    if tau_decay <= 0:
-        raise ValueError("decay rate: tau_decay must be positive")
-    return 1.0 / (2 * math.pi * tau_decay)
-
-
-def linewidth_decay_ratio(mode: MechanicalMode, tau_decay: float) -> float:
-    """Ratio of the spectral linewidth to the ringdown-derived linewidth.
-
-    The two estimates of mechanical dissipation should agree to within a
-    factor of ~2 for a clean mode; larger discrepancies point at dephasing
-    or calibration problems.
-    """
-    return mode.gamma_m / decay_rate_from_tau(tau_decay)

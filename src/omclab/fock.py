@@ -44,12 +44,6 @@ class ClickTable:
     def p_read(self) -> float:
         return self.p01 + self.p11
 
-    @property
-    def p_read_given_write(self) -> float:
-        if self.p_write == 0:
-            raise HeraldingError("no write clicks to condition on")
-        return self.p11 / self.p_write
-
 
 def two_pulse_click_table(n_th: float, p_write: float, p_read: float,
                           eta: float) -> ClickTable:

@@ -338,6 +338,7 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
 
 
 RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
+_RECORD_DTYPES = {"sequence_index": np.int64, "click_time_ns": np.float64}
 
 
 def write_records_csv(batch: RecordBatch, path: str | Path,
@@ -354,7 +355,12 @@ def write_records_csv(batch: RecordBatch, path: str | Path,
 
 def read_records_csv(path: str | Path) -> RecordBatch:
     """Parse a record CSV written by ``write_records_csv``."""
-    metadata, names, columns = read_table(path)
+    try:
+        metadata, names, columns = read_table(path, _RECORD_DTYPES)
+    except (ConfigError, UnicodeDecodeError):
+        raise
+    except ValueError as exc:  # a sequence index or click time that is not a number
+        raise ConfigError(f"{path}: bad record row: {exc}") from None
     if ("n_sequences" not in metadata
             or tuple(names) not in (RECORD_COLUMNS, (*RECORD_COLUMNS, "origin"))):
         raise ConfigError(f"{path}: not a record CSV (needs an n_sequences line and the "
@@ -366,17 +372,13 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if n_sequences < 0:
         raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
                           "non-negative integer")
-    seq_col, label_col, time_col, *origin_col = columns
-    try:
-        seq = np.array(seq_col, dtype=np.int64)
-        times = np.array(time_col, dtype=float) * 1e-9
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad record row: {exc}") from None
+    seq, labels, times_ns, *origin = columns
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
+    times = times_ns * 1e-9
     if not np.isfinite(times).all():
         raise ConfigError(f"{path}: click_time_ns must be finite")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,
                        pulse_index=np.zeros(seq.size, dtype=np.int16),
-                       pulse_label=np.array(label_col, dtype=str), click_time=times,
-                       origin=np.array(origin_col[0], dtype=str) if origin_col else None)
+                       pulse_label=labels, click_time=times,
+                       origin=origin[0] if origin else None)

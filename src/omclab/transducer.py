@@ -77,13 +77,6 @@ def characteristic_impedance(c_total: float, f: float) -> float:
     return 1.0 / (2 * math.pi * f * c_total)
 
 
-def required_q_for_cooperativity(c_em: float, k_eff2_red: float, f_m: float,
-                                 gamma_m: float) -> float:
-    """Microwave Q needed to reach a target cooperativity (inverts C_em)."""
-    kappa_e = k_eff2_red * f_m**2 / (c_em * gamma_m)
-    return f_m / kappa_e
-
-
 def conversion_budget(piezo: PiezoInterface) -> ConversionBudget:
     """Full budget: coupling -> dilution -> cooperativity -> added noise.
 

@@ -58,6 +58,15 @@ def test_simulate_is_deterministic(tmp_path, device_config_path):
     assert report["n_sequences"] == 30000
 
 
+def test_simulate_zero_sequences_writes_no_clicks(tmp_path, device_config_path):
+    # unlike reproduce's --sequences, simulate's runs the size it is given
+    out = tmp_path / "none.csv"
+    assert run("simulate", "--config", device_config_path, "--sequences", 0,
+               "--out", out) == 0
+    batch = sim.read_records_csv(out)
+    assert batch.n_sequences == 0 and len(batch) == 0
+
+
 def test_simulate_blind_hides_origin(tmp_path, device_config_path):
     out = tmp_path / "blind.csv"
     assert run("simulate", "--config", device_config_path, "--seed", 3,
@@ -428,12 +437,18 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
     ("budget", "--q-min", "0"),
     ("budget", "--q-points", "-1"),
     ("cavity-probe", "--points", "-3"),
+    ("cavity-probe", "--span", "nan"),
+    ("cavity-probe", "--span", "inf"),
+    ("cavity-probe", "--span", "0"),
+    ("cavity-probe", "--span", "-1"),
+    ("reproduce fig3b", "--sequences", "0"),
+    ("reproduce fig2", "--sequences", "-5"),
 ])
 def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
                                         command, flag, value):
     # a grid numpy rejects (or fills with nan) is refused as its flag is parsed
     with pytest.raises(SystemExit) as exc:
-        run(command, "--config", device_config_path, "--out", tmp_path, flag, value)
+        run(*command.split(), "--config", device_config_path, "--out", tmp_path, flag, value)
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}: expected" in capsys.readouterr().err
 

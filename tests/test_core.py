@@ -198,8 +198,38 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     metadata, read_names, read_columns = core.read_table(path)
     assert metadata == {"rows": str(n_rows)}
     assert read_names == names
-    assert read_columns == [["%.10g" % v if column.dtype.kind == "f" else str(v)
-                             for v in column.tolist()] for column in columns]
+    assert [c.tolist() for c in read_columns] == [
+        ["%.10g" % v if column.dtype.kind == "f" else str(v) for v in column.tolist()]
+        for column in columns]
+
+
+def test_typed_table_reads_each_field_back_exactly(tmp_path):
+    # a label wider than any number (a width taken from the numeric fields
+    # would cut it), multi-byte UTF-8, a '#' inside a field, blank and
+    # whitespace-only lines and a comment between rows
+    path = tmp_path / "table.csv"
+    path.write_text("# rows=3\nn,label,x\n"
+                    "1,a label longer than every number in this file,2.5\n"
+                    "  \t\n\n"
+                    "22,détecteur 光子,-3\n"
+                    "# a comment between rows\n"
+                    "333, dark#x ,1e-9\n", encoding="utf-8")
+    metadata, names, (n, label, x) = core.read_table(path, {"n": np.int64, "x": np.float64})
+    assert metadata == {"rows": "3"}
+    assert names == ["n", "label", "x"]
+    assert n.dtype == np.int64 and n.tolist() == [1, 22, 333]
+    assert x.dtype == np.float64 and x.tolist() == [2.5, -3.0, 1e-9]
+    assert label.tolist() == ["a label longer than every number in this file",
+                              "détecteur 光子", "dark#x"]
+
+
+def test_header_only_table_reads_empty_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# rows=0\nn,label\n")
+    _, names, (n, label) = core.read_table(path, {"n": np.int64})
+    assert names == ["n", "label"]
+    assert n.dtype == np.int64 and n.size == 0
+    assert label.dtype.kind == "U" and label.size == 0
 
 
 def test_inconsistent_kappa_triple_rejected():

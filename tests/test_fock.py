@@ -137,7 +137,7 @@ def test_two_pulse_table_matches_first_order_theory():
     assert table.p_write == pytest.approx(eta * p_w * (n + 1), rel=1e-3)
     n_after_write = (1 + p_w) * n + p_w  # pair creation raises the mean
     assert table.p_read == pytest.approx(eta * p_r * n_after_write, rel=1e-4)
-    assert table.p_read_given_write == pytest.approx(eta * p_r * (1 + 2 * n), rel=5e-3)
+    assert table.p11 / table.p_write == pytest.approx(eta * p_r * (1 + 2 * n), rel=5e-3)
 
 
 def _dense_click_table(n, p_w, p_r, eta):

@@ -103,7 +103,7 @@ def test_paired_statistics_match_oracle(device_config):
     # heralded read-click probability against the oracle conditional
     n_w = int(w.sum())
     cond = (w & r).sum() / n_w
-    true_cond = table.p_read_given_write
+    true_cond = table.p11 / table.p_write
     sigma = math.sqrt(true_cond * (1 - true_cond) / n_w)
     assert abs(cond - true_cond) < 3 * sigma
 
@@ -312,6 +312,17 @@ def test_records_csv_golden_bytes(tmp_path):
     assert path.read_bytes() == _GOLDEN_RECORDS.encode()
     sim.write_records_csv(dataclasses.replace(_GOLDEN_BATCH, origin=None), path)
     assert path.read_bytes() == _GOLDEN_BLIND.encode()
+
+
+@pytest.mark.parametrize("batch", [_GOLDEN_BATCH,
+                                   dataclasses.replace(_GOLDEN_BATCH, origin=None)])
+def test_records_csv_round_trip_keeps_dtypes(tmp_path, batch):
+    path = tmp_path / "records.csv"
+    sim.write_records_csv(batch, path)
+    again = sim.read_records_csv(path)
+    for name in ("sequence_index", "pulse_label", "click_time", "origin"):
+        column, back = getattr(batch, name), getattr(again, name)
+        assert (back is None) if column is None else back.dtype == column.dtype, name
 
 
 def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):

@@ -50,14 +50,6 @@ def test_electromech_cooperativity_vanishes_at_large_kappa():
     assert small < 1e-5
 
 
-def test_required_q_inversion():
-    q = transducer.required_q_for_cooperativity(20.0, 3.3e-7, 3.05e9, 7.96e3)
-    assert q == pytest.approx(160, rel=0.02)
-    # and it round-trips through the cooperativity formula
-    c = transducer.electromech_cooperativity(3.3e-7, 3.05e9, 3.05e9 / q, 7.96e3)
-    assert c == pytest.approx(20.0, rel=1e-9)
-
-
 def test_added_noise_examples():
     assert transducer.added_noise(0.35, 1.0, 20.0) == pytest.approx(0.0175)
     assert transducer.added_noise(0.0, 1.0, 20.0) == 0.0
