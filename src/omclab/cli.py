@@ -106,7 +106,8 @@ def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
     header_line = _header(chash, None)
-    _, names, columns = read_table(args.counts)
+    _, names, columns = read_table(args.counts, {"side": str, "clicks": np.int64,
+                                                 "n_pulses": np.int64})
     table = dict(zip(names, columns))
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
     if not required.issubset(table):
@@ -118,23 +119,12 @@ def cmd_thermometry(args) -> int:
     if len(red_rows) != len(blue_rows):
         raise ConfigError(f"counts file has {len(red_rows)} red and {len(blue_rows)} blue "
                           "rows; they must pair up")
-
-    def counts(i):
-        try:
-            energy = float(table["pulse_energy_j"][i])
-            clicks, n_pulses = int(table["clicks"][i]), int(table["n_pulses"][i])
-        except ValueError:
-            energy = math.nan
-        if not math.isfinite(energy):
-            row = ",".join(column[i] for column in columns)
-            raise ConfigError(f"{args.counts}: row {row!r} needs a finite number "
-                              "pulse_energy_j and integer clicks and n_pulses")
-        return energy, clicks, n_pulses
-
+    counts = list(zip(*(table[name].tolist()
+                        for name in ("pulse_energy_j", "clicks", "n_pulses"))))
     eta_det = config.detection.eta_det
     results = []
     for red, blue in zip(red_rows, blue_rows):
-        (e_red, clicks_r, n_r), (e_blue, clicks_b, n_b) = counts(red), counts(blue)
+        (e_red, clicks_r, n_r), (e_blue, clicks_b, n_b) = counts[red], counts[blue]
         p_r = optomech.scattering_probability("red", e_red, config.g0, config.cavity, config.mode)
         p_b = optomech.scattering_probability("blue", e_blue, config.g0, config.cavity, config.mode)
         n_th, err = optomech.occupation_from_counts(clicks_r, n_r, p_r, clicks_b, n_b, p_b,
@@ -170,15 +160,7 @@ def _write_heating(config: ExperimentConfig, path: Path, header: str, ps_values:
 def cmd_heating(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    if args.ps:
-        try:
-            ps_values = [float(x) for x in args.ps.split(",")]
-        except ValueError:
-            ps_values = [math.nan]
-        if not all(map(math.isfinite, ps_values)):
-            raise ConfigError(f"--ps {args.ps!r}: expected comma-separated finite numbers")
-    else:
-        ps_values = [row[0] for row in config.mode.heating.calibration]
+    ps_values = args.ps or [row[0] for row in config.mode.heating.calibration]
     _write_heating(config, out / "heating_curves.csv", _header(chash, None), ps_values,
                    np.geomspace(args.tmin, args.tmax, args.points))
     print(f"heating: {len(ps_values)} curves -> {out / 'heating_curves.csv'}")
@@ -205,17 +187,6 @@ def cmd_simulate(args) -> int:
     })
     print(f"simulate: {len(batch)} clicks over {report.n_sequences} sequences -> {out_path}")
     return EXIT_OK
-
-
-def _parse_dn_range(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    try:
-        dns = range(int(lo), int(hi) + 1)
-    except ValueError:
-        dns = range(0)
-    if not dns:
-        raise ConfigError(f"bad dn range {text!r}: expected LO..HI with integers LO <= HI")
-    return dns
 
 
 def _g2_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
@@ -246,9 +217,10 @@ def cmd_g2(args) -> int:
     if not args.records:
         raise ConfigError("g2 requires --records (or --oracle)")
     batch = sim.read_records_csv(args.records)
-    estimates = _g2_estimates(batch, _parse_dn_range(args.dn_range))
+    estimates = _g2_estimates(batch, args.dn_range)
     if not estimates:
-        raise stats.UndefinedEstimateError(f"g2 undefined at every dn in {args.dn_range}")
+        raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
+                                           f"{args.dn_range[0]}..{args.dn_range[-1]}")
     payload = {"estimates": [
         {"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low, "ci_high": e.ci_high,
          "counts": {"n_coinc": e.counts[0], "n_write": e.counts[1],
@@ -263,24 +235,18 @@ def cmd_g2(args) -> int:
     return EXIT_OK
 
 
+_FITTERS = {
+    "lorentzian": stats.fit_lorentzian_with_offset,
+    "biexp": stats.fit_biexponential,
+    "linear": stats.fit_linear,
+}
+
+
 def cmd_fit(args) -> int:
-    rows = []
-    for row in zip(*read_table(args.data)[2]):
-        try:
-            point = [float(row[0]), float(row[1])]
-        except (ValueError, IndexError):
-            point = [math.nan]
-        if not all(map(math.isfinite, point)):
-            raise ConfigError(f"{args.data}: row {','.join(row)!r} is not an x,y pair "
-                              "of finite numbers")
-        rows.append(point)
-    pts = np.array(rows)
-    fitters = {
-        "lorentzian": stats.fit_lorentzian_with_offset,
-        "biexp": stats.fit_biexponential,
-        "linear": stats.fit_linear,
-    }
-    result = fitters[args.model](pts)
+    columns = read_table(args.data)[2]
+    if len(columns) < 2:
+        raise ConfigError(f"{args.data}: needs x and y columns, has {len(columns)}")
+    result = _FITTERS[args.model](np.column_stack(columns[:2]))
     payload = {
         "model": result.model,
         "params": result.params,
@@ -476,20 +442,32 @@ def _env_default(name: str, cast, fallback):
         raise ConfigError(f"bad environment value {name}={raw!r}") from exc
 
 
-def _grid_flag(cast, above, expected: str):
-    """argparse type of a grid end or size: a finite ``cast`` value > ``above``."""
-    def parse(text: str):
-        value = cast(text)
-        if not above < value < math.inf:
+def _flag_type(expected: str, parse, valid):
+    """argparse type: ``parse(text)`` if it parses and the value is ``valid``;
+    otherwise the flag's error reads "expected <expected>, got <text>"."""
+    def checked(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
-    parse.__name__ = cast.__name__  # argparse's "invalid float value: ..." names it
-    return parse
+    return checked
 
 
-_POSITIVE = _grid_flag(float, 0, "a finite number > 0")
-_COUNT = _grid_flag(int, -1, "an integer >= 0")
-_AT_LEAST_ONE = _grid_flag(int, 0, "an integer >= 1")
+def _dn_range(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    return range(int(lo), int(hi) + 1)
+
+
+_POSITIVE = _flag_type("a finite number > 0", float, lambda x: 0 < x < math.inf)
+_COUNT = _flag_type("an integer >= 0", int, lambda n: n >= 0)
+_AT_LEAST_ONE = _flag_type("an integer >= 1", int, lambda n: n >= 1)
+_DN_RANGE = _flag_type("LO..HI with integers LO <= HI", _dn_range, len)
+_FINITE_LIST = _flag_type("comma-separated finite numbers",
+                          lambda text: [float(x) for x in text.split(",")],
+                          lambda values: all(map(math.isfinite, values)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("heating", cmd_heating, help="heating response curves")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
-    p.add_argument("--ps", default=None, help="comma-separated scattering probabilities")
+    p.add_argument("--ps", type=_FINITE_LIST, help="comma-separated scattering probabilities")
     p.add_argument("--tmin", type=_POSITIVE, default=2e-8)
     p.add_argument("--tmax", type=_POSITIVE, default=1e-4)
     p.add_argument("--points", type=_COUNT, default=240)
@@ -533,13 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("g2", cmd_g2, help="cross-correlation estimates or the exact oracle")
     p.add_argument("--records", default=None)
-    p.add_argument("--dn-range", default="-4..4")
+    p.add_argument("--dn-range", type=_DN_RANGE, default="-4..4")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
 
     p = add("fit", cmd_fit, help="least-squares model fits")
-    p.add_argument("--model", required=True, choices=["lorentzian", "biexp", "linear"])
+    p.add_argument("--model", required=True, choices=_FITTERS)
     p.add_argument("--data", required=True, help="CSV with x,y columns")
     p.add_argument("--out", default=None)
 
@@ -565,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         # inside the try: the environment defaults are read while building
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, UnicodeDecodeError) as exc:  # or an input file that is not text
+    except ConfigError as exc:
         print(f"omclab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # e.g. --sequences far beyond what a run can hold

@@ -426,9 +426,17 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's text; one that does not decode is a ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load, parse, and validate a configuration file."""
-    return parse_config(Path(path).read_text())
+    return parse_config(read_text(path))
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -483,16 +491,17 @@ def read_table(path: str | Path,
                dtypes: dict | None = None) -> tuple[dict[str, str], list[str], list]:
     """Read a comma table: (metadata, column names, one numpy array per column).
 
-    A column named in ``dtypes`` is parsed as that dtype; any other is text,
-    each field stripped.  Lines that start with ``#`` and blank lines are
-    skipped wherever they are; a ``#`` inside a row is text.  A file without
-    a column line, or a row whose field count differs from it, is a
-    ``ConfigError`` naming the file (and the row); a field that does not
-    parse as its dtype raises numpy's ``ValueError``.
+    Every column is float64 unless ``dtypes`` names it: ``str`` means text,
+    each field stripped; a numpy dtype means that dtype.  Lines that start
+    with ``#`` and blank lines are skipped wherever they are; a ``#`` inside
+    a row is text.  A file that does not decode, one without a column line,
+    a row whose field count differs from it, a field that does not parse as
+    its column's dtype and a float that is not finite are each a
+    ``ConfigError`` naming the file (and the row and column).
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     is_comment = list(map(str.startswith, lines, repeat("#")))
     metadata: dict[str, str] = {}
     for line in compress(lines, is_comment):
@@ -517,9 +526,39 @@ def read_table(path: str | Path,
     lengths = np.diff(ends, prepend=-1) - 1
     widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
     dtypes = dtypes or {}
-    dtype = np.dtype([(f"f{j}", dtypes.get(name, f"U{width}"))
-                      for j, (name, width) in enumerate(zip(names, widths))])
-    table = (np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-             if rows else np.empty(0, dtype))
-    return metadata, names, [np.ascontiguousarray(table[f"f{j}"]) if name in dtypes
-                             else np.char.strip(table[f"f{j}"]) for j, name in enumerate(names)]
+    as_text = [f"U{width}" for width in widths]
+    kinds = [as_text[j] if dtypes.get(name) is str else dtypes.get(name, np.float64)
+             for j, name in enumerate(names)]
+
+    def parse(rows, kinds=kinds):
+        """The rows as one structured array, or None if a field does not parse."""
+        dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+        try:
+            return (np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                    if rows else np.empty(0, dtype))
+        except ValueError:
+            return None
+
+    table = parse(rows)
+    if table is None:
+        # halve the rows until the first bad one is left (about one more
+        # parse in all), then type its columns one at a time
+        lo, hi = 0, len(rows)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if parse(rows[lo:mid]) is None else (mid, hi)
+        faults = [(lo, j) for j in range(len(names))
+                  if parse(rows[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
+    else:
+        faults = [(int(np.argmin(finite)), j) for j in range(len(names))
+                  if table.dtype[j].kind == "f"
+                  and not (finite := np.isfinite(table[f"f{j}"])).all()]
+    if faults:
+        i, j = min(faults)
+        kind = np.dtype(kinds[j])
+        raise ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be "
+                          f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
+                          f"got {rows[i].split(',')[j].strip()!r}")
+    return metadata, names, [np.char.strip(table[f"f{j}"]) if dtypes.get(name) is str
+                             else np.ascontiguousarray(table[f"f{j}"])
+                             for j, name in enumerate(names)]

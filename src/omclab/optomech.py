@@ -71,17 +71,6 @@ def scattering_probability(side: Side, pulse_energy_at_device: float, g0: Freque
     return p
 
 
-def sideband_rates(n_th: float, p_s_read: float, p_s_write: float,
-                   eta_det: float) -> dict[str, float]:
-    """Detected click probabilities per pulse for the two sideband drives."""
-    if min(n_th, p_s_read, p_s_write, eta_det) < 0 or eta_det > 1:
-        raise ValueError("sideband_rates: inputs out of range")
-    return {
-        "gamma_r": p_s_read * n_th * eta_det,
-        "gamma_b": p_s_write * (n_th + 1) * eta_det,
-    }
-
-
 def occupation_from_asymmetry(gamma_r: float, gamma_b: float,
                               gamma_r_err: float = 0.0,
                               gamma_b_err: float = 0.0) -> tuple[float, float]:

@@ -338,7 +338,7 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
 
 
 RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
-_RECORD_DTYPES = {"sequence_index": np.int64, "click_time_ns": np.float64}
+_RECORD_DTYPES = {"sequence_index": np.int64, "pulse_label": str, "origin": str}
 
 
 def write_records_csv(batch: RecordBatch, path: str | Path,
@@ -355,12 +355,7 @@ def write_records_csv(batch: RecordBatch, path: str | Path,
 
 def read_records_csv(path: str | Path) -> RecordBatch:
     """Parse a record CSV written by ``write_records_csv``."""
-    try:
-        metadata, names, columns = read_table(path, _RECORD_DTYPES)
-    except (ConfigError, UnicodeDecodeError):
-        raise
-    except ValueError as exc:  # a sequence index or click time that is not a number
-        raise ConfigError(f"{path}: bad record row: {exc}") from None
+    metadata, names, columns = read_table(path, _RECORD_DTYPES)
     if ("n_sequences" not in metadata
             or tuple(names) not in (RECORD_COLUMNS, (*RECORD_COLUMNS, "origin"))):
         raise ConfigError(f"{path}: not a record CSV (needs an n_sequences line and the "
@@ -375,10 +370,7 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     seq, labels, times_ns, *origin = columns
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
-    times = times_ns * 1e-9
-    if not np.isfinite(times).all():
-        raise ConfigError(f"{path}: click_time_ns must be finite")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,
                        pulse_index=np.zeros(seq.size, dtype=np.int16),
-                       pulse_label=labels, click_time=times,
+                       pulse_label=labels, click_time=times_ns * 1e-9,
                        origin=origin[0] if origin else None)

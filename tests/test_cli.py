@@ -245,7 +245,7 @@ def test_reproduce_fig3a_keeps_a_heating_curves_file(tmp_path, device_config_pat
     assert (tmp_path / "fig3a_heating.csv").exists()
 
 
-def test_exit_codes(tmp_path, device_config_path):
+def test_exit_codes(tmp_path, device_config_path, capsys):
     assert run("cavity-probe", "--config", tmp_path / "missing.cfg",
                "--out", tmp_path) == cli.EXIT_IO
     bad = tmp_path / "bad.cfg"
@@ -256,8 +256,11 @@ def test_exit_codes(tmp_path, device_config_path):
     assert run("cavity-probe", "--config", incomplete, "--out", tmp_path) == cli.EXIT_CONFIG
     not_utf8 = tmp_path / "latin1.csv"
     not_utf8.write_bytes(b"x,y\n0,1\n1,\xff3\n")
+    capsys.readouterr()
     assert run("fit", "--model", "linear", "--data", not_utf8) == cli.EXIT_CONFIG
+    assert str(not_utf8) in _config_error_line(capsys)
     assert run("cavity-probe", "--config", not_utf8, "--out", tmp_path) == cli.EXIT_CONFIG
+    assert str(not_utf8) in _config_error_line(capsys)
 
 
 def test_env_seed_override(tmp_path, device_config_path, monkeypatch):
@@ -284,8 +287,8 @@ def _config_error_line(capsys) -> str:
     ("10,read,210.0", "sequence_index outside [0, 10)"),
     ("-1,read,210.0", "sequence_index outside [0, 10)"),
     ("4,read", "does not match the header"),
-    ("x,read,210.0", "bad record row"),
-    ("99999999999999999999,read,210.0", "bad record row"),
+    ("x,read,210.0", "'x,read,210.0'"),
+    ("99999999999999999999,read,210.0", "'99999999999999999999,read,210.0'"),
     ("4,read,nan", "click_time_ns must be finite"),
     ("4,read,-inf", "click_time_ns must be finite"),
     ("4,read,1e400", "click_time_ns must be finite"),
@@ -404,22 +407,6 @@ def test_bad_environment_default_is_a_config_error(tmp_path, device_config_path,
     assert f"{name}={value!r}" in _config_error_line(capsys)
 
 
-@pytest.mark.parametrize("dn_range", ["3", "1..x", "4..1"])
-def test_g2_bad_dn_range_is_a_config_error(tmp_path, capsys, dn_range):
-    records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
-                       "3,write,20.0\n3,read,210.0\n")
-    assert run("g2", "--records", records, f"--dn-range={dn_range}") == cli.EXIT_CONFIG
-    assert "bad dn range" in _config_error_line(capsys)
-
-
-@pytest.mark.parametrize("ps", ["a,b", "0.01,nan"])
-def test_heating_bad_ps_is_a_config_error(tmp_path, device_config_path, capsys, ps):
-    assert run("heating", "--config", device_config_path, "--out", tmp_path,
-               "--ps", ps) == cli.EXIT_CONFIG
-    assert "--ps" in _config_error_line(capsys)
-
-
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seed", -1, "--out", "records.csv"],
     ["reproduce", "fig2", "--seed", 2**63 - 8, "--out", "."],  # fig2 runs seed + 2i + 1
@@ -443,10 +430,16 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
     ("cavity-probe", "--span", "-1"),
     ("reproduce fig3b", "--sequences", "0"),
     ("reproduce fig2", "--sequences", "-5"),
+    ("g2", "--dn-range", "3"),
+    ("g2", "--dn-range", "1..x"),
+    ("g2", "--dn-range", "4..1"),
+    ("heating", "--ps", "a,b"),
+    ("heating", "--ps", "0.01,nan"),
 ])
 def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
                                         command, flag, value):
-    # a grid numpy rejects (or fills with nan) is refused as its flag is parsed
+    # a grid numpy rejects (or fills with nan), a dn range or a p_s list that
+    # is not one, is refused as its flag is parsed
     with pytest.raises(SystemExit) as exc:
         run(*command.split(), "--config", device_config_path, "--out", tmp_path, flag, value)
     assert exc.value.code == cli.EXIT_CONFIG

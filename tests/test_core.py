@@ -195,7 +195,7 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     names = [f"c{j}" for j in range(len(columns))]
     path = tmp_path_factory.mktemp("table") / "table.csv"
     core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
-    metadata, read_names, read_columns = core.read_table(path)
+    metadata, read_names, read_columns = core.read_table(path, dict.fromkeys(names, str))
     assert metadata == {"rows": str(n_rows)}
     assert read_names == names
     assert [c.tolist() for c in read_columns] == [
@@ -214,7 +214,7 @@ def test_typed_table_reads_each_field_back_exactly(tmp_path):
                     "22,détecteur 光子,-3\n"
                     "# a comment between rows\n"
                     "333, dark#x ,1e-9\n", encoding="utf-8")
-    metadata, names, (n, label, x) = core.read_table(path, {"n": np.int64, "x": np.float64})
+    metadata, names, (n, label, x) = core.read_table(path, {"n": np.int64, "label": str})
     assert metadata == {"rows": "3"}
     assert names == ["n", "label", "x"]
     assert n.dtype == np.int64 and n.tolist() == [1, 22, 333]
@@ -226,10 +226,27 @@ def test_typed_table_reads_each_field_back_exactly(tmp_path):
 def test_header_only_table_reads_empty_columns(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("# rows=0\nn,label\n")
-    _, names, (n, label) = core.read_table(path, {"n": np.int64})
+    _, names, (n, label) = core.read_table(path, {"n": np.int64, "label": str})
     assert names == ["n", "label"]
     assert n.dtype == np.int64 and n.size == 0
     assert label.dtype.kind == "U" and label.size == 0
+
+
+@pytest.mark.parametrize("column, field", [
+    ("x", "abc"), ("x", "nan"), ("x", "-inf"), ("x", "1e400"),
+    ("n", "1.5"), ("n", "99999999999999999999"),
+])
+def test_bad_number_names_file_row_and_column(tmp_path, column, field):
+    # the bad field sits in the last of several rows, after a comment line,
+    # so neither numpy's data-row count nor a line count names it
+    bad = f"7,last,{field}" if column == "x" else f"{field},last,0.5"
+    rows = [f"{i},label {i},{i / 4}" for i in range(5)] + [bad]
+    path = tmp_path / "table.csv"
+    path.write_text("# rows=6\nn,label,x\n# a comment\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        core.read_table(path, {"n": np.int64, "label": str})
+    message = str(exc.value)
+    assert str(path) in message and repr(bad) in message and f"{column} must be" in message
 
 
 def test_inconsistent_kappa_triple_rejected():
