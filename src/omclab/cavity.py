@@ -59,14 +59,9 @@ def sideband_metrics(cavity: OpticalCavity, mode: MechanicalMode) -> dict[str, f
     value one mechanical-frequency-doubled offset away:
     10*log10(((2 f_m)^2 + (kappa/2)^2) / (kappa/2)^2).
     """
-    if mode.f_m <= 0:
-        raise ValueError("sideband_metrics: f_m must be positive")
     resolution = (cavity.kappa / (4 * mode.f_m)) ** 2
     half = cavity.kappa / 2
-    if half == 0:
-        suppression = math.inf
-    else:
-        suppression = 10 * math.log10(((2 * mode.f_m) ** 2 + half**2) / half**2)
+    suppression = 10 * math.log10(((2 * mode.f_m) ** 2 + half**2) / half**2)
     return {"resolution": resolution, "suppression_db": suppression}
 
 

@@ -27,11 +27,9 @@ from . import __version__, cavity, dynamics, optomech, sim, stats, transducer
 from .core import (
     ConfigError,
     ExperimentConfig,
-    PulseSequence,
     load_config,
     read_table,
     serialize_config,
-    with_sequence,
     write_table,
 )
 
@@ -102,10 +100,23 @@ def cmd_cavity_probe(args) -> int:
     return EXIT_OK
 
 
+def _asymmetry_point(config: ExperimentConfig, duration: float, red, blue) -> list[float]:
+    """[p_s read, p_s write, n_th, n_th_err, cooperativity] from a red and a blue
+    (energy at the device, clicks, pulses); the read drive is a ``duration`` pulse."""
+    (e_red, clicks_r, n_r), (e_blue, clicks_b, n_b) = red, blue
+    p_r = optomech.scattering_probability("red", e_red, config.g0, config.cavity, config.mode)
+    p_b = optomech.scattering_probability("blue", e_blue, config.g0, config.cavity, config.mode)
+    n_th, err = optomech.occupation_from_counts(clicks_r, n_r, p_r, clicks_b, n_b, p_b,
+                                                config.detection.eta_det)
+    n_c = cavity.intracavity_photons(e_red / duration, config.mode.f_m, config.cavity,
+                                     config.cavity.f_c - config.mode.f_m)
+    coop = optomech.cooperativity(config.g0, n_c, config.cavity, config.mode)
+    return [p_r, p_b, n_th, err, coop]
+
+
 def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    header_line = _header(chash, None)
     _, names, columns = read_table(args.counts, {"side": str, "clicks": np.int64,
                                                  "n_pulses": np.int64})
     table = dict(zip(names, columns))
@@ -121,22 +132,11 @@ def cmd_thermometry(args) -> int:
                           "rows; they must pair up")
     counts = list(zip(*(table[name].tolist()
                         for name in ("pulse_energy_j", "clicks", "n_pulses"))))
-    eta_det = config.detection.eta_det
-    results = []
-    for red, blue in zip(red_rows, blue_rows):
-        (e_red, clicks_r, n_r), (e_blue, clicks_b, n_b) = counts[red], counts[blue]
-        p_r = optomech.scattering_probability("red", e_red, config.g0, config.cavity, config.mode)
-        p_b = optomech.scattering_probability("blue", e_blue, config.g0, config.cavity, config.mode)
-        n_th, err = optomech.occupation_from_counts(clicks_r, n_r, p_r, clicks_b, n_b, p_b,
-                                                    eta_det)
-        # cooperativity of the read pulse drive at this energy
-        duration = config.sequence.pulses[0].duration if config.sequence.pulses else 40e-9
-        power_device = e_red / duration
-        f_l = config.cavity.f_c - config.mode.f_m
-        n_c = cavity.intracavity_photons(power_device, config.mode.f_m, config.cavity, f_l)
-        coop = optomech.cooperativity(config.g0, n_c, config.cavity, config.mode)
-        results.append([p_r, p_b, n_th, err, coop])
-    write_table(out / "thermometry.csv", [header_line],
+    pulses = config.sequence.pulses
+    duration = pulses[0].duration if pulses else sim.PULSE_DURATION
+    results = [_asymmetry_point(config, duration, counts[red], counts[blue])
+               for red, blue in zip(red_rows, blue_rows)]
+    write_table(out / "thermometry.csv", [_header(chash, None)],
                 ["p_s_read", "p_s_write", "n_th", "n_th_err", "cooperativity"],
                 np.array(results).T)
     print(f"thermometry: {len(results)} asymmetry points -> {out / 'thermometry.csv'}")
@@ -170,21 +170,14 @@ def cmd_heating(args) -> int:
 def cmd_simulate(args) -> int:
     config, chash = _load(args)
     if args.sequences is not None:
-        seq = config.sequence
-        config = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate,
-                                                     args.sequences))
+        config = dataclasses.replace(config, sequence=dataclasses.replace(
+            config.sequence, n_sequences=args.sequences))
     batch, report = sim.simulate(config, args.seed, blind=args.blind)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     sim.write_records_csv(batch, out_path, header_lines=[_header(chash, args.seed)])
     report_path = out_path.with_suffix(".report.json")
-    _write_json(report_path, _header(chash, args.seed), {
-        "n_sequences": report.n_sequences,
-        "pulse_labels": list(report.pulse_labels),
-        "pulse_ps": list(report.pulse_ps),
-        "pulse_occupations": list(report.pulse_occupations),
-        "pulse_totals": list(report.pulse_totals),
-    })
+    _write_json(report_path, _header(chash, args.seed), dataclasses.asdict(report))
     print(f"simulate: {len(batch)} clicks over {report.n_sequences} sequences -> {out_path}")
     return EXIT_OK
 
@@ -198,6 +191,13 @@ def _g2_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
         except stats.UndefinedEstimateError as exc:
             print(exc)
     return estimates
+
+
+def _estimate_json(estimate: stats.G2Estimate) -> dict:
+    """One g2 estimate as ``g2 --out`` and ``fig3b_g2.json`` write it; ``counts``
+    is [n_coinc, n_write, n_read, n_pairs]."""
+    return {"delta_n": estimate.delta_n, "g2": estimate.value, "ci_low": estimate.ci_low,
+            "ci_high": estimate.ci_high, "counts": list(estimate.counts)}
 
 
 def cmd_g2(args) -> int:
@@ -221,15 +221,10 @@ def cmd_g2(args) -> int:
     if not estimates:
         raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
                                            f"{args.dn_range[0]}..{args.dn_range[-1]}")
-    payload = {"estimates": [
-        {"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low, "ci_high": e.ci_high,
-         "counts": {"n_coinc": e.counts[0], "n_write": e.counts[1],
-                    "n_read": e.counts[2], "n_pairs": e.counts[3]}}
-        for e in estimates
-    ]}
     if args.out:
         source_hash = _config_hash(Path(args.records).read_text())
-        _write_json(Path(args.out), _header(source_hash, None), payload)
+        _write_json(Path(args.out), _header(source_hash, None),
+                    {"estimates": [_estimate_json(e) for e in estimates]})
     for e in estimates:
         print(f"g2(dn={e.delta_n:+d}) = {e.value:.3f}  CI68 [{e.ci_low:.3f}, {e.ci_high:.3f}]")
     return EXIT_OK
@@ -247,14 +242,7 @@ def cmd_fit(args) -> int:
     if len(columns) < 2:
         raise ConfigError(f"{args.data}: needs x and y columns, has {len(columns)}")
     result = _FITTERS[args.model](np.column_stack(columns[:2]))
-    payload = {
-        "model": result.model,
-        "params": result.params,
-        "stderr": result.stderr,
-        "residual_norm": result.residual_norm,
-        "converged": result.converged,
-        "n_points": result.n_points,
-    }
+    payload = dataclasses.asdict(result)
     if args.out:
         source_hash = _config_hash(Path(args.data).read_text())
         _write_json(Path(args.out), _header(source_hash, None), payload)
@@ -303,10 +291,9 @@ def cmd_budget(args) -> int:
 
 def _reproduce_fig1b(config, chash, out, args):
     header = _header(chash, None)
-    grid = np.linspace(-3 * config.cavity.kappa, 3 * config.cavity.kappa, 601)
-    r = cavity.reflection_amplitude(grid, config.cavity)
-    power = np.abs(r) ** 2
-    fit = stats.fit_lorentzian_with_offset(np.column_stack([grid, power]))
+    spectrum = cavity.reflection_spectrum(config.cavity, span=3.0, n_points=601)
+    grid, power = spectrum[:, 0], spectrum[:, 1]
+    fit = stats.fit_lorentzian_with_offset(spectrum[:, :2])
     write_table(out / "fig1b_reflection.csv", [header],
                 ["detuning_hz", "power_reflectance"], [grid, power])
     _write_json(out / "fig1b_fit.json", header, {
@@ -336,23 +323,20 @@ def _reproduce_fig2(config, chash, out, args):
     n_seq = args.sequences or 2_000_000
     ps_grid = np.geomspace(0.004, 0.05, 6)
 
+    def counts(side, p_s, seed):
+        # (energy at the device, signal + dark clicks, pulses) and the true n_th of one run
+        run = sim.single_pulse_config(config, side, p_s, n_seq)
+        _, report = sim.simulate(run, seed)
+        totals = report.pulse_totals[0]
+        energy = sim.pulse_energy_at_device(run.sequence.pulses[0], config.detection.eta_fc)
+        return (energy, totals["signal"] + totals["dark"], n_seq), report.pulse_occupations[0]
+
     def point(item):
         i, p_s = item
-        red_cfg = sim.single_pulse_config(config, "red", p_s, n_seq)
-        blue_cfg = sim.single_pulse_config(config, "blue", p_s, n_seq)
-        _, red_rep = sim.simulate(red_cfg, args.seed + 2 * i)
-        _, blue_rep = sim.simulate(blue_cfg, args.seed + 2 * i + 1)
-        clicks_r = sum(red_rep.pulse_totals[0].values()) - red_rep.pulse_totals[0]["leakage"]
-        clicks_b = sum(blue_rep.pulse_totals[0].values()) - blue_rep.pulse_totals[0]["leakage"]
-        n_th, err = optomech.occupation_from_counts(
-            clicks_r, n_seq, red_rep.pulse_ps[0],
-            clicks_b, n_seq, blue_rep.pulse_ps[0],
-            config.detection.eta_det)
-        power_device = red_cfg.sequence.pulses[0].peak_power * config.detection.eta_fc
-        n_c = cavity.intracavity_photons(power_device, config.mode.f_m, config.cavity,
-                                         config.cavity.f_c - config.mode.f_m)
-        coop = optomech.cooperativity(config.g0, n_c, config.cavity, config.mode)
-        return [float(p_s), n_th, err, coop, red_rep.pulse_occupations[0]]
+        red, n_th_true = counts("red", p_s, args.seed + 2 * i)
+        blue, _ = counts("blue", p_s, args.seed + 2 * i + 1)
+        _, _, n_th, err, coop = _asymmetry_point(config, sim.PULSE_DURATION, red, blue)
+        return [float(p_s), n_th, err, coop, n_th_true]
 
     rows = _pmap(point, list(enumerate(ps_grid)), args.threads)
     write_table(out / "fig2_thermometry.csv", [header],
@@ -369,12 +353,10 @@ def _reproduce_fig3a(config, chash, out, args):
 def _reproduce_fig3b(config, chash, out, args):
     header = _header(chash, args.seed)
     n_seq = args.sequences or config.sequence.n_sequences or 1_000_000
-    seq = config.sequence
-    run_cfg = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate, n_seq))
+    run_cfg = dataclasses.replace(config, sequence=dataclasses.replace(
+        config.sequence, n_sequences=n_seq))
     batch, _ = sim.simulate(run_cfg, args.seed)
-    estimates = [{"delta_n": e.delta_n, "g2": e.value, "ci_low": e.ci_low,
-                  "ci_high": e.ci_high, "counts": list(e.counts)}
-                 for e in _g2_estimates(batch, range(-4, 5))]
+    estimates = [_estimate_json(e) for e in _g2_estimates(batch, range(-4, 5))]
     model = sim.g2_model(run_cfg)
     _write_json(out / "fig3b_g2.json", header,
                 {"estimates": estimates,
@@ -386,8 +368,7 @@ def _reproduce_fig3b(config, chash, out, args):
 def _reproduce_figs1(config, chash, out, args):
     header = _header(chash, None)
     powers_uw = np.geomspace(0.005, 1.0, 10)
-    duration = 40e-9
-    energies = powers_uw * 1e-6 * duration * config.detection.eta_fc
+    energies = powers_uw * 1e-6 * sim.PULSE_DURATION * config.detection.eta_fc
     p_s = np.array([optomech.scattering_probability("red", energy, config.g0, config.cavity,
                                                     config.mode) for energy in energies])
     fit = stats.fit_linear(np.column_stack([powers_uw, p_s]))
@@ -465,9 +446,10 @@ _POSITIVE = _flag_type("a finite number > 0", float, lambda x: 0 < x < math.inf)
 _COUNT = _flag_type("an integer >= 0", int, lambda n: n >= 0)
 _AT_LEAST_ONE = _flag_type("an integer >= 1", int, lambda n: n >= 1)
 _DN_RANGE = _flag_type("LO..HI with integers LO <= HI", _dn_range, len)
-_FINITE_LIST = _flag_type("comma-separated finite numbers",
-                          lambda text: [float(x) for x in text.split(",")],
-                          lambda values: all(map(math.isfinite, values)))
+_P_S_LIST = _flag_type(
+    f"comma-separated scattering probabilities in [0, {optomech.P_S_VALIDITY_CEILING}]",
+    lambda text: [float(x) for x in text.split(",")],
+    lambda values: all(0 <= p <= optomech.P_S_VALIDITY_CEILING for p in values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("heating", cmd_heating, help="heating response curves")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
-    p.add_argument("--ps", type=_FINITE_LIST, help="comma-separated scattering probabilities")
+    p.add_argument("--ps", type=_P_S_LIST, help="comma-separated p_s values in [0, 0.5]")
     p.add_argument("--tmin", type=_POSITIVE, default=2e-8)
     p.add_argument("--tmax", type=_POSITIVE, default=1e-4)
     p.add_argument("--points", type=_COUNT, default=240)

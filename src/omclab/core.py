@@ -22,7 +22,7 @@ import math
 import operator
 import types
 import typing
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from itertools import compress, repeat
 from pathlib import Path
 from typing import Literal
@@ -452,11 +452,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     if config.piezo is not None:
         sections.append((config.piezo, "piezo"))
     return "".join(f"{line}\n" for obj, prefix in sections for line in _write(obj, prefix))
-
-
-def with_sequence(config: ExperimentConfig, sequence: PulseSequence) -> ExperimentConfig:
-    """Copy of ``config`` with a different pulse sequence."""
-    return replace(config, sequence=sequence)
 
 
 # --- comma tables ----------------------------------------------------------------

@@ -133,12 +133,8 @@ def g0_from_calibration(points, cavity: OpticalCavity,
     slope_err = fit.stderr["slope"]
     if slope <= 0:
         raise ValueError("g0 calibration: non-positive slope, cannot invert for g0")
-    two_pi = 2 * math.pi
-    eta_dev = cavity.kappa_e / cavity.kappa
-    scale = HBAR * two_pi * cavity.f_c * (
-        (two_pi * mode.f_m) ** 2 + (two_pi * cavity.kappa / 2) ** 2
-    ) / (4 * eta_dev)
-    g0 = math.sqrt(slope * scale) / two_pi
+    # the exponent is quadratic in g0: x = E_p * g0^2 * scattering_exponent(1 J, 1 Hz)
+    g0 = math.sqrt(slope / scattering_exponent(1.0, 1.0, cavity, mode))
     g0_err = 0.0 if slope_err == 0 else g0 * slope_err / (2 * slope)
     return g0, g0_err
 

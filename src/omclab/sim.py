@@ -22,7 +22,7 @@ distinct seeds give independent streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,13 @@ from .core import (
     PulseSequence,
     ValidationError,
     read_table,
-    with_sequence,
     write_table,
 )
 
 _ORIGINS = ("signal", "dark", "leakage")
+
+# duration of the pulses the single-pulse calibrations drive (fig2, figs1)
+PULSE_DURATION = 40e-9
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,15 @@ def pulse_energy_at_device(pulse, eta_fc: float) -> float:
 
 
 def single_pulse_config(config: ExperimentConfig, side: str, p_s: float,
-                        n_sequences: int, duration: float = 40e-9,
-                        window: float | None = None) -> ExperimentConfig:
-    """Variant of ``config`` driving one pulse per sequence at the fiber power
-    that produces the requested scattering probability."""
+                        n_sequences: int) -> ExperimentConfig:
+    """Variant of ``config`` driving one ``PULSE_DURATION`` pulse per sequence
+    at the fiber power that produces the requested scattering probability."""
     scale = optomech.scattering_exponent(1.0, config.g0, config.cavity, config.mode)
     x = -math.log1p(-p_s) if side == "red" else math.log1p(p_s)
-    power = x / scale / duration / config.detection.eta_fc
-    pulse = Pulse(side=side, duration=duration, peak_power=power, start=0.0, window=window)
-    seq = PulseSequence((pulse,), config.sequence.repetition_rate, n_sequences)
-    return with_sequence(config, seq)
+    power = x / scale / PULSE_DURATION / config.detection.eta_fc
+    pulse = Pulse(side=side, duration=PULSE_DURATION, peak_power=power, start=0.0)
+    return replace(config, sequence=replace(config.sequence, pulses=(pulse,),
+                                            n_sequences=n_sequences))
 
 
 def pump_leakage_probability(pulse, config: ExperimentConfig) -> float:

@@ -28,7 +28,6 @@ from omclab.core import (
     OpticalCavity,
     PulseSequence,
     read_table,
-    with_sequence,
 )
 
 import fock_reference as ref
@@ -217,9 +216,8 @@ def test_criterion_06e_published_point_monte_carlo(device_config):
     # 1e10 sequences at the published operating point give ~75 coincidences,
     # enough for the Monte Carlo to tell the full model from the ideal oracle
     t0 = time.perf_counter()
-    seq = device_config.sequence
-    config = with_sequence(device_config,
-                           PulseSequence(seq.pulses, seq.repetition_rate, 10**10))
+    config = dataclasses.replace(device_config, sequence=dataclasses.replace(
+        device_config.sequence, n_sequences=10**10))
     batch, _ = sim.simulate(config, 10)
     model = sim.g2_model(config)
     same = stats.g2_crosscorr(batch, 0, level=0.997)

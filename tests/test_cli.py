@@ -327,9 +327,8 @@ def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--dn-range=-1..1", "--out", out_json) == 0
     by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
-    assert by_dn[0]["counts"] == {"n_coinc": 1, "n_write": 1, "n_read": 2,
-                                  "n_pairs": n_sequences}
-    assert by_dn[1]["counts"]["n_coinc"] == 0
+    assert by_dn[0]["counts"] == [1, 1, 2, n_sequences]  # n_coinc, n_write, n_read, n_pairs
+    assert by_dn[1]["counts"][0] == 0
     assert by_dn[0]["ci_low"] < by_dn[0]["g2"] < by_dn[0]["ci_high"]
 
 
@@ -344,10 +343,24 @@ def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     assert "g2(dn=-4) undefined: 0 usable write clicks, 2 usable read clicks" in out
     by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
     assert sorted(by_dn) == list(range(-3, 5))
-    assert by_dn[0]["counts"]["n_coinc"] == 1
+    assert by_dn[0]["counts"][0] == 1
     no_write = tmp_path / "no_write.csv"
     no_write.write_text(header + "3,read,210.0\n")
     assert run("g2", "--records", no_write) == cli.EXIT_NUMERICAL
+
+
+def test_g2_out_and_fig3b_write_one_estimate_schema(tmp_path, device_config_path):
+    records = tmp_path / "records.csv"
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
+                       "3,write,20.0\n3,read,210.0\n")
+    assert run("g2", "--records", records, "--dn-range=0..0", "--out", tmp_path / "g2.json") == 0
+    assert run("reproduce", "fig3b", "--config", device_config_path, "--seed", 0,
+               "--out", tmp_path) == 0
+    (from_g2,) = read_artifact_json(tmp_path / "g2.json")["estimates"]
+    from_fig3b = read_artifact_json(tmp_path / "fig3b_g2.json")["estimates"][0]
+    assert from_g2.keys() == from_fig3b.keys()
+    assert from_g2["counts"] == [1, 1, 1, 10]
+    assert len(from_fig3b["counts"]) == 4
 
 
 def test_fit_cli_unparseable_row(tmp_path, capsys):
@@ -357,6 +370,35 @@ def test_fit_cli_unparseable_row(tmp_path, capsys):
         assert run("fit", "--model", "linear", "--data", data) == cli.EXIT_CONFIG
         err = _config_error_line(capsys)
         assert str(data) in err and repr(row) in err
+
+
+def test_thermometry_reproduces_fig2_from_its_counts(tmp_path, device_config,
+                                                     device_config_path):
+    # fig2 and thermometry share one asymmetry analysis: fed the counts fig2
+    # simulates (signal plus dark clicks), thermometry writes fig2's numbers
+    seed, n_seq = 3, 2_000_000
+    assert device_config.sequence.pulses[0].duration == sim.PULSE_DURATION
+    assert run("reproduce", "fig2", "--config", device_config_path, "--seed", seed,
+               "--sequences", n_seq, "--out", tmp_path) == 0
+    rows = ["side,pulse_energy_j,clicks,n_pulses"]
+    for i, p_s in enumerate(np.geomspace(0.004, 0.05, 6)):  # fig2's grid
+        for side, run_seed in (("red", seed + 2 * i), ("blue", seed + 2 * i + 1)):
+            config = sim.single_pulse_config(device_config, side, p_s, n_seq)
+            _, report = sim.simulate(config, run_seed)
+            totals = report.pulse_totals[0]
+            energy = sim.pulse_energy_at_device(config.sequence.pulses[0],
+                                                config.detection.eta_fc)
+            rows.append(f"{side},{energy!r},{totals['signal'] + totals['dark']},{n_seq}")
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join(rows) + "\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == 0
+    fig2 = (tmp_path / "fig2_thermometry.csv").read_text().splitlines()[2:]
+    thermometry = (tmp_path / "thermometry.csv").read_text().splitlines()[2:]
+    assert len(fig2) == len(thermometry) == 6
+    for fig2_row, thermometry_row in zip(fig2, thermometry):
+        # n_th_est, n_th_err, cooperativity against n_th, n_th_err, cooperativity
+        assert fig2_row.split(",")[1:4] == thermometry_row.split(",")[2:5]
 
 
 def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys):
@@ -435,6 +477,9 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
     ("g2", "--dn-range", "4..1"),
     ("heating", "--ps", "a,b"),
     ("heating", "--ps", "0.01,nan"),
+    ("heating", "--ps", "2"),
+    ("heating", "--ps", "0.6"),
+    ("heating", "--ps", "-0.01"),
 ])
 def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
                                         command, flag, value):

@@ -15,7 +15,6 @@ from omclab.core import (
     MechanicalMode,
     Pulse,
     PulseSequence,
-    with_sequence,
 )
 
 
@@ -35,8 +34,8 @@ def _pair_config(device_config, p_w, p_r, n_baseline, n_sequences, **kwargs):
     write = sim.single_pulse_config(base, "blue", p_w, 1).sequence.pulses[0]
     read_raw = sim.single_pulse_config(base, "red", p_r, 1).sequence.pulses[0]
     read = dataclasses.replace(read_raw, start=190e-9)
-    seq = PulseSequence((write, read), base.sequence.repetition_rate, n_sequences)
-    return with_sequence(base, seq)
+    return dataclasses.replace(base, sequence=dataclasses.replace(base.sequence,
+                                                                  pulses=(write, read)))
 
 
 def test_no_drive_no_darks_no_records(device_config):
@@ -251,8 +250,8 @@ DENSE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "
 @pytest.mark.parametrize("blind", [False, True])
 def test_records_come_in_sequence_then_time_order(blind):
     config = load_config(DENSE_CONFIG)
-    seq = config.sequence
-    config = with_sequence(config, PulseSequence(seq.pulses, seq.repetition_rate, 200_000))
+    config = dataclasses.replace(config, sequence=dataclasses.replace(config.sequence,
+                                                                      n_sequences=200_000))
     batch, _ = sim.simulate(config, 8, blind=blind)
     _, per_sequence = np.unique(batch.sequence_index, return_counts=True)
     assert np.count_nonzero(per_sequence >= 2) > 2000
@@ -379,8 +378,8 @@ def test_predicted_g2_matches_monte_carlo_with_heating_and_leakage(device_config
         dataclasses.replace(pulse, peak_power=sim.single_pulse_config(
             base, pulse.side, p_s, 1).sequence.pulses[0].peak_power)
         for pulse, p_s in zip(device_config.sequence.pulses, (0.05, 0.38)))
-    config = with_sequence(base, PulseSequence(
-        pulses, device_config.sequence.repetition_rate, 500_000))
+    config = dataclasses.replace(base, sequence=dataclasses.replace(
+        base.sequence, pulses=pulses, n_sequences=500_000))
     seed = 11
     batch, report = sim.simulate(config, seed)
     assert report.pulse_totals[0]["leakage"] > 0
