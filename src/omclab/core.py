@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import types
 import typing
 from dataclasses import MISSING, astuple, dataclass, field, fields
-from itertools import compress, repeat
 from pathlib import Path
 from typing import Literal
 
@@ -497,28 +495,39 @@ def read_table(path: str | Path,
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
     lines = read_text(path).splitlines()
-    is_comment = list(map(str.startswith, lines, repeat("#")))
+    # one scan of the lines' UTF-8 bytes: the separators give each line's
+    # field count and each field's length in bytes (never fewer than its
+    # characters: loadtxt silently cuts a text field longer than its column's
+    # width), and a line's first byte is '#' only if its first character is
+    text = np.frombuffer("\n".join([*lines, ""]).encode(), np.uint8)
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    line_ends = np.flatnonzero(text[ends] == ord("\n"))
+    fields = np.diff(line_ends, prepend=-1)
+    comment = text[np.concatenate(([0], ends[line_ends] + 1))[:-1]] == ord("#")
     metadata: dict[str, str] = {}
-    for line in compress(lines, is_comment):
-        name, eq, value = line[1:].partition("=")
+    for i in np.flatnonzero(comment).tolist():
+        name, eq, value = lines[i][1:].partition("=")
         if eq and name.strip().isidentifier():
             metadata[name.strip()] = value.strip()
-    body = list(filter(str.strip, compress(lines, map(operator.not_, is_comment))))
-    if not body:
+    # only a line without a comma can be blank; str.isspace is str.strip's test
+    kept = ~comment
+    kept[[i for i in np.flatnonzero(kept & (fields == 1)).tolist()
+          if not lines[i] or lines[i].isspace()]] = False
+    body = np.flatnonzero(kept)
+    if not body.size:
         raise ConfigError(f"{path}: no column names line")
-    names = list(map(str.strip, body[0].split(",")))
-    rows = body[1:]
-    # the separators in the rows' UTF-8 bytes give each row's field count and
-    # each field's length in bytes, never fewer than its characters: loadtxt
-    # silently cuts a text field longer than its column's width
-    text = np.frombuffer("\n".join([*rows, ""]).encode(), np.uint8)
-    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
-    fields_per_row = np.diff(np.flatnonzero(text[ends] == ord("\n")), prepend=-1)
-    bad = np.flatnonzero(fields_per_row != len(names))
+    names = list(map(str.strip, lines[body[0]].split(",")))
+    kept[body[0]] = False
+    at = body[1:]  # each row's line
+    # a slice when no comment or blank line sits between rows, as in every
+    # file write_table writes
+    rows = (lines[at[0]:at[-1] + 1] if at.size and at[-1] - at[0] == at.size - 1
+            else [lines[i] for i in at.tolist()])
+    bad = np.flatnonzero(fields[at] != len(names))
     if bad.size:
-        raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields_per_row[bad[0]]} fields "
+        raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "
                           f"for {len(names)} columns; it does not match the header")
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
     widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
     dtypes = dtypes or {}
     as_text = [f"U{width}" for width in widths]

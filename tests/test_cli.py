@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from omclab import __version__, cli, load_config, sim
 from omclab.cli import main, read_artifact_json
-from omclab.core import ConfigError
+from omclab.core import ConfigError, serialize_config
 
 
 def run(*argv):
@@ -179,6 +180,27 @@ def test_thermometry_cli(tmp_path, device_config_path):
     assert table[1] == "p_s_read,p_s_write,n_th,n_th_err,cooperativity"
     values = [float(v) for v in table[2].split(",")]
     assert values[2] == pytest.approx(n_true, rel=0.02)
+
+
+def test_thermometry_cooperativity_uses_the_read_pulse_duration(tmp_path, device_config):
+    # the write (blue) pulse comes first and lasts 40 ns, the read (red) 80 ns:
+    # the read drive's cooperativity follows the 80 ns pulse
+    write, read = device_config.sequence.pulses
+    assert (write.side, read.side) == ("blue", "red")
+    config = dataclasses.replace(device_config, sequence=dataclasses.replace(
+        device_config.sequence, pulses=(write, dataclasses.replace(read, duration=80e-9))))
+    config_path = tmp_path / "read80.cfg"
+    config_path.write_text(serialize_config(config))
+    red, blue = (4e-15, 300, 10**9), (4e-15, 9000, 10**9)
+    counts = tmp_path / "counts.csv"
+    counts.write_text("side,pulse_energy_j,clicks,n_pulses\n"
+                      f"red,{red[0]},{red[1]},{red[2]}\nblue,{blue[0]},{blue[1]},{blue[2]}\n")
+    assert run("thermometry", "--config", config_path, "--counts", counts,
+               "--out", tmp_path) == 0
+    cooperativity = float((tmp_path / "thermometry.csv").read_text().splitlines()[2]
+                          .split(",")[4])
+    assert cooperativity == pytest.approx(cli._asymmetry_point(config, 80e-9, red, blue)[4],
+                                          rel=1e-9)
 
 
 def test_reproduce_fig1b_and_figs1(tmp_path, device_config_path):

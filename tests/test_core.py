@@ -249,6 +249,161 @@ def test_bad_number_names_file_row_and_column(tmp_path, column, field):
     assert str(path) in message and repr(bad) in message and f"{column} must be" in message
 
 
+def _reference_read_table(path, dtypes):
+    """read_table one line at a time: splitlines, a '#' as the first character
+    marks a comment, str.strip finds a blank line; each field typed by its
+    dtype's constructor (parse errors before non-finite floats)."""
+    lines = Path(path).read_text().splitlines()
+    metadata = {}
+    for line in lines:
+        if line.startswith("#"):
+            name, eq, value = line[1:].partition("=")
+            if eq and name.strip().isidentifier():
+                metadata[name.strip()] = value.strip()
+    body = [line for line in lines if not line.startswith("#") and line.strip()]
+    if not body:
+        raise ConfigError(f"{path}: no column names line")
+    names = [name.strip() for name in body[0].split(",")]
+    rows = body[1:]
+    for row in rows:
+        if len(row.split(",")) != len(names):
+            raise ConfigError(f"{path}: row {row!r} has {len(row.split(','))} fields "
+                              f"for {len(names)} columns; it does not match the header")
+    fields = [row.split(",") for row in rows]
+    kinds = [dtypes.get(name, np.float64) for name in names]
+
+    def fault(i, j, kind):
+        kind = np.dtype(kind)
+        return ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be "
+                           f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
+                           f"got {fields[i][j].strip()!r}")
+
+    values = [[None] * len(names) for _ in rows]
+    for i, row in enumerate(fields):
+        for j, (field, kind) in enumerate(zip(row, kinds)):
+            if kind is not str:
+                try:
+                    values[i][j] = np.dtype(kind).type(field)
+                except (ValueError, OverflowError):
+                    raise fault(i, j, kind) from None
+    for i, row in enumerate(values):
+        for j, value in enumerate(row):
+            if kinds[j] is np.float64 and not np.isfinite(value):
+                raise fault(i, j, kinds[j])
+    columns = []
+    for j, kind in enumerate(kinds):
+        if kind is str:
+            width = max([1, *(len(row[j].encode()) for row in fields)])
+            columns.append(np.array([row[j].strip() for row in fields], dtype=f"U{width}"))
+        else:
+            columns.append(np.array([row[j] for row in values], dtype=kind))
+    return metadata, names, columns
+
+
+_WHITESPACE = " \t\xa0\u3000\x1f\u2003"
+# what splitlines breaks a line at; "\r" and "\r\n" also meet newline translation
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+# any character but a comma, a line break or NUL (numpy text drops a trailing NUL)
+_FIELD_TEXT = st.text(st.characters(exclude_categories=("Cs",),
+                                    exclude_characters=",\x00" + "".join(_LINE_BREAKS)),
+                      max_size=6)
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_NUMBER_FIELDS = {
+    np.int64: st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                        st.sampled_from(["1.5", "99999999999999999999", "abc", ""])),
+    np.float64: st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                          st.sampled_from(["nan", "-inf", "1e400", "abc", ""])),
+}
+
+
+@st.composite
+def _table_text(draw):
+    """Rows of 1-3 typed columns, with comment, empty, whitespace-only and
+    short or long lines between them, joined by any of splitlines' breaks."""
+    kinds = draw(st.lists(st.sampled_from([np.int64, np.float64, str]), min_size=1, max_size=3))
+    names = [f"c{j}" for j in range(len(kinds))]
+
+    def field(kind):
+        if kind is str:
+            return draw(_FIELD_TEXT)
+        # numbers mostly valid, so that most tables parse
+        if draw(st.integers(0, 9)):
+            value = (draw(st.integers(-10**6, 10**6)) if kind is np.int64
+                     else draw(st.floats(-1e6, 1e6)))
+            return draw(_PAD) + repr(value) + draw(_PAD)
+        return draw(_NUMBER_FIELDS[kind])
+
+    def row(n_fields):
+        return ",".join(field(kinds[j % len(kinds)]) for j in range(n_fields))
+
+    lines = [draw(st.sampled_from(["", " # not a comment", "#c0,c1"]))
+             for _ in range(draw(st.integers(0, 1)))]
+    lines.append(",".join(draw(_PAD) + name + draw(_PAD) for name in names))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("#" + draw(st.sampled_from(["", " rows=3", "key = v", "x="]))
+                         + draw(_FIELD_TEXT))
+        elif kind == 1:
+            lines.append("")
+        elif kind == 2:
+            lines.append(draw(st.text(st.sampled_from(_WHITESPACE), min_size=1, max_size=4)))
+        elif kind == 3:
+            lines.append(row(len(kinds) + draw(st.sampled_from([-1, 1]))))
+        else:
+            lines.append(row(len(kinds)))
+    text = "".join(line + draw(st.sampled_from(_LINE_BREAKS)) for line in lines)
+    dtypes = {name: kind for name, kind in zip(names, kinds) if kind is not np.float64}
+    return text, dtypes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_table_text())
+def test_read_table_keeps_per_line_semantics(tmp_path_factory, case):
+    # the byte scan classifies lines exactly as splitlines, startswith('#')
+    # and str.strip do: same metadata, names, column values and dtypes, or
+    # the same error
+    text, dtypes = case
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _reference_read_table(path, dtypes)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            core.read_table(path, dtypes)
+        assert str(got.value) == str(exc)
+        return
+    metadata, names, columns = core.read_table(path, dtypes)
+    assert (metadata, names) == expected[:2]
+    assert [c.dtype for c in columns] == [c.dtype for c in expected[2]]
+    assert [c.tolist() for c in columns] == [c.tolist() for c in expected[2]]
+
+
+@pytest.mark.parametrize("text", ["", "# rows=0\n# only comments\n\n"])
+def test_table_without_column_line_is_a_config_error(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="no column names line"):
+        core.read_table(path)
+
+
+def test_one_column_table_skips_blank_lines(tmp_path):
+    # no row has a comma, so every line is a candidate blank line; the
+    # whitespace-only lines include non-ASCII ones (\xa0, \u3000)
+    path = tmp_path / "table.csv"
+    path.write_text("x\n1.5\n\n  \n2\n\xa0\n\u3000\t\n-3e2\n", encoding="utf-8")
+    _, names, (x,) = core.read_table(path)
+    assert names == ["x"] and x.tolist() == [1.5, 2.0, -300.0]
+
+
+def test_nbsp_only_line_is_blank(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("n,label\n1,a\n\xa0\n2,b\n", encoding="utf-8")
+    _, _, (n, label) = core.read_table(path, {"n": np.int64, "label": str})
+    assert n.tolist() == [1, 2] and label.tolist() == ["a", "b"]
+
+
 def test_inconsistent_kappa_triple_rejected():
     bad = MINIMAL + "cavity.kappa_e = 3.9e9\n"
     with pytest.raises(ValidationError, match="kappa"):
