@@ -517,7 +517,7 @@ def read_table(path: str | Path,
     if not body.size:
         raise ConfigError(f"{path}: no column names line")
     names = list(map(str.strip, lines[body[0]].split(",")))
-    kept[body[0]] = False
+    kept[body[0]] = False  # from here on, kept marks the rows
     at = body[1:]  # each row's line
     # a slice when no comment or blank line sits between rows, as in every
     # file write_table writes

@@ -206,11 +206,11 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
 def test_typed_table_reads_each_field_back_exactly(tmp_path):
     # a label wider than any number (a width taken from the numeric fields
     # would cut it), multi-byte UTF-8, a '#' inside a field, blank and
-    # whitespace-only lines and a comment between rows
+    # whitespace-only lines (one of no-break spaces) and a comment between rows
     path = tmp_path / "table.csv"
     path.write_text("# rows=3\nn,label,x\n"
                     "1,a label longer than every number in this file,2.5\n"
-                    "  \t\n\n"
+                    "  \t\n\n\xa0\xa0\n"
                     "22,détecteur 光子,-3\n"
                     "# a comment between rows\n"
                     "333, dark#x ,1e-9\n", encoding="utf-8")
@@ -395,13 +395,6 @@ def test_one_column_table_skips_blank_lines(tmp_path):
     path.write_text("x\n1.5\n\n  \n2\n\xa0\n\u3000\t\n-3e2\n", encoding="utf-8")
     _, names, (x,) = core.read_table(path)
     assert names == ["x"] and x.tolist() == [1.5, 2.0, -300.0]
-
-
-def test_nbsp_only_line_is_blank(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("n,label\n1,a\n\xa0\n2,b\n", encoding="utf-8")
-    _, _, (n, label) = core.read_table(path, {"n": np.int64, "label": str})
-    assert n.tolist() == [1, 2] and label.tolist() == ["a", "b"]
 
 
 def test_inconsistent_kappa_triple_rejected():
