@@ -132,8 +132,7 @@ def cmd_thermometry(args) -> int:
                           "rows; they must pair up")
     counts = list(zip(*(table[name].tolist()
                         for name in ("pulse_energy_j", "clicks", "n_pulses"))))
-    duration = next((pulse.duration for pulse in config.sequence.pulses if pulse.side == "red"),
-                    sim.PULSE_DURATION)
+    duration = sim.read_pulse_duration(config.sequence)
     results = [_asymmetry_point(config, duration, counts[red], counts[blue])
                for red, blue in zip(red_rows, blue_rows)]
     write_table(out / "thermometry.csv", [_header(chash, None)],

@@ -519,10 +519,7 @@ def read_table(path: str | Path,
     names = list(map(str.strip, lines[body[0]].split(",")))
     kept[body[0]] = False  # from here on, kept marks the rows
     at = body[1:]  # each row's line
-    # a slice when no comment or blank line sits between rows, as in every
-    # file write_table writes
-    rows = (lines[at[0]:at[-1] + 1] if at.size and at[-1] - at[0] == at.size - 1
-            else [lines[i] for i in at.tolist()])
+    rows = [lines[i] for i in at.tolist()]
     bad = np.flatnonzero(fields[at] != len(names))
     if bad.size:
         raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "

@@ -128,6 +128,15 @@ def _paired_indices(sequence: PulseSequence) -> tuple[int, int] | None:
     return write, read
 
 
+def read_pulse_duration(sequence: PulseSequence) -> float:
+    """Duration of the read drive: the red pulse ``_paired_indices`` pairs with
+    the write pulse, else the first red pulse, else ``PULSE_DURATION``."""
+    pair = _paired_indices(sequence)
+    reads = ([sequence.pulses[pair[1]]] if pair else
+             [pulse for pulse in sequence.pulses if pulse.side == "red"])
+    return reads[0].duration if reads else PULSE_DURATION
+
+
 def _sequence_statistics(config: ExperimentConfig):
     """Static per-pulse probabilities shared by every sequence."""
     seq = config.sequence

@@ -182,14 +182,26 @@ def test_thermometry_cli(tmp_path, device_config_path):
     assert values[2] == pytest.approx(n_true, rel=0.02)
 
 
-def test_thermometry_cooperativity_uses_the_read_pulse_duration(tmp_path, device_config):
-    # the write (blue) pulse comes first and lasts 40 ns, the read (red) 80 ns:
-    # the read drive's cooperativity follows the 80 ns pulse
+@pytest.mark.parametrize("order, read_duration", [
+    # the write (blue) pulse lasts 40 ns and the read (red) pulse after it 80 ns
+    (("blue", "red"), 80e-9),
+    # an 80 ns red pulse before the write pulse is not its read pulse: the
+    # 60 ns red pulse after the write is, as in sim's write/read pairing
+    (("red", "blue", "red"), 60e-9),
+], ids=["write-read", "red-write-read"])
+def test_thermometry_cooperativity_uses_the_read_pulse_duration(tmp_path, device_config,
+                                                                order, read_duration):
     write, read = device_config.sequence.pulses
     assert (write.side, read.side) == ("blue", "red")
+    durations = {("blue", "red"): [40e-9, 80e-9],
+                 ("red", "blue", "red"): [80e-9, 40e-9, 60e-9]}[order]
+    pulses = tuple(dataclasses.replace(write if side == "blue" else read, duration=duration,
+                                       start=k * 1e-6)
+                   for k, (side, duration) in enumerate(zip(order, durations)))
     config = dataclasses.replace(device_config, sequence=dataclasses.replace(
-        device_config.sequence, pulses=(write, dataclasses.replace(read, duration=80e-9))))
-    config_path = tmp_path / "read80.cfg"
+        device_config.sequence, pulses=pulses))
+    assert sim.read_pulse_duration(config.sequence) == read_duration
+    config_path = tmp_path / "read.cfg"
     config_path.write_text(serialize_config(config))
     red, blue = (4e-15, 300, 10**9), (4e-15, 9000, 10**9)
     counts = tmp_path / "counts.csv"
@@ -199,8 +211,8 @@ def test_thermometry_cooperativity_uses_the_read_pulse_duration(tmp_path, device
                "--out", tmp_path) == 0
     cooperativity = float((tmp_path / "thermometry.csv").read_text().splitlines()[2]
                           .split(",")[4])
-    assert cooperativity == pytest.approx(cli._asymmetry_point(config, 80e-9, red, blue)[4],
-                                          rel=1e-9)
+    assert cooperativity == pytest.approx(
+        cli._asymmetry_point(config, read_duration, red, blue)[4], rel=1e-9)
 
 
 def test_reproduce_fig1b_and_figs1(tmp_path, device_config_path):
