@@ -123,8 +123,12 @@ def cmd_thermometry(args) -> int:
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
     if not required.issubset(table):
         raise ConfigError(f"counts file must have columns {sorted(required)}")
-    red_rows = [i for i, side in enumerate(table["side"]) if side == "red"]
-    blue_rows = [i for i, side in enumerate(table["side"]) if side == "blue"]
+    sides = table["side"].tolist()
+    for side in sides:
+        if side not in ("red", "blue"):
+            raise ConfigError(f"{args.counts}: side must be 'red' or 'blue', got {side!r}")
+    red_rows = [i for i, side in enumerate(sides) if side == "red"]
+    blue_rows = [i for i, side in enumerate(sides) if side == "blue"]
     if not red_rows or not blue_rows:
         raise ConfigError("counts file needs both red and blue rows")
     if len(red_rows) != len(blue_rows):
@@ -256,8 +260,6 @@ def _write_budget(config: ExperimentConfig, header: str, out: Path,
     """``budget.json`` at the configured Q and ``noise_vs_q.csv`` over ``qs``."""
     if config.piezo is None:
         raise ConfigError("budget: config has no piezo.* section")
-    if config.piezo.q_uw is None or config.piezo.n_m is None:
-        raise ConfigError("budget: piezo.q_uw and piezo.n_m must be configured")
     budget = transducer.conversion_budget(config.piezo)
     _write_json(out / "budget.json", header, {
         "k_eff2": budget.k_eff2,

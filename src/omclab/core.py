@@ -245,6 +245,8 @@ class PulseSequence:
                 raise ValidationError("sequence: pulses must not overlap in time")
         if self.pulses and self.pulses[-1].end >= self.period:
             raise ValidationError("sequence: period 1/repetition_rate must exceed last pulse end")
+        if any(p.start + p.window_length > self.period for p in self.pulses):
+            raise ValidationError("sequence: detection window extends past the period")
 
     @property
     def period(self) -> float:
@@ -253,7 +255,11 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class PiezoInterface:
-    """Piezo resonator electrical/mechanical parameters (frequencies in Hz)."""
+    """Piezo resonator electrical/mechanical parameters (frequencies in Hz).
+
+    These checks are the whole input domain of ``transducer.conversion_budget``,
+    so a value it cannot use fails as the config loads, for every command.
+    """
 
     f_s: float                 # series (mechanical) resonance
     f_p: float                 # parallel resonance of the coupled system
@@ -269,8 +275,19 @@ class PiezoInterface:
     def __post_init__(self):
         if not (self.f_p >= self.f_s > 0):
             raise ValidationError("piezo: f_p >= f_s > 0 required")
-        if self.c_piezo < 0 or self.c_parasitic < 0:
-            raise ValidationError("piezo: capacitances must be non-negative")
+        if not (self.c_piezo > 0 and self.c_parasitic >= 0):
+            raise ValidationError("piezo: c_piezo > 0 and c_parasitic >= 0 required")
+        if not (self.f_m > 0 and self.gamma_m > 0):
+            raise ValidationError("piezo: f_m and gamma_m must be positive")
+        if not (0 < self.k_eff2 < 1 if self.k_eff2 is not None else self.f_p > self.f_s):
+            raise ValidationError("piezo: coupling must lie in (0, 1): 0 < k_eff2 < 1, "
+                                  "or f_p > f_s without k_eff2")
+        if self.q_uw is not None and self.q_uw <= 0:
+            raise ValidationError("piezo: q_uw must be positive")
+        if self.n_m is not None and self.n_m < 0:
+            raise ValidationError("piezo: n_m must be non-negative")
+        if not (0 < self.eta_e <= 1):
+            raise ValidationError("piezo: eta_e must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -487,19 +504,22 @@ def read_table(path: str | Path,
     Every column is float64 unless ``dtypes`` names it: ``str`` means text,
     each field stripped; a numpy dtype means that dtype.  Lines that start
     with ``#`` and blank lines are skipped wherever they are; a ``#`` inside
-    a row is text.  A file that does not decode, one without a column line,
-    a row whose field count differs from it, a field that does not parse as
-    its column's dtype and a float that is not finite are each a
-    ``ConfigError`` naming the file (and the row and column).
+    a row is text.  A file that does not decode, one holding a NUL character,
+    one without a column line, a row whose field count differs from it, a
+    field that does not parse as its column's dtype and a float that is not
+    finite are each a ``ConfigError`` naming the file (and the row and column).
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
     lines = read_text(path).splitlines()
+    data = "\n".join([*lines, ""]).encode()
+    if b"\x00" in data:  # a numpy text column would drop a field's trailing NULs
+        raise ConfigError(f"{path}: contains a NUL character")
     # one scan of the lines' UTF-8 bytes: the separators give each line's
     # field count and each field's length in bytes (never fewer than its
     # characters: loadtxt silently cuts a text field longer than its column's
     # width), and a line's first byte is '#' only if its first character is
-    text = np.frombuffer("\n".join([*lines, ""]).encode(), np.uint8)
+    text = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
     line_ends = np.flatnonzero(text[ends] == ord("\n"))
     fields = np.diff(line_ends, prepend=-1)

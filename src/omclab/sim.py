@@ -34,7 +34,6 @@ from .core import (
     ExperimentConfig,
     Pulse,
     PulseSequence,
-    ValidationError,
     read_table,
     write_table,
 )
@@ -256,9 +255,6 @@ def simulate(config: ExperimentConfig, seed: int,
     if not (0 <= seed < 2**63):
         raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
     seq = config.sequence
-    for pulse in seq.pulses:
-        if pulse.start + pulse.window_length > seq.period:
-            raise ValidationError("sequence: detection window extends past the period")
 
     p_s, occupations, pair, table, extra_read, singles, darks, leaks = \
         _sequence_statistics(config)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from omclab import __version__, cli, load_config, sim
 from omclab.cli import main, read_artifact_json
-from omclab.core import ConfigError, serialize_config
+from omclab.core import (
+    ConfigError,
+    PiezoInterface,
+    ValidationError,
+    parse_config,
+    serialize_config,
+)
 
 
 def run(*argv):
@@ -446,6 +453,18 @@ def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys)
     assert not (tmp_path / "thermometry.csv").exists()
 
 
+def test_thermometry_rejects_an_unknown_side(tmp_path, device_config_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("side,pulse_energy_j,clicks,n_pulses\n"
+                      "red,2e-15,100,1000000000\nRed,6e-15,300,1000000000\n"
+                      "blue,2e-15,2000,1000000000\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    err = _config_error_line(capsys)
+    assert str(counts) in err and "'Red'" in err
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
 def test_thermometry_short_row_is_a_config_error(tmp_path, device_config_path, capsys):
     # the side column last, so a short row lacks the field the pairing reads first
     counts = tmp_path / "counts.csv"
@@ -471,6 +490,38 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, device_config_path,
     cfg.write_text(text.replace(line, replacement))
     assert run("g2", "--oracle", "--config", cfg) == cli.EXIT_CONFIG
     assert replacement.split(" = ")[0] in _config_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-0", "-1", "1e-400", "1.5", "2"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PiezoInterface)])
+def test_budget_piezo_value_is_usable_or_a_config_error(tmp_path, device_config_path, capsys,
+                                                        name, value):
+    # PiezoInterface checks every value the budget uses, so a bad one exits 2
+    # at load time and never reaches the formulas as a numerical error (exit 3)
+    text = device_config_path.read_text()
+    bad = re.sub(rf"^piezo\.{name} = .*$", f"piezo.{name} = {value}", text, flags=re.M)
+    assert bad != text
+    cfg = tmp_path / "piezo.cfg"
+    cfg.write_text(bad)
+    code = run("budget", "--config", cfg, "--out", tmp_path)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        assert "piezo" in _config_error_line(capsys)
+
+
+def test_detection_window_past_the_period_is_a_config_error(tmp_path, device_config_path,
+                                                            capsys):
+    # a 60 us read window in the 40 us period of the 25 kHz sequence
+    text = device_config_path.read_text()
+    assert "pulse.1.window = 20e-6" in text
+    bad = text.replace("pulse.1.window = 20e-6", "pulse.1.window = 60e-6")
+    with pytest.raises(ValidationError, match="window extends past the period"):
+        parse_config(bad)
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(bad)
+    assert run("g2", "--oracle", "--config", cfg) == cli.EXIT_CONFIG
+    assert "window extends past the period" in _config_error_line(capsys)
     assert capsys.readouterr().out == ""
 
 

@@ -304,7 +304,7 @@ _WHITESPACE = " \t\xa0\u3000\x1f\u2003"
 # what splitlines breaks a line at; "\r" and "\r\n" also meet newline translation
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                 "\u2028", "\u2029"]
-# any character but a comma, a line break or NUL (numpy text drops a trailing NUL)
+# any character but a comma, a line break or NUL (a NUL is an error, tested below)
 _FIELD_TEXT = st.text(st.characters(exclude_categories=("Cs",),
                                     exclude_characters=",\x00" + "".join(_LINE_BREAKS)),
                       max_size=6)
@@ -386,6 +386,17 @@ def test_table_without_column_line_is_a_config_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="no column names line"):
         core.read_table(path)
+
+
+@pytest.mark.parametrize("text", ["s,x\na\x00,1\n", "s,x\n\x00a,1\n", "# c\x00\ns,x\nb,1\n",
+                                  "s,x\nb,1\x00\n"])
+def test_table_with_a_nul_is_a_config_error(tmp_path, text):
+    # numpy text columns would drop a trailing NUL (a\x00 would read back as a)
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="NUL") as exc:
+        core.read_table(path, {"s": str})
+    assert str(path) in str(exc.value)
 
 
 def test_one_column_table_skips_blank_lines(tmp_path):

@@ -4,73 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omclab import ValidationError, transducer
+from omclab import ConfigError, ValidationError, transducer
 from omclab.transducer import PiezoInterface
-
-
-def test_keff2_zero_splitting():
-    assert transducer.keff2_from_resonances(3.05e9, 3.05e9) == 0.0
-
-
-def test_keff2_from_quoted_splitting():
-    # invert the formula: k^2 = 1.7e-4 puts f_p about 260 kHz above f_s
-    f_s = 3.05e9
-    f_p = f_s / math.sqrt(1 - 1.7e-4)
-    assert f_p - f_s == pytest.approx(260e3, rel=0.01)
-    assert transducer.keff2_from_resonances(f_s, f_p) == pytest.approx(1.7e-4, rel=1e-9)
-
-
-def test_keff2_rejects_inverted_resonances():
-    with pytest.raises(ValueError):
-        transducer.keff2_from_resonances(3.05e9, 3.04e9)
-
-
-@given(scale=st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=40, deadline=None)
-def test_keff2_scale_invariant(scale):
-    base = transducer.keff2_from_resonances(3.05e9, 3.0502e9)
-    scaled = transducer.keff2_from_resonances(3.05e9 * scale, 3.0502e9 * scale)
-    assert scaled == pytest.approx(base, rel=1e-9)
-
-
-def test_reduced_keff2_examples():
-    assert transducer.reduced_keff2(1.7e-4, 0.19e-15, 0.0) == 1.7e-4
-    diluted = transducer.reduced_keff2(1.7e-4, 0.19e-15, 100e-15)
-    assert diluted == pytest.approx(3.2e-7, rel=0.01)
-    assert transducer.reduced_keff2(2e-4, 1e-15, 1e-15) == pytest.approx(1e-4)
-
-
-def test_electromech_cooperativity_paper_point():
-    c_em = transducer.electromech_cooperativity(3.3e-7, 3.05e9, 3.05e9 / 170, 7.96e3)
-    assert c_em == pytest.approx(21.0, rel=0.03)
-
-
-def test_electromech_cooperativity_vanishes_at_large_kappa():
-    small = transducer.electromech_cooperativity(3.3e-7, 3.05e9, 1e15, 7.96e3)
-    assert small < 1e-5
-
-
-def test_added_noise_examples():
-    assert transducer.added_noise(0.35, 1.0, 20.0) == pytest.approx(0.0175)
-    assert transducer.added_noise(0.0, 1.0, 20.0) == 0.0
-    full = transducer.added_noise(0.3, 1.0, 10.0)
-    half = transducer.added_noise(0.3, 0.5, 10.0)
-    assert half == pytest.approx(2 * full)
-
-
-def test_added_noise_diverges():
-    with pytest.raises(ValueError):
-        transducer.added_noise(0.35, 0.0, 20.0)
-    with pytest.raises(ValueError):
-        transducer.added_noise(0.35, 1.0, 0.0)
-
-
-def test_characteristic_impedance_examples():
-    assert transducer.characteristic_impedance(100e-15, 3.05e9) == pytest.approx(522, rel=0.002)
-    assert transducer.characteristic_impedance(0.19e-15, 3.05e9) == pytest.approx(275e3, rel=0.005)
-    z1 = transducer.characteristic_impedance(100e-15, 3.05e9)
-    z2 = transducer.characteristic_impedance(200e-15, 3.05e9)
-    assert z1 == pytest.approx(2 * z2)
 
 
 def _paper_piezo(**overrides):
@@ -79,6 +14,65 @@ def _paper_piezo(**overrides):
                   gamma_m=7.96e3, k_eff2=1.7e-4, q_uw=170.0, n_m=0.35, eta_e=1.0)
     kwargs.update(overrides)
     return PiezoInterface(**kwargs)
+
+
+def test_keff2_from_quoted_splitting():
+    # invert the formula: k^2 = 1.7e-4 puts f_p about 260 kHz above f_s
+    f_s = 3.05e9
+    f_p = f_s / math.sqrt(1 - 1.7e-4)
+    assert f_p - f_s == pytest.approx(260e3, rel=0.01)
+    budget = transducer.conversion_budget(_paper_piezo(f_s=f_s, f_p=f_p, k_eff2=None))
+    assert budget.k_eff2 == pytest.approx(1.7e-4, rel=1e-9)
+
+
+@given(scale=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=40, deadline=None)
+def test_keff2_scale_invariant(scale):
+    def k_eff2(f_s, f_p):
+        return transducer.conversion_budget(_paper_piezo(f_s=f_s, f_p=f_p, k_eff2=None)).k_eff2
+    base = k_eff2(3.05e9, 3.0502e9)
+    assert k_eff2(3.05e9 * scale, 3.0502e9 * scale) == pytest.approx(base, rel=1e-9)
+
+
+def test_reduced_keff2_examples():
+    def reduced(k_eff2, c_piezo, c_parasitic):
+        piezo = _paper_piezo(k_eff2=k_eff2, c_piezo=c_piezo, c_parasitic=c_parasitic)
+        return transducer.conversion_budget(piezo).k_eff2_reduced
+    assert reduced(1.7e-4, 0.19e-15, 0.0) == 1.7e-4
+    assert reduced(1.7e-4, 0.19e-15, 100e-15) == pytest.approx(3.2e-7, rel=0.01)
+    assert reduced(2e-4, 1e-15, 1e-15) == pytest.approx(1e-4)
+
+
+def test_electromech_cooperativity_paper_point():
+    # the quoted diluted coupling 3.3e-7 at Q = 170: C_em = k_red^2 * f_m * Q / gamma_m
+    piezo = _paper_piezo(k_eff2=3.3e-7, c_parasitic=0.0)
+    assert transducer.conversion_budget(piezo).c_em == pytest.approx(21.0, rel=0.03)
+
+
+def test_electromech_cooperativity_vanishes_at_large_kappa():
+    # kappa_e = f_m / q_uw = 1e15 Hz
+    piezo = _paper_piezo(k_eff2=3.3e-7, c_parasitic=0.0, q_uw=3.05e9 / 1e15)
+    assert transducer.conversion_budget(piezo).c_em < 1e-5
+
+
+def test_added_noise_examples():
+    def noise(c_em, n_m, eta_e=1.0):
+        # C_em = k^2 * f_m^2 / ((f_m / q_uw) * gamma_m) = q_uw / 2 here
+        piezo = _paper_piezo(k_eff2=0.5, c_parasitic=0.0, f_m=1.0, gamma_m=1.0,
+                             q_uw=2 * c_em, n_m=n_m, eta_e=eta_e)
+        return transducer.conversion_budget(piezo).added_noise
+    assert noise(20.0, 0.35) == pytest.approx(0.0175)
+    assert noise(20.0, 0.0) == 0.0
+    assert noise(10.0, 0.3, eta_e=0.5) == pytest.approx(2 * noise(10.0, 0.3))
+
+
+def test_characteristic_impedance_examples():
+    def impedance(c_total):
+        piezo = _paper_piezo(c_piezo=c_total, c_parasitic=0.0)
+        return transducer.conversion_budget(piezo).impedance
+    assert impedance(100e-15) == pytest.approx(522, rel=0.002)
+    assert impedance(0.19e-15) == pytest.approx(275e3, rel=0.005)
+    assert impedance(100e-15) == pytest.approx(2 * impedance(200e-15))
 
 
 def test_full_budget_composition():
@@ -108,13 +102,31 @@ def test_budget_monotonicity():
 
 
 def test_budget_requires_q_and_occupation():
-    with pytest.raises(ValueError):
-        transducer.conversion_budget(_paper_piezo(q_uw=None))
+    for unset in ("q_uw", "n_m"):
+        with pytest.raises(ConfigError, match="piezo.q_uw and piezo.n_m"):
+            transducer.conversion_budget(_paper_piezo(**{unset: None}))
 
 
 def test_piezo_interface_invariants():
-    mech = dict(f_m=3.05e9, gamma_m=7.96e3)
-    with pytest.raises(ValidationError):
-        PiezoInterface(f_s=3.05e9, f_p=3.0e9, c_piezo=1e-15, **mech)
-    with pytest.raises(ValidationError):
-        PiezoInterface(f_s=3.05e9, f_p=3.06e9, c_piezo=-1e-15, **mech)
+    for overrides in (
+        dict(f_p=3.0e9),                       # parallel below series resonance
+        dict(f_s=0.0, f_p=0.0),
+        dict(c_piezo=-1e-15),
+        dict(c_piezo=0.0),
+        dict(c_parasitic=-1e-15),
+        dict(f_m=0.0),
+        dict(gamma_m=-7.96e3),
+        dict(k_eff2=0.0),
+        dict(k_eff2=1.0),
+        dict(k_eff2=None, f_p=3.05e9),         # zero splitting: no coupling
+        dict(q_uw=0.0),
+        dict(q_uw=-170.0),
+        dict(n_m=-0.35),
+        dict(eta_e=0.0),                       # the added noise would diverge
+        dict(eta_e=1.5),
+    ):
+        with pytest.raises(ValidationError, match="piezo"):
+            _paper_piezo(**overrides)
+    # the optional fields may stay unset; n_m may be zero
+    assert _paper_piezo(k_eff2=None, q_uw=None, n_m=None).q_uw is None
+    assert _paper_piezo(n_m=0.0).n_m == 0.0
