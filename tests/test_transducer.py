@@ -16,6 +16,15 @@ def _paper_piezo(**overrides):
     return PiezoInterface(**kwargs)
 
 
+def test_keff2_zero_splitting():
+    # f_p == f_s gives k^2 = 0 and no coupling, so without k_eff2 it is rejected
+    with pytest.raises(ValidationError, match="coupling must lie in"):
+        _paper_piezo(f_p=3.05e9, k_eff2=None)
+    # with k_eff2 given the splitting is not used
+    budget = transducer.conversion_budget(_paper_piezo(f_p=3.05e9))
+    assert budget.k_eff2 == 1.7e-4
+
+
 def test_keff2_from_quoted_splitting():
     # invert the formula: k^2 = 1.7e-4 puts f_p about 260 kHz above f_s
     f_s = 3.05e9
@@ -23,6 +32,12 @@ def test_keff2_from_quoted_splitting():
     assert f_p - f_s == pytest.approx(260e3, rel=0.01)
     budget = transducer.conversion_budget(_paper_piezo(f_s=f_s, f_p=f_p, k_eff2=None))
     assert budget.k_eff2 == pytest.approx(1.7e-4, rel=1e-9)
+
+
+def test_keff2_rejects_inverted_resonances():
+    for k_eff2 in (None, 1.7e-4):
+        with pytest.raises(ValueError, match="f_p >= f_s"):
+            _paper_piezo(f_p=3.04e9, k_eff2=k_eff2)
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))
@@ -64,6 +79,14 @@ def test_added_noise_examples():
     assert noise(20.0, 0.35) == pytest.approx(0.0175)
     assert noise(20.0, 0.0) == 0.0
     assert noise(10.0, 0.3, eta_e=0.5) == pytest.approx(2 * noise(10.0, 0.3))
+
+
+def test_added_noise_diverges():
+    # N = n_m / (eta_e C_em): eta_e = 0, or C_em = 0 from q_uw = 0 or k_eff2 = 0
+    for overrides, match in ((dict(eta_e=0.0), "eta_e"), (dict(q_uw=0.0), "q_uw"),
+                             (dict(k_eff2=0.0), "coupling")):
+        with pytest.raises(ValueError, match=match):
+            _paper_piezo(**overrides)
 
 
 def test_characteristic_impedance_examples():
