@@ -122,7 +122,7 @@ def cmd_thermometry(args) -> int:
     table = dict(zip(names, columns))
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
     if not required.issubset(table):
-        raise ConfigError(f"counts file must have columns {sorted(required)}")
+        raise ConfigError(f"{args.counts}: counts file must have columns {sorted(required)}")
     sides = table["side"].tolist()
     for side in sides:
         if side not in ("red", "blue"):
@@ -130,10 +130,10 @@ def cmd_thermometry(args) -> int:
     red_rows = [i for i, side in enumerate(sides) if side == "red"]
     blue_rows = [i for i, side in enumerate(sides) if side == "blue"]
     if not red_rows or not blue_rows:
-        raise ConfigError("counts file needs both red and blue rows")
+        raise ConfigError(f"{args.counts}: counts file needs both red and blue rows")
     if len(red_rows) != len(blue_rows):
-        raise ConfigError(f"counts file has {len(red_rows)} red and {len(blue_rows)} blue "
-                          "rows; they must pair up")
+        raise ConfigError(f"{args.counts}: counts file has {len(red_rows)} red and "
+                          f"{len(blue_rows)} blue rows; they must pair up")
     counts = list(zip(*(table[name].tolist()
                         for name in ("pulse_energy_j", "clicks", "n_pulses"))))
     duration = sim.read_pulse_duration(config.sequence)

@@ -257,8 +257,9 @@ class PulseSequence:
 class PiezoInterface:
     """Piezo resonator electrical/mechanical parameters (frequencies in Hz).
 
-    These checks are the whole input domain of ``transducer.conversion_budget``,
-    so a value it cannot use fails as the config loads, for every command.
+    These checks are each key's range, so a value out of range fails as the
+    config loads, for every command; ``transducer.conversion_budget`` checks
+    that the keys together give a finite, positive coupling and C_em.
     """
 
     f_s: float                 # series (mechanical) resonance

@@ -158,6 +158,20 @@ def test_fit_cli_flags_degenerate(tmp_path):
     assert run("fit", "--model", "lorentzian", "--data", data) == cli.EXIT_NUMERICAL
 
 
+def test_fit_cli_biexp_fits_a_slow_rise(tmp_path):
+    # a start from the old fixed grid stepped a time constant past float64
+    # range on this curve, and the fit exited 3 with "math range error"
+    t = np.geomspace(5e-8, 1.1e-4, 20)
+    y = np.exp(-t / 50e-6) * (1 - np.exp(-t / 1.5e-6)) + 0.1
+    data = tmp_path / "heating.csv"
+    data.write_text("tau_s,n_th\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+    out = tmp_path / "fit.json"
+    assert run("fit", "--model", "biexp", "--data", data, "--out", out) == cli.EXIT_OK
+    params = read_artifact_json(out)["params"]
+    assert params["tau_rise"] == pytest.approx(1.5e-6, rel=1e-6)
+    assert params["tau_decay"] == pytest.approx(50e-6, rel=1e-6)
+
+
 def test_heating_cli(tmp_path, device_config_path):
     assert run("heating", "--config", device_config_path, "--out", tmp_path,
                "--points", 40) == 0
@@ -449,7 +463,24 @@ def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys)
                       "red,6e-15,300,1000000000\n")
     assert run("thermometry", "--config", device_config_path, "--counts", counts,
                "--out", tmp_path) == cli.EXIT_CONFIG
-    assert "2 red and 1 blue" in _config_error_line(capsys)
+    err = _config_error_line(capsys)
+    assert str(counts) in err and "2 red and 1 blue" in err
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    ("side,pulse_energy_j,clicks\nred,2e-15,100\nblue,2e-15,2000\n", "must have columns"),
+    ("side,pulse_energy_j,clicks,n_pulses\nred,2e-15,100,1000000000\n"
+     "red,6e-15,300,1000000000\n", "needs both red and blue rows"),
+])
+def test_thermometry_counts_error_names_the_file(tmp_path, device_config_path, capsys,
+                                                 table, message):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(table)
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    err = _config_error_line(capsys)
+    assert f"{counts}: " in err and message in err
     assert not (tmp_path / "thermometry.csv").exists()
 
 
@@ -508,6 +539,26 @@ def test_budget_piezo_value_is_usable_or_a_config_error(tmp_path, device_config_
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
     if code == cli.EXIT_CONFIG:
         assert "piezo" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("values, keys", [
+    # each key in range, but the diluted coupling underflows to 0
+    ({"k_eff2": "1e-300", "c_piezo": "1e-300"}, ("piezo.k_eff2", "piezo.c_piezo")),
+    # f_p^2 overflows, so the coupling from the splitting comes out nan
+    ({"k_eff2": None, "f_s": "1e199", "f_p": "1e200"}, ("piezo.f_s", "piezo.f_p")),
+])
+def test_budget_unusable_piezo_combination_is_a_config_error(tmp_path, device_config_path,
+                                                             capsys, values, keys):
+    text = device_config_path.read_text()
+    for name, value in values.items():
+        line = "" if value is None else f"piezo.{name} = {value}\n"
+        text = re.sub(rf"^piezo\.{name} = .*\n", line, text, flags=re.M)
+    cfg = tmp_path / "piezo.cfg"
+    cfg.write_text(text)
+    assert run("budget", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+    err = _config_error_line(capsys)
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "budget.json").exists()
 
 
 def test_detection_window_past_the_period_is_a_config_error(tmp_path, device_config_path,

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
+import biexp_reference
 from omclab import stats
 from omclab.sim import RecordBatch
 
@@ -269,6 +270,48 @@ def test_fit_biexponential_multistart_is_deterministic():
     second = stats.fit_biexponential(np.column_stack([t, y]))
     assert first.params == second.params
     assert first.params["tau_decay"] > first.params["tau_rise"]
+
+
+def _in_domain_curve(index):
+    """A seeded heating curve inside the single-start domain of ``fit_biexponential``:
+    tau_rise >= t_min, tau_decay / tau_rise >= 5, tau_decay <= t_max / 2, noise 0-5%."""
+    if index == 0:
+        # noiseless slow rise on which the old fixed starts overflowed
+        t = np.geomspace(5e-8, 1.1e-4, 20)
+        return t, _biexp(t, 1.0, 1.5e-6, 50e-6, 0.1)
+    rng = np.random.default_rng([2016, index])
+    t_lo = 10 ** rng.uniform(-8, -6.5)
+    t_hi = t_lo * 10 ** rng.uniform(2.5, 4)
+    t = np.geomspace(t_lo, t_hi, int(rng.integers(16, 41)))
+    tau_r = t_lo * (t_hi / 10 / t_lo) ** rng.uniform()
+    tau_d = 5 * tau_r * (t_hi / 10 / tau_r) ** rng.uniform()
+    y = _biexp(t, 10 ** rng.uniform(-1, 0.5), tau_r, tau_d, rng.uniform(0, 0.5))
+    return t, y * (1 + rng.uniform(0, 0.05) * rng.standard_normal(t.size))
+
+
+@pytest.mark.parametrize("index", range(24))
+def test_fit_biexponential_matches_multistart_reference(index):
+    # one solve from the closed-form start reaches the cost of the old
+    # twelve-start search wherever that search finishes
+    points = np.column_stack(_in_domain_curve(index))
+    fit = stats.fit_biexponential(points)
+    try:
+        reference = biexp_reference.fit_biexponential_multistart(points)
+    except OverflowError:
+        assert fit.converged
+        return
+    assert fit.residual_norm <= np.linalg.norm(reference.fun) * (1 + 1e-6)
+
+
+def test_fit_biexponential_overflowing_step_gives_nonfinite_residuals():
+    # least_squares shrinks a trial step with non-finite residuals; a time
+    # constant past the float64 range must give those, not OverflowError
+    t = np.geomspace(5e-8, 1.1e-4, 20)
+    y = _biexp(t, 1.0, 1.5e-6, 50e-6, 0.1)
+    for p in ([1.0, 0.1, 800.0, 0.0], [1.0, 0.1, 0.0, 800.0], [1.0, 0.1, 1e308, 1e308]):
+        p = np.array(p)
+        assert not np.isfinite(stats._biexp_residual(p, t, y)).any()
+        assert stats._biexp_jac(p, t, y).shape == (t.size, 4)
 
 
 def test_fit_biexponential_rejects_nonpositive_times():
