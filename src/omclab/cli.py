@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -127,6 +126,16 @@ def cmd_thermometry(args) -> int:
     for side in sides:
         if side not in ("red", "blue"):
             raise ConfigError(f"{args.counts}: side must be 'red' or 'blue', got {side!r}")
+    energy, clicks, n_pulses = (table[name] for name in ("pulse_energy_j", "clicks", "n_pulses"))
+    # a threshold detector clicks at most once per pulse
+    for name, bad, rule in (("pulse_energy_j", energy <= 0, "> 0"),
+                            ("clicks", clicks < 0, ">= 0"),
+                            ("n_pulses", n_pulses < 1, ">= 1"),
+                            ("clicks", clicks > n_pulses, "<= n_pulses")):
+        if bad.any():
+            i = np.argmax(bad)
+            row = ",".join(str(column[i]) for column in columns)
+            raise ConfigError(f"{args.counts}: row {row!r}: {name} must be {rule}")
     red_rows = [i for i, side in enumerate(sides) if side == "red"]
     blue_rows = [i for i, side in enumerate(sides) if side == "blue"]
     if not red_rows or not blue_rows:
@@ -134,8 +143,7 @@ def cmd_thermometry(args) -> int:
     if len(red_rows) != len(blue_rows):
         raise ConfigError(f"{args.counts}: counts file has {len(red_rows)} red and "
                           f"{len(blue_rows)} blue rows; they must pair up")
-    counts = list(zip(*(table[name].tolist()
-                        for name in ("pulse_energy_j", "clicks", "n_pulses"))))
+    counts = list(zip(energy.tolist(), clicks.tolist(), n_pulses.tolist()))
     duration = sim.read_pulse_duration(config.sequence)
     results = [_asymmetry_point(config, duration, counts[red], counts[blue])
                for red, blue in zip(red_rows, blue_rows)]
@@ -414,16 +422,6 @@ def cmd_reproduce(args) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad environment value {name}={raw!r}") from exc
-
-
 def _flag_type(expected: str, parse, valid):
     """argparse type: ``parse(text)`` if it parses and the value is ``valid``;
     otherwise the flag's error reads "expected <expected>, got <text>"."""
@@ -446,6 +444,7 @@ def _dn_range(text: str) -> range:
 _POSITIVE = _flag_type("a finite number > 0", float, lambda x: 0 < x < math.inf)
 _COUNT = _flag_type("an integer >= 0", int, lambda n: n >= 0)
 _AT_LEAST_ONE = _flag_type("an integer >= 1", int, lambda n: n >= 1)
+_SEED = _flag_type("a non-negative 63-bit integer", int, lambda n: 0 <= n < 2**63)
 _DN_RANGE = _flag_type("LO..HI with integers LO <= HI", _dn_range, len)
 _P_S_LIST = _flag_type(
     f"comma-separated scattering probabilities in [0, {optomech.P_S_VALIDITY_CEILING}]",
@@ -456,8 +455,7 @@ _P_S_LIST = _flag_type(
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omclab",
                                      description="pulsed optomechanics toolkit")
-    parser.add_argument("--threads", type=int,
-                        default=_env_default("OMCLAB_THREADS", int, 1),
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker pool size for parallel grids")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -468,18 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cavity-probe", cmd_cavity_probe, help="reflection spectrum and coupling report")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
+    p.add_argument("--out", default="out")
     p.add_argument("--span", type=_POSITIVE, default=4.0, help="sweep span in units of kappa")
     p.add_argument("--points", type=_COUNT, default=801)
 
     p = add("thermometry", cmd_thermometry, help="occupation and cooperativity from counts")
     p.add_argument("--config", required=True)
     p.add_argument("--counts", required=True, help="CSV: side,pulse_energy_j,clicks,n_pulses")
-    p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
+    p.add_argument("--out", default="out")
 
     p = add("heating", cmd_heating, help="heating response curves")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
+    p.add_argument("--out", default="out")
     p.add_argument("--ps", type=_P_S_LIST, help="comma-separated p_s values in [0, 0.5]")
     p.add_argument("--tmin", type=_POSITIVE, default=2e-8)
     p.add_argument("--tmax", type=_POSITIVE, default=1e-4)
@@ -487,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, help="Monte Carlo click generation")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=_env_default("OMCLAB_SEED", int, 0))
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--sequences", type=int, default=None)
     p.add_argument("--blind", action="store_true", help="suppress the origin column")
@@ -506,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("budget", cmd_budget, help="microwave-to-optics conversion budget")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
+    p.add_argument("--out", default="out")
     p.add_argument("--q-min", type=_POSITIVE, default=20.0)
     p.add_argument("--q-max", type=_POSITIVE, default=2000.0)
     p.add_argument("--q-points", type=_COUNT, default=40)
@@ -514,17 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reproduce", cmd_reproduce, help="scripted figure pipelines")
     p.add_argument("figure", choices=[*_REPRODUCE, "all"])
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=_env_default("OMCLAB_OUT", str, "out"))
-    p.add_argument("--seed", type=int, default=_env_default("OMCLAB_SEED", int, 0))
+    p.add_argument("--out", default="out")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--sequences", type=_AT_LEAST_ONE, default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        # inside the try: the environment defaults are read while building
-        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"omclab: configuration error: {exc}", file=sys.stderr)

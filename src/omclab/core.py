@@ -45,38 +45,27 @@ class ModelValidityError(ValueError):
     """Inputs are outside the validity range of the physical model."""
 
 
-# relative tolerance for the kappa = kappa_i + kappa_e consistency check
-_KAPPA_CONSISTENCY_RTOL = 1e-6
-
-
 @dataclass(frozen=True)
 class OpticalCavity:
     """One-port optical cavity: resonance and linewidth budget (all in Hz).
 
-    ``kappa_e`` is derived as ``kappa - kappa_i`` when not given.  When all
-    three linewidths are supplied they must be consistent within 1 ppm;
-    inconsistent triples are rejected rather than renormalized.
+    The external (waveguide) coupling rate ``kappa_e`` is not an input: it is
+    the part of the loaded linewidth that is not intrinsic loss.
     """
 
     f_c: Frequency
     kappa: Frequency
     kappa_i: Frequency
-    kappa_e: Frequency | None = None
 
     def __post_init__(self):
-        if self.kappa_e is None:
-            object.__setattr__(self, "kappa_e", self.kappa - self.kappa_i)
         if self.f_c <= 0:
             raise ValidationError("cavity: f_c must be positive")
         if not (0 < self.kappa_i <= self.kappa):
             raise ValidationError("cavity: 0 < kappa_i <= kappa required")
-        if self.kappa_e < 0:
-            raise ValidationError("cavity: kappa_e must be non-negative")
-        if abs(self.kappa - (self.kappa_i + self.kappa_e)) > _KAPPA_CONSISTENCY_RTOL * self.kappa:
-            raise ValidationError(
-                "cavity: kappa = kappa_i + kappa_e violated beyond 1 ppm "
-                f"(kappa={self.kappa!r}, kappa_i + kappa_e={self.kappa_i + self.kappa_e!r})"
-            )
+
+    @property
+    def kappa_e(self) -> Frequency:
+        return self.kappa - self.kappa_i
 
 
 @dataclass(frozen=True)
@@ -262,27 +251,22 @@ class PiezoInterface:
     that the keys together give a finite, positive coupling and C_em.
     """
 
-    f_s: float                 # series (mechanical) resonance
-    f_p: float                 # parallel resonance of the coupled system
+    k_eff2: float              # electromechanical coupling coefficient k_eff^2
     c_piezo: float             # resonator capacitance, F
+    f_m: float                 # mechanical mode frequency used in the budget
+    gamma_m: float             # mechanical loss rate, Hz
     c_parasitic: float = 0.0   # on-chip parasitic capacitance, F
-    f_m: float = field(kw_only=True)      # mechanical mode frequency used in the budget
-    gamma_m: float = field(kw_only=True)  # mechanical loss rate, Hz
-    k_eff2: float | None = None  # optional override for the coupling coefficient
-    q_uw: float | None = None    # microwave resonator quality factor
-    n_m: float | None = None     # residual mechanical occupation
-    eta_e: float = 1.0           # external efficiency of the electrical input
+    q_uw: float | None = None  # microwave resonator quality factor
+    n_m: float | None = None   # residual mechanical occupation
+    eta_e: float = 1.0         # external efficiency of the electrical input
 
     def __post_init__(self):
-        if not (self.f_p >= self.f_s > 0):
-            raise ValidationError("piezo: f_p >= f_s > 0 required")
+        if not (0 < self.k_eff2 < 1):
+            raise ValidationError("piezo: coupling k_eff2 must lie in (0, 1)")
         if not (self.c_piezo > 0 and self.c_parasitic >= 0):
             raise ValidationError("piezo: c_piezo > 0 and c_parasitic >= 0 required")
         if not (self.f_m > 0 and self.gamma_m > 0):
             raise ValidationError("piezo: f_m and gamma_m must be positive")
-        if not (0 < self.k_eff2 < 1 if self.k_eff2 is not None else self.f_p > self.f_s):
-            raise ValidationError("piezo: coupling must lie in (0, 1): 0 < k_eff2 < 1, "
-                                  "or f_p > f_s without k_eff2")
         if self.q_uw is not None and self.q_uw <= 0:
             raise ValidationError("piezo: q_uw must be positive")
         if self.n_m is not None and self.n_m < 0:

@@ -251,8 +251,7 @@ def test_criterion_07_heating_fit_recovery():
 
 
 PAPER_PIEZO = transducer.PiezoInterface(
-    f_s=3.05e9, f_p=3.05e9 / math.sqrt(1 - 1.7e-4), c_piezo=0.19e-15,
-    c_parasitic=100e-15, f_m=3.05e9, gamma_m=7.96e3, k_eff2=1.7e-4,
+    k_eff2=1.7e-4, c_piezo=0.19e-15, c_parasitic=100e-15, f_m=3.05e9, gamma_m=7.96e3,
     q_uw=170.0, n_m=0.35, eta_e=1.0)
 
 

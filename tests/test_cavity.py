@@ -39,8 +39,7 @@ def test_energy_conservation():
     for _ in range(20):
         kappa_i = 10 ** rng.uniform(8, 10)
         kappa_e = 10 ** rng.uniform(8, 10)
-        cav = OpticalCavity(f_c=194.8e12, kappa=kappa_i + kappa_e,
-                            kappa_i=kappa_i, kappa_e=kappa_e)
+        cav = OpticalCavity(f_c=194.8e12, kappa=kappa_i + kappa_e, kappa_i=kappa_i)
         grid = np.linspace(-5 * cav.kappa, 5 * cav.kappa, 101)
         # the power lost to intrinsic channels, the complement of |r|^2
         absorbed = cav.kappa_i * cav.kappa_e / (grid**2 + (cav.kappa / 2) ** 2)
@@ -74,7 +73,7 @@ def test_phase_winding_agrees_with_inequality():
         kappa = kappa_i + kappa_e
         if abs(kappa_e / kappa - 0.5) < 1e-3:
             continue  # skip numerically critical coupling
-        cav = OpticalCavity(f_c=194.8e12, kappa=kappa, kappa_i=kappa_i, kappa_e=kappa_e)
+        cav = OpticalCavity(f_c=194.8e12, kappa=kappa, kappa_i=kappa_i)
         _, over = cavity.coupling_efficiency(cav)
         assert cavity.phase_winding_over_coupled(cav) == over
         n_checked += 1

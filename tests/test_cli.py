@@ -266,17 +266,17 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "9557bca9b2d7846129d6e06104a90d490e71ec3118bc672fc6a1e85f94a277ff",
-    "fig1b_fit.json": "cabae6d65f001a4cff947ab899c387ae30629aa3709f2e0356c48c7393f46171",
-    "fig1b_reflection.csv": "1a09941c0367ee5b2fcb87b1549eb9f6d2912fdc932076fd2dcf3704cc2873c6",
-    "fig1c_fit.json": "5c246a1c22396569f8e593907e6d2227b67a692a84d749d43dfce703564f1d30",
-    "fig1c_psd.csv": "4b1370c85922fc35ad3662dca93f8095c23f3982514d09b0e8032575ff7e9046",
-    "fig2_thermometry.csv": "9daa8684156853a4db511fc4a4a9f4d988b6aca6d44b5b86a8d1efb3f993418b",
-    "fig3a_heating.csv": "2bb9de820aa90080066d1b78f82aabbbc0a6ea60e4039dcc9d098d016a7b4d9e",
-    "fig3b_g2.json": "7f9387f0514cbe156f79c91e6fd5be673671a4a7d3e707c676b638096f0ce024",
-    "figs1_calibration.csv": "1421cb114324daa22cc4562c78f7722153067665773a0f472012ac3f8c64ed63",
-    "figs1_fit.json": "eea3c38325da47c817105aa846ed570570f1aa0dac75ef6e970a5e4d5d43e3c5",
-    "noise_vs_q.csv": "9153f126133b13707dff1dfd1c1a3a8f1e32313f31ae0a5f2d04bd133f3124d7",
+    "budget.json": "bc173feaf7671af1c3bf1e722fd3b45f59be6e86b661f4ab91709eb70ca0a2c5",
+    "fig1b_fit.json": "fbd0bdc278827479e683b300601271b81169ad2a98a48184b6cba67c827e2fbf",
+    "fig1b_reflection.csv": "536354565316a8f765c813891954775af98766312acc3f2b3f25dcc97fd723f8",
+    "fig1c_fit.json": "d404bc644d8e1d83cf9408e5f110a0e49bb0ca6374c0ae36f2993a503366f3ea",
+    "fig1c_psd.csv": "898c9c99630e9cbeac8b57e6f9b0904ac35bea2aca3c3ea438b4cfd6fe3a8143",
+    "fig2_thermometry.csv": "e98637a66b23d044724431cdeef655238c10fb5e940942955ad0a7b951d0f265",
+    "fig3a_heating.csv": "58cf84a3e994c01b9f4a45f13f390eb44cd8ce079646161209c67f163d0e9653",
+    "fig3b_g2.json": "10d1a75d4e63663f46221eaa01838bb0f676eab7c85418ecfeae52ce4f59f583",
+    "figs1_calibration.csv": "7c07f201c08c795c6c9c4ec72262e1829c54abc684451fd55bd1923196b4f37b",
+    "figs1_fit.json": "6af32fe2b4e6ac3e5b793ee3c339c7dffdc67a7546c26b3edd752b5de9bbd8cc",
+    "noise_vs_q.csv": "fda2c856d759f8e4e69da2e13bfdcbbd49bac938ab96c910064bd72754b98520",
 }
 
 
@@ -316,18 +316,6 @@ def test_exit_codes(tmp_path, device_config_path, capsys):
     assert str(not_utf8) in _config_error_line(capsys)
     assert run("cavity-probe", "--config", not_utf8, "--out", tmp_path) == cli.EXIT_CONFIG
     assert str(not_utf8) in _config_error_line(capsys)
-
-
-def test_env_seed_override(tmp_path, device_config_path, monkeypatch):
-    monkeypatch.setenv("OMCLAB_SEED", "21")
-    out1 = tmp_path / "env.csv"
-    assert run("simulate", "--config", device_config_path,
-               "--sequences", 20000, "--out", out1) == 0
-    monkeypatch.delenv("OMCLAB_SEED")
-    out2 = tmp_path / "flag.csv"
-    assert run("simulate", "--config", device_config_path, "--seed", 21,
-               "--sequences", 20000, "--out", out2) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def _config_error_line(capsys) -> str:
@@ -544,8 +532,8 @@ def test_budget_piezo_value_is_usable_or_a_config_error(tmp_path, device_config_
 @pytest.mark.parametrize("values, keys", [
     # each key in range, but the diluted coupling underflows to 0
     ({"k_eff2": "1e-300", "c_piezo": "1e-300"}, ("piezo.k_eff2", "piezo.c_piezo")),
-    # f_p^2 overflows, so the coupling from the splitting comes out nan
-    ({"k_eff2": None, "f_s": "1e199", "f_p": "1e200"}, ("piezo.f_s", "piezo.f_p")),
+    # each key in range, but C_em = k_red^2 f_m q_uw / gamma_m overflows to inf
+    ({"q_uw": "1e308", "gamma_m": "1e-10"}, ("piezo.q_uw", "piezo.gamma_m")),
 ])
 def test_budget_unusable_piezo_combination_is_a_config_error(tmp_path, device_config_path,
                                                              capsys, values, keys):
@@ -576,18 +564,11 @@ def test_detection_window_past_the_period_is_a_config_error(tmp_path, device_con
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("name, value", [("OMCLAB_THREADS", "abc"), ("OMCLAB_SEED", "x")])
-def test_bad_environment_default_is_a_config_error(tmp_path, device_config_path, capsys,
-                                                   monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    assert run("cavity-probe", "--config", device_config_path,
-               "--out", tmp_path) == cli.EXIT_CONFIG
-    assert f"{name}={value!r}" in _config_error_line(capsys)
-
-
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--seed", -1, "--out", "records.csv"],
-    ["reproduce", "fig2", "--seed", 2**63 - 8, "--out", "."],  # fig2 runs seed + 2i + 1
+    # fig2 runs seeds seed + 2i and seed + 2i + 1 for i = 0..5: the largest
+    # --seed overflows at its first blue run, 2**63 - 8 at i = 4
+    ["reproduce", "fig2", "--seed", 2**63 - 1, "--out", "."],
+    ["reproduce", "fig2", "--seed", 2**63 - 8, "--out", "."],
 ])
 def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_config_path,
                                                 capsys, argv):
@@ -608,6 +589,9 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
     ("cavity-probe", "--span", "-1"),
     ("reproduce fig3b", "--sequences", "0"),
     ("reproduce fig2", "--sequences", "-5"),
+    ("simulate", "--seed", "-1"),
+    ("reproduce all", "--seed", "-1"),
+    ("reproduce fig3b", "--seed", str(2**63)),
     ("g2", "--dn-range", "3"),
     ("g2", "--dn-range", "1..x"),
     ("g2", "--dn-range", "4..1"),
@@ -625,6 +609,7 @@ def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
         run(*command.split(), "--config", device_config_path, "--out", tmp_path, flag, value)
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even part of a run
 
 
 @pytest.mark.parametrize("red_row", ["red,2e-15,1.5,1000000000", "red,2e-15,100,many",
@@ -637,6 +622,33 @@ def test_thermometry_non_integer_counts_is_a_config_error(tmp_path, device_confi
     assert run("thermometry", "--config", device_config_path, "--counts", counts,
                "--out", tmp_path) == cli.EXIT_CONFIG
     assert repr(red_row) in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("red_row, column", [
+    ("red,2e-15,500,100", "clicks"),  # a threshold detector clicks at most once per pulse
+    ("red,2e-15,-3,1000000000", "clicks"),
+    ("red,-2e-15,100,1000000000", "pulse_energy_j"),
+    ("red,0.0,100,1000000000", "pulse_energy_j"),
+    ("red,2e-15,0,0", "n_pulses"),
+])
+def test_thermometry_impossible_counts_is_a_config_error(tmp_path, device_config_path,
+                                                         capsys, red_row, column):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"side,pulse_energy_j,clicks,n_pulses\nblue,2e-15,700,1000000000\n"
+                      f"{red_row}\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert f"{counts}: row {red_row!r}: {column} must be" in _config_error_line(capsys)
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["cavity.kappa_e = 3.83e9", "piezo.f_s = 3.05e9",
+                                  "piezo.f_p = 3050259261.0"])
+def test_derived_or_dropped_key_is_unknown(tmp_path, device_config_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(device_config_path.read_text() + line + "\n")
+    assert run("cavity-probe", "--config", cfg, "--out", tmp_path) == cli.EXIT_CONFIG
+    assert f"unknown configuration keys: {line.split(' = ')[0]}" in _config_error_line(capsys)
 
 
 # --- record and table CSV fuzzing ---------------------------------------------------

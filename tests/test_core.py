@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -408,18 +409,36 @@ def test_one_column_table_skips_blank_lines(tmp_path):
     assert names == ["x"] and x.tolist() == [1.5, 2.0, -300.0]
 
 
-def test_inconsistent_kappa_triple_rejected():
-    bad = MINIMAL + "cavity.kappa_e = 3.9e9\n"
-    with pytest.raises(ValidationError, match="kappa"):
-        parse_config(bad)
-    # 1 ppm slack is allowed
-    ok = MINIMAL + f"cavity.kappa_e = {3.83e9 * (1 + 1e-7)}\n"
-    parse_config(ok)
+def test_external_coupling_is_derived():
+    cav = OpticalCavity(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
+    assert cav.kappa_e == 5.14e9 - 1.31e9
+    with pytest.raises(TypeError):
+        OpticalCavity(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9, kappa_e=3.83e9)
 
 
 def test_kappa_i_larger_than_kappa_rejected():
     with pytest.raises(ValidationError):
         OpticalCavity(f_c=194.8e12, kappa=1.0e9, kappa_i=2.0e9)
+
+
+def test_readme_key_table_lists_every_schema_key():
+    # the first column of the README's key table, `{a,b}` expanded, against
+    # <section>.<field> of every scalar field of the schema dataclasses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                head, _, names = key.rstrip("}").partition("{")
+                documented.update(head + name for name in (names.split(",") if names else [""]))
+    sections = {"": core.ExperimentConfig, "cavity": OpticalCavity, "mode": MechanicalMode,
+                "heating": HeatingParams, "heating.calib.N": core.CalibrationPoint,
+                "detection": DetectionChain, "pulse.N": Pulse, "sequence": PulseSequence,
+                "piezo": core.PiezoInterface}
+    schema = {f"{prefix}.{name}".lstrip(".") for prefix, cls in sections.items()
+              for name, *_ in core._scalar_fields(cls)}
+    assert documented == schema
 
 
 def test_unknown_key_rejected():

@@ -1,52 +1,14 @@
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from omclab import ConfigError, ValidationError, transducer
 from omclab.transducer import PiezoInterface
 
 
 def _paper_piezo(**overrides):
-    kwargs = dict(f_s=3.05e9, f_p=3.05e9 / math.sqrt(1 - 1.7e-4),
-                  c_piezo=0.19e-15, c_parasitic=100e-15, f_m=3.05e9,
+    kwargs = dict(c_piezo=0.19e-15, c_parasitic=100e-15, f_m=3.05e9,
                   gamma_m=7.96e3, k_eff2=1.7e-4, q_uw=170.0, n_m=0.35, eta_e=1.0)
     kwargs.update(overrides)
     return PiezoInterface(**kwargs)
-
-
-def test_keff2_zero_splitting():
-    # f_p == f_s gives k^2 = 0 and no coupling, so without k_eff2 it is rejected
-    with pytest.raises(ValidationError, match="coupling must lie in"):
-        _paper_piezo(f_p=3.05e9, k_eff2=None)
-    # with k_eff2 given the splitting is not used
-    budget = transducer.conversion_budget(_paper_piezo(f_p=3.05e9))
-    assert budget.k_eff2 == 1.7e-4
-
-
-def test_keff2_from_quoted_splitting():
-    # invert the formula: k^2 = 1.7e-4 puts f_p about 260 kHz above f_s
-    f_s = 3.05e9
-    f_p = f_s / math.sqrt(1 - 1.7e-4)
-    assert f_p - f_s == pytest.approx(260e3, rel=0.01)
-    budget = transducer.conversion_budget(_paper_piezo(f_s=f_s, f_p=f_p, k_eff2=None))
-    assert budget.k_eff2 == pytest.approx(1.7e-4, rel=1e-9)
-
-
-def test_keff2_rejects_inverted_resonances():
-    for k_eff2 in (None, 1.7e-4):
-        with pytest.raises(ValueError, match="f_p >= f_s"):
-            _paper_piezo(f_p=3.04e9, k_eff2=k_eff2)
-
-
-@given(scale=st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=40, deadline=None)
-def test_keff2_scale_invariant(scale):
-    def k_eff2(f_s, f_p):
-        return transducer.conversion_budget(_paper_piezo(f_s=f_s, f_p=f_p, k_eff2=None)).k_eff2
-    base = k_eff2(3.05e9, 3.0502e9)
-    assert k_eff2(3.05e9 * scale, 3.0502e9 * scale) == pytest.approx(base, rel=1e-9)
 
 
 def test_reduced_keff2_examples():
@@ -108,11 +70,6 @@ def test_full_budget_composition():
     assert budget.k_eff2_reduced <= budget.k_eff2
 
 
-def test_budget_falls_back_to_resonance_estimate():
-    budget = transducer.conversion_budget(_paper_piezo(k_eff2=None))
-    assert budget.k_eff2 == pytest.approx(1.7e-4, rel=1e-9)
-
-
 def test_budget_monotonicity():
     noises = []
     coops = []
@@ -132,8 +89,6 @@ def test_budget_requires_q_and_occupation():
 
 def test_piezo_interface_invariants():
     for overrides in (
-        dict(f_p=3.0e9),                       # parallel below series resonance
-        dict(f_s=0.0, f_p=0.0),
         dict(c_piezo=-1e-15),
         dict(c_piezo=0.0),
         dict(c_parasitic=-1e-15),
@@ -141,7 +96,6 @@ def test_piezo_interface_invariants():
         dict(gamma_m=-7.96e3),
         dict(k_eff2=0.0),
         dict(k_eff2=1.0),
-        dict(k_eff2=None, f_p=3.05e9),         # zero splitting: no coupling
         dict(q_uw=0.0),
         dict(q_uw=-170.0),
         dict(n_m=-0.35),
@@ -151,5 +105,5 @@ def test_piezo_interface_invariants():
         with pytest.raises(ValidationError, match="piezo"):
             _paper_piezo(**overrides)
     # the optional fields may stay unset; n_m may be zero
-    assert _paper_piezo(k_eff2=None, q_uw=None, n_m=None).q_uw is None
+    assert _paper_piezo(q_uw=None, n_m=None).q_uw is None
     assert _paper_piezo(n_m=0.0).n_m == 0.0
