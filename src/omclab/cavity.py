@@ -37,21 +37,6 @@ def coupling_efficiency(cavity: OpticalCavity) -> tuple[float, bool]:
     return cavity.kappa_e / cavity.kappa, cavity.kappa_e > cavity.kappa / 2
 
 
-def phase_winding_over_coupled(cavity: OpticalCavity, span: float = 200.0,
-                               n_points: int = 20001) -> bool:
-    """Classify the coupling regime from the reflection phase trajectory.
-
-    Sweeps ``delta`` over +-span*kappa and accumulates the unwrapped phase of
-    r(delta): over-coupled resonances wind the phase by 2*pi, under-coupled
-    ones return it to the start.  Mirrors a swept-sideband measurement of the
-    complex response and cross-checks the analytic kappa_e > kappa/2 rule.
-    """
-    grid = np.linspace(-span * cavity.kappa, span * cavity.kappa, n_points)
-    phase = np.unwrap(np.angle(reflection_amplitude(grid, cavity)))
-    # under-coupling: phase excursion stays below pi; over-coupling: ~2*pi
-    return bool((phase.max() - phase.min()) > math.pi)
-
-
 def sideband_metrics(cavity: OpticalCavity, mode: MechanicalMode) -> dict[str, float]:
     """Sideband-resolution figure (kappa/4f_m)^2 and 2f_m suppression in dB.
 

@@ -91,7 +91,6 @@ def cmd_cavity_probe(args) -> int:
     _write_json(out / "cavity_report.json", header, {
         "eta_dev": eta_dev,
         "over_coupled": over,
-        "over_coupled_phase_winding": cavity.phase_winding_over_coupled(config.cavity),
         "sideband_resolution": metrics["resolution"],
         "sideband_suppression_db": metrics["suppression_db"],
     })
@@ -364,9 +363,9 @@ def _reproduce_fig3b(config, chash, out, args):
     n_seq = args.sequences or config.sequence.n_sequences or 1_000_000
     run_cfg = dataclasses.replace(config, sequence=dataclasses.replace(
         config.sequence, n_sequences=n_seq))
+    model = sim.g2_model(run_cfg)
     batch, _ = sim.simulate(run_cfg, args.seed)
     estimates = [_estimate_json(e) for e in _g2_estimates(batch, range(-4, 5))]
-    model = sim.g2_model(run_cfg)
     _write_json(out / "fig3b_g2.json", header,
                 {"estimates": estimates,
                  "oracle_g2": None if model is None else model.oracle_g2,

@@ -7,9 +7,11 @@ models the delayed part with the two-exponential response
 
     n(tau) = A * exp(-tau/tau_decay) * (1 - exp(-tau/tau_rise)) + n_instant
 
-per pulse, and superposes contributions linearly across pulses.  Linear
-superposition is an extrapolation beyond the single-pulse measurements it is
-calibrated on; treat multi-pulse predictions accordingly.
+per pulse, and superposes contributions linearly across pulses: a pulse sees
+the mode's baseline occupation, plus the response of every pulse that ended
+by its start, evaluated at the delay from that pulse's end, plus its own
+n_instant.  Linear superposition is an extrapolation beyond the single-pulse
+measurements it is calibrated on; treat multi-pulse predictions accordingly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import HeatingParams, MechanicalMode, PulseSequence
 
 
 def heating_occupation(tau: float, params: HeatingParams, amplitude: float,
-                       n_instant: float = 0.0) -> float:
+                       n_instant: float) -> float:
     """Single-pulse heating response at delay tau >= 0 after the pulse."""
     if tau < 0:
         raise ValueError("heating: tau must be non-negative")
@@ -30,34 +32,27 @@ def heating_occupation(tau: float, params: HeatingParams, amplitude: float,
     return amplitude * math.exp(-tau / params.tau_decay) * rise + n_instant
 
 
-def occupation_after_sequence(sequence: PulseSequence, params: HeatingParams,
-                              p_s_per_pulse, t: float, n_baseline: float = 0.0) -> float:
-    """Occupation at time t within one repetition period.
+def pulse_occupations(sequence: PulseSequence, mode: MechanicalMode,
+                      p_s_per_pulse) -> list[float]:
+    """Occupation each pulse of ``sequence`` sees, one per pulse.
 
-    Sums the baseline plus one heating response per pulse that has ended by
-    time t, each evaluated at its own calibrated (amplitude, n_instant) for
-    the pulse's scattering probability.  Delays are measured from pulse end.
+    The sum, in this order: ``mode.n_baseline``; then the ``mode.heating``
+    response of each earlier pulse, in sequence order, at the delay from its
+    end to this pulse's start and at the (amplitude, n_instant) calibrated for
+    its p_s; then this pulse's own n_instant.  A ``PulseSequence`` lists its
+    pulses in time order without overlap, so every earlier pulse has ended.
     """
-    if not (0 <= t < sequence.period):
-        raise ValueError("occupation: t must lie within one repetition period")
     if len(p_s_per_pulse) != len(sequence.pulses):
         raise ValueError("occupation: one p_s per pulse required")
-    total = n_baseline
-    for pulse, p_s in zip(sequence.pulses, p_s_per_pulse):
-        if pulse.end <= t:
-            total += heating_occupation(t - pulse.end, params,
-                                        params.amplitude(p_s),
-                                        params.instant_occupation(p_s))
-    return total
-
-
-def occupation_at_pulse(sequence: PulseSequence, params: HeatingParams,
-                        p_s_per_pulse, index: int, n_baseline: float = 0.0) -> float:
-    """Occupation seen by pulse ``index``: prior pulses' heating at its start
-    plus its own quasi-instantaneous contribution."""
-    pulse = sequence.pulses[index]
-    n = occupation_after_sequence(sequence, params, p_s_per_pulse, pulse.start, n_baseline)
-    return n + params.instant_occupation(p_s_per_pulse[index])
+    heating = mode.heating
+    occupations = []
+    for i, pulse in enumerate(sequence.pulses):
+        n = mode.n_baseline
+        for earlier, p_s in zip(sequence.pulses[:i], p_s_per_pulse[:i]):
+            n += heating_occupation(pulse.start - earlier.end, heating,
+                                    heating.amplitude(p_s), heating.instant_occupation(p_s))
+        occupations.append(n + heating.instant_occupation(p_s_per_pulse[i]))
+    return occupations
 
 
 def mechanical_psd(f, mode: MechanicalMode, n_th: float):

@@ -71,34 +71,17 @@ def scattering_probability(side: Side, pulse_energy_at_device: float, g0: Freque
     return p
 
 
-def occupation_from_asymmetry(gamma_r: float, gamma_b: float,
-                              gamma_r_err: float = 0.0,
-                              gamma_b_err: float = 0.0) -> tuple[float, float]:
-    """Thermal occupation n_th = gamma_r / (gamma_b - gamma_r) with its error.
-
-    Both rates must already be normalized to a common p_s * eta_det (use
-    ``occupation_from_counts`` when powers differ).  The standard error
-    propagates the rate errors assuming independent counting statistics.
-    """
-    if gamma_r < 0:
-        raise ValueError("asymmetry: gamma_r must be non-negative")
-    if gamma_b <= gamma_r:
-        raise ValueError(
-            "asymmetry: gamma_b <= gamma_r is unphysical; check that both "
-            "rates share the same p_s * eta_det normalization"
-        )
-    diff = gamma_b - gamma_r
-    n_th = gamma_r / diff
-    err = math.sqrt((gamma_b * gamma_r_err) ** 2 + (gamma_r * gamma_b_err) ** 2) / diff**2
-    return n_th, err
-
-
 def occupation_from_counts(clicks_r: int, pulses_r: int, p_s_read: float,
                            clicks_b: int, pulses_b: int, p_s_write: float,
                            eta_det: float) -> tuple[float, float]:
-    """Occupation from raw click counts, normalizing each side by p_s * eta_det.
+    """Thermal occupation n_th = gamma_r / (gamma_b - gamma_r) from click counts,
+    with its standard error.
 
-    Poisson errors on the counts are propagated through the asymmetry ratio.
+    Each side's rate is normalized by its own p_s * eta_det, so the red and
+    blue pulses may differ in power.  The error propagates the independent
+    Poisson errors of the two rates, sigma_r = sqrt(max(clicks_r, 1)) /
+    pulses_r / (p_s_read * eta_det) and likewise sigma_b:
+    sqrt((gamma_b * sigma_r)^2 + (gamma_r * sigma_b)^2) / (gamma_b - gamma_r)^2.
     """
     if min(pulses_r, pulses_b) <= 0:
         raise ValueError("asymmetry: pulse counts must be positive")
@@ -108,9 +91,17 @@ def occupation_from_counts(clicks_r: int, pulses_r: int, p_s_read: float,
     norm_b = p_s_write * eta_det
     gamma_r = clicks_r / pulses_r / norm_r
     gamma_b = clicks_b / pulses_b / norm_b
-    gamma_r_err = math.sqrt(max(clicks_r, 1)) / pulses_r / norm_r
-    gamma_b_err = math.sqrt(max(clicks_b, 1)) / pulses_b / norm_b
-    return occupation_from_asymmetry(gamma_r, gamma_b, gamma_r_err, gamma_b_err)
+    if gamma_b <= gamma_r:
+        raise ValueError(
+            "asymmetry: gamma_b <= gamma_r is unphysical; check the p_s and "
+            "eta_det each side's counts are normalized by"
+        )
+    sigma_r = math.sqrt(max(clicks_r, 1)) / pulses_r / norm_r
+    sigma_b = math.sqrt(max(clicks_b, 1)) / pulses_b / norm_b
+    diff = gamma_b - gamma_r
+    n_th = gamma_r / diff
+    err = math.sqrt((gamma_b * sigma_r) ** 2 + (gamma_r * sigma_b) ** 2) / diff**2
+    return n_th, err
 
 
 def g0_from_calibration(points, cavity: OpticalCavity,

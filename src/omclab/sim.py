@@ -141,17 +141,13 @@ def _sequence_statistics(config: ExperimentConfig):
     seq = config.sequence
     det = config.detection
     eta = det.eta_det
-    heating = config.mode.heating
 
     p_s = []
     for pulse in seq.pulses:
         energy = pulse_energy_at_device(pulse, det.eta_fc)
         p_s.append(optomech.scattering_probability(pulse.side, energy, config.g0,
                                                    config.cavity, config.mode))
-    occupations = [
-        dynamics.occupation_at_pulse(seq, heating, p_s, i, config.mode.n_baseline)
-        for i in range(len(seq.pulses))
-    ]
+    occupations = dynamics.pulse_occupations(seq, config.mode, p_s)
 
     pair = _paired_indices(seq)
     table = None
@@ -202,10 +198,23 @@ def g2_model(config: ExperimentConfig) -> G2Model | None:
     heating-induced extra thermal click on the read window.  These are
     exactly the sources ``simulate`` ORs onto the oracle's joint click table,
     so ``predicted_g2`` is the value the Monte Carlo estimate converges to.
+
+    ``stats.g2_crosscorr`` pools every click of a label, so that holds only
+    while the pair's pulses are the sole ``write`` and the sole ``read``
+    pulse; a config with a pair and a label on more pulses raises
+    ``ConfigError`` naming them.
     """
     p_s, occupations, pair, _, extra_read, _, darks, leaks = _sequence_statistics(config)
     if pair is None:
         return None
+    for label in ("write", "read"):
+        shared = [f"pulse {i} (start {pulse.start:g} s)"
+                  for i, pulse in enumerate(config.sequence.pulses) if pulse.label == label]
+        if len(shared) > 1:
+            raise ConfigError(
+                f"g2 model: the {label!r} label names {', '.join(shared)}; the g2 "
+                "estimator pools their clicks, but the model covers only the first "
+                "write pulse and the read pulse after it")
     w, r = pair
     n_th, eta = occupations[w], config.detection.eta_det
 

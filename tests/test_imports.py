@@ -1,11 +1,14 @@
-"""Every top-level import of an ``omclab`` module is used by that module, and
-no module reads the environment.
+"""Every top-level import of an ``omclab`` module is used by that module, every
+public function and class is used somewhere, and no module reads the
+environment.
 
 The project depends on no linter, so this is the check: a name a module
 imports at top level must appear in its code, or in ``__all__`` for the
-package's re-exports.  A setting comes from a flag or a config key only, so
-no module may touch ``os.environ`` or ``os.getenv``.  Only the standard
-library's ``ast`` is used.
+package's re-exports.  A public top-level function or class must be referred
+to by some ``omclab`` module, by a ``perfbench`` script or by an ``__all__``;
+one only the tests call is code nothing uses.  A setting comes from a flag or
+a config key only, so no module may touch ``os.environ`` or ``os.getenv``.
+Only the standard library's ``ast`` is used.
 """
 
 import ast
@@ -16,6 +19,14 @@ import pytest
 import omclab
 
 SOURCES = sorted(Path(omclab.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+
+def _all_names(tree: ast.Module) -> list[str]:
+    """The entries of a top-level ``__all__ = [...]`` in ``tree``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,10 +40,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_all_names(tree))
     return sorted(imported - used)
 
 
@@ -46,6 +54,48 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each public top-level function or class of ``modules``
+    (module name -> source) that nothing refers to.
+
+    A reference is that name used as a name or an attribute anywhere in
+    ``modules`` or ``readers``, or listed in an ``__all__``; a name's own
+    definition does not refer to it.  Matching is by name alone, so a name
+    shared by two modules counts as used when either is.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    referenced = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+        referenced.update(_all_names(tree))
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in referenced)
+
+
+def test_detector_flags_an_unreferenced_name():
+    modules = {
+        "a": ("__all__ = ['Exported']\n\nclass Exported:\n    pass\n\n"
+              "def helper():\n    return 1\n\ndef _private():\n    return 2\n\n"
+              "def called_by_reader():\n    return helper()\n\ndef orphan():\n    return 3\n"),
+        "b": "from .a import Exported\n\nclass Lonely(Exported):\n    pass\n",
+    }
+    readers = ["import a\n\na.called_by_reader()\n"]
+    assert unreferenced_names(modules, readers) == ["a.orphan", "b.Lonely"]
+
+
+def test_every_public_name_is_referenced():
+    assert PERFBENCH, "perfbench scripts not found beside the tests"
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    readers = [path.read_text() for path in PERFBENCH]
+    assert unreferenced_names(modules, readers) == []
 
 
 def environment_reads(source: str) -> list[str]:

@@ -61,27 +61,36 @@ def test_linearization_error_bound():
             assert abs(p - x) / x <= x
 
 
+def _one_pulse_each(clicks_r, clicks_b):
+    # one pulse per side at p_s = eta = 1: each rate is its click count
+    return optomech.occupation_from_counts(clicks_r, 1, 1.0, clicks_b, 1, 1.0, 1.0)
+
+
 def test_occupation_from_asymmetry_examples():
-    n, err = optomech.occupation_from_asymmetry(4.0, 104.0, math.sqrt(4.0), math.sqrt(104.0))
+    n, err = _one_pulse_each(4, 104)
     assert n == pytest.approx(0.04)
-    assert err > 0
-    n, _ = optomech.occupation_from_asymmetry(0.0, 1.0)
+    # sigma_r = sqrt(4), sigma_b = sqrt(104): sqrt((104*2)^2 + (4*sqrt(104))^2) / 100^2
+    assert err == pytest.approx(math.sqrt(104**2 * 4 + 16 * 104) / 100**2, rel=1e-12)
+    n, _ = _one_pulse_each(0, 1)
     assert n == 0.0
 
 
 def test_occupation_from_asymmetry_rejects_unphysical():
     with pytest.raises(ValueError, match="unphysical"):
-        optomech.occupation_from_asymmetry(2.0, 1.0)
+        _one_pulse_each(2, 1)
     with pytest.raises(ValueError, match="unphysical"):
-        optomech.occupation_from_asymmetry(1.0, 1.0)
+        _one_pulse_each(1, 1)
 
 
 @given(n=st.floats(min_value=0.0, max_value=10.0),
-       p=st.floats(min_value=1e-4, max_value=0.1),
+       p_r=st.floats(min_value=1e-4, max_value=0.1),
+       p_w=st.floats(min_value=1e-4, max_value=0.1),
        eta=st.floats(min_value=1e-3, max_value=1.0))
 @settings(max_examples=80, deadline=None)
-def test_asymmetry_round_trip(n, p, eta):
-    recovered, _ = optomech.occupation_from_asymmetry(p * n * eta, p * (n + 1) * eta)
+def test_asymmetry_round_trip(n, p_r, p_w, eta):
+    # the expected clicks of one red and one blue pulse recover n exactly
+    recovered, _ = optomech.occupation_from_counts(p_r * n * eta, 1, p_r,
+                                                   p_w * (n + 1) * eta, 1, p_w, eta)
     assert recovered == pytest.approx(n, rel=1e-12, abs=1e-12)
 
 
