@@ -42,18 +42,28 @@ def _config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _file_hash(path: str | Path) -> str:
+    """``_config_hash`` of an input file's bytes as stored, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()[:12]
+
+
 def _header(config_hash: str, seed: int | None) -> str:
     seed_part = "none" if seed is None else str(seed)
     return f"omclab {__version__} config={config_hash} seed={seed_part}"
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
-    path.write_text(f"# {header}\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(f"# {header}\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def read_artifact_json(path: str | Path) -> dict:
     """Parse a JSON artifact, skipping the provenance header line."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     body = text.split("\n", 1)[1] if text.startswith("#") else text
     return json.loads(body)
 
@@ -232,8 +242,7 @@ def cmd_g2(args) -> int:
         raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
                                            f"{args.dn_range[0]}..{args.dn_range[-1]}")
     if args.out:
-        source_hash = _config_hash(Path(args.records).read_text())
-        _write_json(Path(args.out), _header(source_hash, None),
+        _write_json(Path(args.out), _header(_file_hash(args.records), None),
                     {"estimates": [_estimate_json(e) for e in estimates]})
     for e in estimates:
         print(f"g2(dn={e.delta_n:+d}) = {e.value:.3f}  CI68 [{e.ci_low:.3f}, {e.ci_high:.3f}]")
@@ -254,8 +263,7 @@ def cmd_fit(args) -> int:
     result = _FITTERS[args.model](np.column_stack(columns[:2]))
     payload = dataclasses.asdict(result)
     if args.out:
-        source_hash = _config_hash(Path(args.data).read_text())
-        _write_json(Path(args.out), _header(source_hash, None), payload)
+        _write_json(Path(args.out), _header(_file_hash(args.data), None), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not result.converged:
         raise stats.UndefinedEstimateError(f"{args.model} fit did not converge")

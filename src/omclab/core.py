@@ -429,7 +429,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def read_text(path: str | Path) -> str:
     """An input file's text; one that does not decode is a ``ConfigError`` naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -460,7 +460,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 # `#` comment lines first, where `# <name>=<value>` is metadata; then one line
 # of column names; then rows with exactly one field per column.  Tables move
 # one column at a time: the reader returns one numpy array per column, and the
-# writer takes one.  No Python code runs per field.
+# writer takes one.  No Python code runs per field.  Both work through a table
+# one block of about _BLOCK_CHARS characters of rows at a time, so that besides
+# the columns (and the reader's decoded text) they hold one block's cells.
+
+_BLOCK_CHARS = 2**18
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
@@ -468,18 +472,25 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     """Write a comma table: ``# <line>`` per comment line, the column names,
     then one line per row of the equal-length ``columns`` (one numpy array
     per name).  A float column is written with ``float_format``, any other
-    value as its ``str``; all rows come from one ``%`` call."""
+    value as its ``str``; each block of rows comes from one ``%`` call."""
     if len(columns) != len(names):
         raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
     n_rows = len(columns[0]) if names else 0
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{path}: columns differ in length")
-    cells = [None] * (n_rows * len(names))
-    for j, column in enumerate(columns):
-        cells[j::len(names)] = column.tolist()
     row = ",".join(float_format if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
-    head = "".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
-    Path(path).write_text(head + row * n_rows % tuple(cells))
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n")
+        start, step = 0, 1  # one row, then as many as fit a block at the last one's width
+        while start < n_rows:
+            stop = min(n_rows, start + step)
+            cells = [None] * ((stop - start) * len(names))
+            for j, column in enumerate(columns):
+                cells[j::len(names)] = column[start:stop].tolist()
+            text = row * (stop - start) % tuple(cells)
+            out.write(text)
+            step = max(1, _BLOCK_CHARS * (stop - start) // len(text))
+            start = stop
 
 
 def read_table(path: str | Path,
@@ -493,50 +504,22 @@ def read_table(path: str | Path,
     one without a column line, a row whose field count differs from it, a
     field that does not parse as its column's dtype and a float that is not
     finite are each a ``ConfigError`` naming the file (and the row and column).
+    Of several faulty rows, the first with a wrong field count is named;
+    failing that, the first that does not parse; failing that, the first
+    non-finite float.
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
-    lines = read_text(path).splitlines()
-    data = "\n".join([*lines, ""]).encode()
-    if b"\x00" in data:  # a numpy text column would drop a field's trailing NULs
+    text = read_text(path)
+    if "\x00" in text:  # a numpy text column would drop a field's trailing NULs
         raise ConfigError(f"{path}: contains a NUL character")
-    # one scan of the lines' UTF-8 bytes: the separators give each line's
-    # field count and each field's length in bytes (never fewer than its
-    # characters: loadtxt silently cuts a text field longer than its column's
-    # width), and a line's first byte is '#' only if its first character is
-    text = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
-    line_ends = np.flatnonzero(text[ends] == ord("\n"))
-    fields = np.diff(line_ends, prepend=-1)
-    comment = text[np.concatenate(([0], ends[line_ends] + 1))[:-1]] == ord("#")
-    metadata: dict[str, str] = {}
-    for i in np.flatnonzero(comment).tolist():
-        name, eq, value = lines[i][1:].partition("=")
-        if eq and name.strip().isidentifier():
-            metadata[name.strip()] = value.strip()
-    # only a line without a comma can be blank; str.isspace is str.strip's test
-    kept = ~comment
-    kept[[i for i in np.flatnonzero(kept & (fields == 1)).tolist()
-          if not lines[i] or lines[i].isspace()]] = False
-    body = np.flatnonzero(kept)
-    if not body.size:
-        raise ConfigError(f"{path}: no column names line")
-    names = list(map(str.strip, lines[body[0]].split(",")))
-    kept[body[0]] = False  # from here on, kept marks the rows
-    at = body[1:]  # each row's line
-    rows = [lines[i] for i in at.tolist()]
-    bad = np.flatnonzero(fields[at] != len(names))
-    if bad.size:
-        raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "
-                          f"for {len(names)} columns; it does not match the header")
-    lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
-    widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
     dtypes = dtypes or {}
-    as_text = [f"U{width}" for width in widths]
-    kinds = [as_text[j] if dtypes.get(name) is str else dtypes.get(name, np.float64)
-             for j, name in enumerate(names)]
+    metadata: dict[str, str] = {}
+    names = None
+    parts = []  # per column, its array from each block
+    parse_fault = finite_fault = None  # the first of each kind, as its message
 
-    def parse(rows, kinds=kinds):
+    def parse(rows, kinds):
         """The rows as one structured array, or None if a field does not parse."""
         dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
         try:
@@ -545,26 +528,84 @@ def read_table(path: str | Path,
         except ValueError:
             return None
 
-    table = parse(rows)
-    if table is None:
-        # halve the rows until the first bad one is left (about one more
-        # parse in all), then type its columns one at a time
-        lo, hi = 0, len(rows)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if parse(rows[lo:mid]) is None else (mid, hi)
-        faults = [(lo, j) for j in range(len(names))
-                  if parse(rows[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
-    else:
-        faults = [(int(np.argmin(finite)), j) for j in range(len(names))
-                  if table.dtype[j].kind == "f"
-                  and not (finite := np.isfinite(table[f"f{j}"])).all()]
-    if faults:
-        i, j = min(faults)
-        kind = np.dtype(kinds[j])
-        raise ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be "
-                          f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
-                          f"got {rows[i].split(',')[j].strip()!r}")
-    return metadata, names, [np.char.strip(table[f"f{j}"]) if dtypes.get(name) is str
-                             else np.ascontiguousarray(table[f"f{j}"])
-                             for j, name in enumerate(names)]
+    start = 0
+    while start < len(text):
+        # cut just after a line feed, so that no line is split
+        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        lines = text[start:stop].splitlines()
+        start = stop
+        data = "\n".join([*lines, ""]).encode()
+        # one scan of the lines' UTF-8 bytes: the separators give each line's
+        # field count and each field's length in bytes (never fewer than its
+        # characters: loadtxt silently cuts a text field longer than its
+        # column's width), and a line's first byte is '#' only if its first
+        # character is
+        scan = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero((scan == ord(",")) | (scan == ord("\n")))
+        line_ends = np.flatnonzero(scan[ends] == ord("\n"))
+        fields = np.diff(line_ends, prepend=-1)
+        comment = scan[np.concatenate(([0], ends[line_ends] + 1))[:-1]] == ord("#")
+        for i in np.flatnonzero(comment).tolist():
+            name, eq, value = lines[i][1:].partition("=")
+            if eq and name.strip().isidentifier():
+                metadata[name.strip()] = value.strip()
+        # only a line without a comma can be blank; str.isspace is str.strip's test
+        kept = ~comment
+        kept[[i for i in np.flatnonzero(kept & (fields == 1)).tolist()
+              if not lines[i] or lines[i].isspace()]] = False
+        at = np.flatnonzero(kept)  # each row's line
+        if names is None:
+            if not at.size:
+                continue
+            names = list(map(str.strip, lines[at[0]].split(",")))
+            parts = [[] for _ in names]
+            kept[at[0]] = False  # from here on, kept marks the rows
+            at = at[1:]
+        rows = [lines[i] for i in at.tolist()]
+        bad = np.flatnonzero(fields[at] != len(names))
+        if bad.size:
+            raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "
+                              f"for {len(names)} columns; it does not match the header")
+        if parse_fault:
+            continue  # only a field count can still change the error
+        lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
+        widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
+        as_text = [f"U{width}" for width in widths]
+        kinds = [as_text[j] if dtypes.get(name) is str else dtypes.get(name, np.float64)
+                 for j, name in enumerate(names)]
+        table = parse(rows, kinds)
+        if table is None:
+            # halve the rows until the first bad one is left (about one more
+            # parse in all), then type its columns one at a time
+            lo, hi = 0, len(rows)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if parse(rows[lo:mid], kinds) is None else (mid, hi)
+            faults = [(lo, j) for j in range(len(names))
+                      if parse(rows[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
+        elif finite_fault:
+            continue  # only a field that does not parse can still change the error
+        else:
+            faults = [(int(np.argmin(finite)), j) for j in range(len(names))
+                      if table.dtype[j].kind == "f"
+                      and not (finite := np.isfinite(table[f"f{j}"])).all()]
+        if faults:
+            i, j = min(faults)
+            kind = np.dtype(kinds[j])
+            message = (f"{path}: row {rows[i]!r}: {names[j]} must be "
+                       f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
+                       f"got {rows[i].split(',')[j].strip()!r}")
+            if table is None:
+                parse_fault = message
+            else:
+                finite_fault = message
+            continue
+        for j, name in enumerate(names):
+            parts[j].append(np.char.strip(table[f"f{j}"]) if dtypes.get(name) is str
+                            else np.ascontiguousarray(table[f"f{j}"]))
+    if names is None:
+        raise ConfigError(f"{path}: no column names line")
+    if parse_fault or finite_fault:
+        raise ConfigError(parse_fault or finite_fault)
+    del text  # join the columns one at a time, each freeing its blocks
+    return metadata, names, [np.concatenate(parts.pop(0)) for _ in names]

@@ -161,11 +161,11 @@ def test_fit_cli_hashes_its_data_only_for_out(tmp_path, monkeypatch):
     data = tmp_path / "line.csv"
     data.write_text("x,y\n0,1\n1,3\n2,5\n3,7\n")
     hashed = []
-    monkeypatch.setattr(cli, "_config_hash", lambda text: hashed.append(text) or "0" * 12)
+    monkeypatch.setattr(cli, "_file_hash", lambda path: hashed.append(Path(path)) or "0" * 12)
     assert run("fit", "--model", "linear", "--data", data) == 0
     assert hashed == []
     assert run("fit", "--model", "linear", "--data", data, "--out", tmp_path / "fit.json") == 0
-    assert hashed == [data.read_text()]
+    assert hashed == [data]
 
 
 def test_fit_cli_flags_degenerate(tmp_path):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +183,21 @@ _TABLE_COLUMNS = {
 }
 
 
+def _at_block_sizes():
+    """Run the loop body at the default table block size, then at blocks of
+    a few characters (about one line each)."""
+    for block_chars in (core._BLOCK_CHARS, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_CHARS", block_chars)
+            yield
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     # one typed numpy array per column: a float column reads back as
-    # float_format of each value, any other as its str
+    # float_format of each value, any other as its str; the file's bytes do
+    # not depend on the block size
     n_rows = data.draw(st.integers(0, 6))
     columns = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -195,13 +206,17 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
         columns.append(np.array(values, dtype=dtype))
     names = [f"c{j}" for j in range(len(columns))]
     path = tmp_path_factory.mktemp("table") / "table.csv"
-    core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
-    metadata, read_names, read_columns = core.read_table(path, dict.fromkeys(names, str))
-    assert metadata == {"rows": str(n_rows)}
-    assert read_names == names
-    assert [c.tolist() for c in read_columns] == [
-        ["%.10g" % v if column.dtype.kind == "f" else str(v) for v in column.tolist()]
-        for column in columns]
+    written = []
+    for _ in _at_block_sizes():
+        core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
+        written.append(path.read_bytes())
+        metadata, read_names, read_columns = core.read_table(path, dict.fromkeys(names, str))
+        assert metadata == {"rows": str(n_rows)}
+        assert read_names == names
+        assert [c.tolist() for c in read_columns] == [
+            ["%.10g" % v if column.dtype.kind == "f" else str(v) for v in column.tolist()]
+            for column in columns]
+    assert written[0] == written[1]
 
 
 def test_typed_table_reads_each_field_back_exactly(tmp_path):
@@ -254,7 +269,7 @@ def _reference_read_table(path, dtypes):
     """read_table one line at a time: splitlines, a '#' as the first character
     marks a comment, str.strip finds a blank line; each field typed by its
     dtype's constructor (parse errors before non-finite floats)."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     metadata = {}
     for line in lines:
         if line.startswith("#"):
@@ -364,21 +379,85 @@ def _table_text(draw):
 def test_read_table_keeps_per_line_semantics(tmp_path_factory, case):
     # the byte scan classifies lines exactly as splitlines, startswith('#')
     # and str.strip do: same metadata, names, column values and dtypes, or
-    # the same error
+    # the same error, whether the file is one block or many
     text, dtypes = case
     path = tmp_path_factory.mktemp("table") / "table.csv"
     path.write_bytes(text.encode())
     try:
         expected = _reference_read_table(path, dtypes)
     except ConfigError as exc:
-        with pytest.raises(ConfigError) as got:
-            core.read_table(path, dtypes)
-        assert str(got.value) == str(exc)
-        return
-    metadata, names, columns = core.read_table(path, dtypes)
-    assert (metadata, names) == expected[:2]
-    assert [c.dtype for c in columns] == [c.dtype for c in expected[2]]
-    assert [c.tolist() for c in columns] == [c.tolist() for c in expected[2]]
+        expected = exc
+    for _ in _at_block_sizes():
+        if isinstance(expected, ConfigError):
+            with pytest.raises(ConfigError) as got:
+                core.read_table(path, dtypes)
+            assert str(got.value) == str(expected)
+            continue
+        metadata, names, columns = core.read_table(path, dtypes)
+        assert (metadata, names) == expected[:2]
+        assert [c.dtype for c in columns] == [c.dtype for c in expected[2]]
+        assert [c.tolist() for c in columns] == [c.tolist() for c in expected[2]]
+
+
+@pytest.mark.parametrize("text, error", [
+    # a field that does not parse in the first block, a short row in a later one
+    ("n,x\n1,abc\n" + "2,0.5\n" * 20 + "3,0.5,9\n", "has 3 fields"),
+    # a non-finite float in the first block, a field that does not parse in a later one
+    ("n,x\n1,nan\n" + "2,0.5\n" * 20 + "abc,0.5\n", "n must be int64"),
+])
+def test_table_error_precedence_holds_across_blocks(tmp_path, monkeypatch, text, error):
+    monkeypatch.setattr(core, "_BLOCK_CHARS", 16)
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as expected:
+        _reference_read_table(path, {"n": np.int64})
+    with pytest.raises(ConfigError, match=error) as got:
+        core.read_table(path, {"n": np.int64})
+    assert str(got.value) == str(expected.value)
+
+
+def test_table_memory_is_bounded_by_a_block(tmp_path):
+    # a record-shaped table of 1e5 rows: holding every cell as a Python
+    # object at once costs some 28 MB to write it and 34 MB to read it
+    n_rows = 100_000
+    rng = np.random.default_rng(5)
+    names = ["sequence_index", "pulse_label", "click_time_ns", "origin"]
+    columns = [np.sort(rng.integers(0, 10**7, n_rows)),
+               np.where(rng.random(n_rows) < 0.5, "write", "read"),
+               rng.uniform(0.0, 4e4, n_rows),
+               np.where(rng.random(n_rows) < 0.9, "signal", "dark")]
+    path = tmp_path / "records.csv"
+    tracemalloc.start()
+    try:
+        core.write_table(path, ["n_sequences=10000000"], names, columns, float_format="%.6f")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, _, read = core.read_table(path, {"sequence_index": np.int64,
+                                            "pulse_label": str, "origin": str})
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.tolist() for c in read[:2]] == [c.tolist() for c in columns[:2]]
+    assert write_peak < 8e6
+    assert read_peak < sum(c.nbytes for c in read) + 16e6
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, Python's default encoding is ASCII
+    table = tmp_path / "table.csv"
+    table.write_bytes("label,x\ndétecteur 光子,1\n".encode())
+    config = tmp_path / "device.cfg"
+    config.write_bytes(DEVICE_CONFIG.read_bytes() + "# détecteur\n".encode())
+    package_root = Path(omclab.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from omclab import core; "
+         "core.load_config(sys.argv[2]); "
+         "_, names, columns = core.read_table(sys.argv[1], {'label': str}); "
+         "core.write_table(sys.argv[1], [], names, columns)", table, config],
+        env={**os.environ, "PYTHONPATH": str(package_root), "LC_ALL": "C",
+             "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        capture_output=True, check=True)
+    assert table.read_bytes() == "label,x\ndétecteur 光子,1\n".encode()
 
 
 @pytest.mark.parametrize("text", ["", "# rows=0\n# only comments\n\n"])
