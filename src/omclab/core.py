@@ -18,6 +18,7 @@ required key (see ``parse_config``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
 import typing
@@ -462,9 +463,31 @@ def serialize_config(config: ExperimentConfig) -> str:
 # one column at a time: the reader returns one numpy array per column, and the
 # writer takes one.  No Python code runs per field.  Both work through a table
 # one block of about _BLOCK_CHARS characters of rows at a time, so that besides
-# the columns (and the reader's decoded text) they hold one block's cells.
+# the columns (and the reader's decoded text) they hold one block's cells.  The
+# writer puts a text column with few distinct values (a click's label or
+# origin) into the row format as literal text, one format per combination of
+# those values, so that `%` fills in only the other cells.
 
 _BLOCK_CHARS = 2**18
+_ROW_FORMATS = 8  # text columns fold into the row format while it has at most this many
+
+
+def _categories(column, limit: int):
+    """(distinct values in order of first appearance, each row's index into
+    them) of a text column, or None if it has more than ``limit`` values."""
+    import numpy as np
+
+    n = len(column)
+    code = np.full(n + 1, -1, dtype=np.intp)  # the last -1 ends the search below
+    values = []
+    i = 0  # the first row without a code; every row before it has one
+    while i < n:
+        if len(values) == limit:
+            return None
+        code[i:n][column[i:] == column[i]] = len(values)
+        values.append(str(column[i]))
+        i += int(np.argmax(code[i:] < 0))
+    return values, code[:n]
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
@@ -473,21 +496,40 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     then one line per row of the equal-length ``columns`` (one numpy array
     per name).  A float column is written with ``float_format``, any other
     value as its ``str``; each block of rows comes from one ``%`` call."""
+    import numpy as np
+
     if len(columns) != len(names):
         raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
     n_rows = len(columns[0]) if names else 0
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{path}: columns differ in length")
-    row = ",".join(float_format if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    # per column, its choices of text in a row format: a folded text column's
+    # values (each '%' doubled), else one cell for `%`; row i's format is
+    # formats[code[i]], and the cells come from the free columns
+    choices, free = [], []
+    code, n_formats = np.zeros(n_rows, dtype=np.intp), 1
+    for column in columns:
+        found = (_categories(column, _ROW_FORMATS // n_formats)
+                 if column.dtype.kind == "U" and n_rows else None)
+        if found:
+            values, codes = found
+            choices.append([value.replace("%", "%%") for value in values])
+            code = code * len(values) + codes
+            n_formats *= len(values)
+        else:
+            choices.append([float_format if column.dtype.kind == "f" else "%s"])
+            free.append(column)
+    formats = np.array([",".join(row) + "\n" for row in itertools.product(*choices)],
+                       dtype=object)
     with open(path, "w", encoding="utf-8") as out:
         out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n")
         start, step = 0, 1  # one row, then as many as fit a block at the last one's width
         while start < n_rows:
             stop = min(n_rows, start + step)
-            cells = [None] * ((stop - start) * len(names))
-            for j, column in enumerate(columns):
-                cells[j::len(names)] = column[start:stop].tolist()
-            text = row * (stop - start) % tuple(cells)
+            cells = [None] * ((stop - start) * len(free))
+            for j, column in enumerate(free):
+                cells[j::len(free)] = column[start:stop].tolist()
+            text = "".join(formats[code[start:stop]].tolist()) % tuple(cells)
             out.write(text)
             step = max(1, _BLOCK_CHARS * (stop - start) // len(text))
             start = stop
@@ -561,7 +603,9 @@ def read_table(path: str | Path,
             parts = [[] for _ in names]
             kept[at[0]] = False  # from here on, kept marks the rows
             at = at[1:]
-        rows = [lines[i] for i in at.tolist()]
+        # a record file's rows after its header are one run of lines: a slice
+        rows = (lines[at[0]:at[-1] + 1] if at.size and at[-1] - at[0] == at.size - 1
+                else [lines[i] for i in at.tolist()])
         bad = np.flatnonzero(fields[at] != len(names))
         if bad.size:
             raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "

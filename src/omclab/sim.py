@@ -284,11 +284,10 @@ def simulate(config: ExperimentConfig, seed: int,
         signals[r] = stats._sorted_distinct(
             np.concatenate((read, _bernoulli(rng, n_total, extra_read))))
 
-    # per pulse: (sequence index, pulse index, click time, origin), after an
-    # empty first entry that fixes the dtypes when there is no pulse
+    # per pulse: (sequence index, pulse index, click time, origin code), after
+    # an empty first entry that fixes the dtypes when there is no pulse
     columns = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16),
-                np.empty(0), np.empty(0, dtype="<U7"))]
-    totals = []
+                np.empty(0), np.empty(0, dtype=np.int8))]
     for i, pulse in enumerate(seq.pulses):
         signal = signals[i] if i in signals else _bernoulli(rng, n_total, singles[i])
         leak = _bernoulli(rng, n_total, leaks[i])
@@ -296,16 +295,19 @@ def simulate(config: ExperimentConfig, seed: int,
         idx = stats._sorted_distinct(np.concatenate((signal, leak, dark)))
         is_signal = stats._isin_sorted(idx, signal)
         is_leak = ~is_signal & stats._isin_sorted(idx, leak)
-        origin = np.where(is_signal, "signal", np.where(is_leak, "leakage", "dark"))
+        code = np.ones(idx.size, dtype=np.int8)  # an index into _ORIGINS
+        code[is_signal] = 0
+        code[is_leak] = 2
         span = np.where(is_signal | is_leak, pulse.duration, pulse.window_length)
         columns.append((idx, np.full(idx.size, i, dtype=np.int16),
-                        pulse.start + rng.random(idx.size) * span, origin))
-        totals.append({name: int(np.count_nonzero(origin == name)) for name in _ORIGINS})
+                        pulse.start + rng.random(idx.size) * span, code))
 
-    seq_idx, pulse_idx, times, origins = (np.concatenate(col) for col in zip(*columns))
+    seq_idx, pulse_idx, times, codes = (np.concatenate(col) for col in zip(*columns))
+    counts = np.bincount(pulse_idx.astype(np.intp) * len(_ORIGINS) + codes,
+                         minlength=len(seq.pulses) * len(_ORIGINS))
+    totals = [dict(zip(_ORIGINS, row)) for row in counts.reshape(-1, len(_ORIGINS)).tolist()]
     order = _click_order(seq_idx, times)
-    seq_idx, pulse_idx, times, origins = (a[order] for a in
-                                          (seq_idx, pulse_idx, times, origins))
+    seq_idx, pulse_idx, times, codes = (a[order] for a in (seq_idx, pulse_idx, times, codes))
 
     labels = np.array([p.label for p in seq.pulses], dtype=str)
     batch = RecordBatch(
@@ -314,7 +316,7 @@ def simulate(config: ExperimentConfig, seed: int,
         pulse_index=pulse_idx,
         pulse_label=labels[pulse_idx],
         click_time=times,
-        origin=None if blind else origins,
+        origin=None if blind else np.array(_ORIGINS)[codes],
     )
     report = SimReport(
         n_sequences=n_total,
@@ -336,14 +338,17 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
     overlapping) detector window for dark counts.
     """
     idx = np.full(len(batch), -1, dtype=np.int16)
+    # per label, its clicks' rows and times, from one compare of the labels
+    clicks = {}
+    for label in dict.fromkeys(pulse.label for pulse in sequence.pulses):
+        rows = np.flatnonzero(batch.pulse_label == label)
+        clicks[label] = rows, batch.click_time[rows]
     for spans in ("duration", "window"):
         for i, pulse in enumerate(sequence.pulses):
+            rows, times = clicks[pulse.label]
             length = pulse.duration if spans == "duration" else pulse.window_length
-            mine = ((batch.pulse_label == pulse.label)
-                    & (batch.click_time >= pulse.start)
-                    & (batch.click_time < pulse.start + length)
-                    & (idx < 0))
-            idx[mine] = i
+            idx[rows[(times >= pulse.start) & (times < pulse.start + length)
+                     & (idx[rows] < 0)]] = i
     if np.any(idx < 0):
         raise ValueError("records contain click times outside all pulse windows")
     return RecordBatch(n_sequences=batch.n_sequences,
@@ -382,10 +387,11 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if n_sequences < 0:
         raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
                           "non-negative integer")
-    seq, labels, times_ns, *origin = columns
+    seq, labels, times, *origin = columns
+    times *= 1e-9  # ns to s, in place: read_table's arrays are the caller's own
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,
                        pulse_index=np.zeros(seq.size, dtype=np.int16),
-                       pulse_label=labels, click_time=times_ns * 1e-9,
+                       pulse_label=labels, click_time=times,
                        origin=origin[0] if origin else None)

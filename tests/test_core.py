@@ -192,12 +192,22 @@ def _at_block_sizes():
             yield
 
 
+def _at_row_formats():
+    """Run the loop body with text columns folded into the row format (the
+    default), then with none folded."""
+    for row_formats in (core._ROW_FORMATS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_ROW_FORMATS", row_formats)
+            yield
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     # one typed numpy array per column: a float column reads back as
     # float_format of each value, any other as its str; the file's bytes do
-    # not depend on the block size
+    # not depend on the block size or on which text columns fold into the
+    # row format
     n_rows = data.draw(st.integers(0, 6))
     columns = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -208,15 +218,50 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     written = []
     for _ in _at_block_sizes():
-        core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
-        written.append(path.read_bytes())
-        metadata, read_names, read_columns = core.read_table(path, dict.fromkeys(names, str))
-        assert metadata == {"rows": str(n_rows)}
-        assert read_names == names
-        assert [c.tolist() for c in read_columns] == [
-            ["%.10g" % v if column.dtype.kind == "f" else str(v) for v in column.tolist()]
-            for column in columns]
-    assert written[0] == written[1]
+        for _ in _at_row_formats():
+            core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
+            written.append(path.read_bytes())
+            metadata, read_names, read_columns = core.read_table(path,
+                                                                 dict.fromkeys(names, str))
+            assert metadata == {"rows": str(n_rows)}
+            assert read_names == names
+            assert [c.tolist() for c in read_columns] == [
+                ["%.10g" % v if column.dtype.kind == "f" else str(v) for v in column.tolist()]
+                for column in columns]
+    assert len(set(written)) == 1
+
+
+@pytest.mark.parametrize("columns", [
+    # text holding '%', alone and as what looks like a conversion
+    [np.array(["5%", "%s", "%%d", "5%"]), np.array([1.5, 2.5, 3.5, 4.5])],
+    # two text columns that fold together, between numbers
+    [np.array([3, 1, 4, 1]), np.array(["write", "read", "read", "write"]),
+     np.array(["signal", "dark", "signal", "leakage"]), np.array([0.5, 0.25, 0.125, 1.0])],
+    # more distinct values than the limit, beside a column with two
+    [np.array([f"label {i}" for i in range(20)]), np.array(["a", "b"] * 10)],
+    # text columns only, one of them non-ASCII
+    [np.array(["détecteur", "光子", "détecteur"]), np.array(["x", "x", "x"])],
+    # no rows
+    [np.array([], dtype=str), np.array([])],
+])
+def test_table_bytes_do_not_depend_on_folding_text_into_the_row_format(tmp_path, columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    rows = zip(*(column.tolist() for column in columns))
+    expected = "# n=1\n" + ",".join(names) + "\n" + "".join(
+        ",".join("%.10g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+    path = tmp_path / "table.csv"
+    for _ in _at_row_formats():
+        core.write_table(path, ["n=1"], names, columns)
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def test_categories_code_rows_by_first_appearance():
+    column = np.array(["read", "write", "read", "dark", "write"])
+    values, code = core._categories(column, 3)
+    assert values == ["read", "write", "dark"]
+    assert code.tolist() == [0, 1, 0, 2, 1]
+    assert core._categories(column, 2) is None
 
 
 def test_typed_table_reads_each_field_back_exactly(tmp_path):

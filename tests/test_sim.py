@@ -63,6 +63,23 @@ def test_report_totals_match_record_counts(device_config):
     assert np.bincount(batch.pulse_index, minlength=2).tolist() == per_pulse
 
 
+def test_report_totals_count_each_origin_of_each_pulse():
+    # the dense config with a filter line, so that every pulse has clicks of
+    # all three origins, in different numbers
+    config = load_config(DENSE_CONFIG)
+    config = dataclasses.replace(
+        config, detection=dataclasses.replace(config.detection, filter_suppression_db=75.0),
+        sequence=dataclasses.replace(config.sequence, n_sequences=100_000))
+    batch, report = sim.simulate(config, 4)
+    for i, totals in enumerate(report.pulse_totals):
+        origins = batch.origin[batch.pulse_index == i]
+        counts = {name: int(np.count_nonzero(origins == name)) for name in sim._ORIGINS}
+        assert totals == counts
+        assert len(set(counts.values())) == 3 and min(counts.values()) > 0
+    _, blind = sim.simulate(config, 4, blind=True)
+    assert blind.pulse_totals == report.pulse_totals
+
+
 def test_rate_recovery_against_closed_form(device_config):
     # empirical click rates must reproduce p_s*n*eta and p_s*(n+1)*eta
     grid = [(0.041, 0.02, 0.023), (0.1, 0.01, 0.1), (1.0, 0.005, 0.2)]
@@ -223,6 +240,22 @@ def test_records_csv_round_trip(tmp_path, device_config):
     assert np.array_equal(again.origin, batch.origin)
     restored = sim.assign_pulse_indices(again, config.sequence)
     assert np.array_equal(restored.pulse_index, batch.pulse_index)
+
+
+@pytest.mark.parametrize("label, time", [
+    ("write", 190e-9 + 20e-6),  # past every pulse's window
+    ("write", 20e-6),           # past the write window, inside the read window
+    ("probe", 20e-9),           # inside the write pulse, with a label no pulse has
+])
+def test_assign_pulse_indices_rejects_a_click_outside_its_label_windows(label, time):
+    config = load_config(DENSE_CONFIG)
+    batch = sim.RecordBatch(
+        n_sequences=4, sequence_index=np.array([0, 1, 2]),
+        pulse_index=np.zeros(3, dtype=np.int16),
+        pulse_label=np.array(["write", "read", label]),
+        click_time=np.array([20e-9, 200e-9, time]), origin=None)
+    with pytest.raises(ValueError, match="outside all pulse windows"):
+        sim.assign_pulse_indices(batch, config.sequence)
 
 
 def test_record_batch_arrays_are_read_only(device_config):
