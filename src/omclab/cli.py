@@ -168,10 +168,8 @@ def _write_heating(config: ExperimentConfig, path: Path, header: str, ps_values:
     """Heating curves n_th(tau), one per scattering probability, to ``path``."""
     if not ps_values:
         raise ConfigError("no scattering probabilities: none given and no calibration table")
-    heating = config.mode.heating
-    curves = [(heating.amplitude(p_s), heating.instant_occupation(p_s)) for p_s in ps_values]
-    n_th = [config.mode.n_baseline + dynamics.heating_occupation(tau, heating, amp, n_i)
-            for amp, n_i in curves for tau in taus]
+    n_th = [config.mode.n_baseline + dynamics.heating_occupation(tau, config.mode.heating, p_s)
+            for p_s in ps_values for tau in taus]
     write_table(path, [header], ["p_s", "tau_s", "n_th"],
                 [np.repeat(ps_values, len(taus)), np.tile(taus, len(ps_values)),
                  np.array(n_th)])
@@ -229,7 +227,12 @@ def cmd_g2(args) -> int:
         if model is None:
             raise ConfigError("g2 --oracle: config has no write/read pulse pair")
         if args.out:
-            _write_json(Path(args.out), _header(chash, None), dataclasses.asdict(model))
+            w, r = model.pair
+            _write_json(Path(args.out), _header(chash, None), {
+                "oracle_g2": model.oracle_g2, "predicted_g2": model.predicted_g2,
+                "n_th": model.occupations[w], "eta_det": model.eta_det,
+                "p_write": model.p_s[w], "p_read": model.p_s[r],
+                "dark_write": model.darks[w], "dark_read": model.darks[r]})
         print(f"g2 ideal (dark counts only): {model.oracle_g2:.3f}")
         print(f"g2 full model (dark counts, pump leakage, heating): {model.predicted_g2:.3f}")
         return EXIT_OK

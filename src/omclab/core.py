@@ -98,21 +98,16 @@ class HeatingParams:
 
     def _lookup(self, p_s: float, column: int) -> float:
         table = self.calibration
-        if not table:
-            return 0.0
-        xs = [row[0] for row in table]
-        ys = [row[column] for row in table]
-        if len(table) == 1:
-            return max(0.0, ys[0])
-        # piecewise linear with linear extrapolation from the end segments
-        if p_s <= xs[0]:
-            i = 0
-        elif p_s >= xs[-1]:
-            i = len(xs) - 2
-        else:
-            i = next(j for j in range(len(xs) - 1) if xs[j] <= p_s < xs[j + 1])
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return max(0.0, ys[i] + slope * (p_s - xs[i]))
+        if len(table) < 2:
+            return max(0.0, table[0][column]) if table else 0.0
+        # piecewise linear on the segment [lo, hi] holding p_s, with linear
+        # extrapolation from the end segments
+        i = 1
+        while i < len(table) - 1 and table[i][0] <= p_s:
+            i += 1
+        lo, hi = table[i - 1], table[i]
+        slope = (hi[column] - lo[column]) / (hi[0] - lo[0])
+        return max(0.0, lo[column] + slope * (p_s - lo[0]))
 
     def amplitude(self, p_s: float) -> float:
         """Delayed-heating amplitude A for a pulse of scattering probability p_s."""

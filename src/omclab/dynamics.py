@@ -23,24 +23,24 @@ import numpy as np
 from .core import HeatingParams, MechanicalMode, PulseSequence
 
 
-def heating_occupation(tau: float, params: HeatingParams, amplitude: float,
-                       n_instant: float) -> float:
-    """Single-pulse heating response at delay tau >= 0 after the pulse."""
+def heating_occupation(tau: float, heating: HeatingParams, p_s: float) -> float:
+    """Single-pulse response at delay tau >= 0 after a pulse of scattering
+    probability p_s, at the (amplitude, n_instant) ``heating`` calibrates for it."""
     if tau < 0:
         raise ValueError("heating: tau must be non-negative")
-    rise = -math.expm1(-tau / params.tau_rise)
-    return amplitude * math.exp(-tau / params.tau_decay) * rise + n_instant
+    rise = -math.expm1(-tau / heating.tau_rise)
+    return (heating.amplitude(p_s) * math.exp(-tau / heating.tau_decay) * rise
+            + heating.instant_occupation(p_s))
 
 
 def pulse_occupations(sequence: PulseSequence, mode: MechanicalMode,
                       p_s_per_pulse) -> list[float]:
     """Occupation each pulse of ``sequence`` sees, one per pulse.
 
-    The sum, in this order: ``mode.n_baseline``; then the ``mode.heating``
-    response of each earlier pulse, in sequence order, at the delay from its
-    end to this pulse's start and at the (amplitude, n_instant) calibrated for
-    its p_s; then this pulse's own n_instant.  A ``PulseSequence`` lists its
-    pulses in time order without overlap, so every earlier pulse has ended.
+    The sum, in this order: ``mode.n_baseline``; then the ``heating_occupation``
+    of each earlier pulse, in sequence order, at the delay from its end to this
+    pulse's start; then this pulse's own n_instant.  A ``PulseSequence`` lists
+    its pulses in time order without overlap, so every earlier pulse has ended.
     """
     if len(p_s_per_pulse) != len(sequence.pulses):
         raise ValueError("occupation: one p_s per pulse required")
@@ -49,8 +49,7 @@ def pulse_occupations(sequence: PulseSequence, mode: MechanicalMode,
     for i, pulse in enumerate(sequence.pulses):
         n = mode.n_baseline
         for earlier, p_s in zip(sequence.pulses[:i], p_s_per_pulse[:i]):
-            n += heating_occupation(pulse.start - earlier.end, heating,
-                                    heating.amplitude(p_s), heating.instant_occupation(p_s))
+            n += heating_occupation(pulse.start - earlier.end, heating, p_s)
         occupations.append(n + heating.instant_occupation(p_s_per_pulse[i]))
     return occupations
 

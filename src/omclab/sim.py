@@ -10,6 +10,8 @@ click table computed by the ``fock`` oracle, so simulator and oracle agree by
 construction; any extra occupation the read pulse sees from pulse heating
 enters as an additional independent thermal click source (exact for the
 rates used here, where per-pulse click probabilities are far below one).
+``sequence_model`` builds these per-pulse probabilities once per config as a
+``SequenceModel``; ``g2_model`` evaluates the pair's g2 from the same model.
 
 Each independent click source is a Bernoulli process over the sequences,
 drawn directly as a binomial number of distinct, uniformly placed sequence
@@ -136,18 +138,48 @@ def read_pulse_duration(sequence: PulseSequence) -> float:
     return reads[0].duration if reads else PULSE_DURATION
 
 
-def _sequence_statistics(config: ExperimentConfig):
-    """Static per-pulse probabilities shared by every sequence."""
+@dataclass(frozen=True)
+class SequenceModel:
+    """Per-pulse statistics shared by every sequence, in pulse order.  Without a
+    write/read pair ``table`` is None and ``extra_read`` 0.0, and the g2
+    properties are undefined (see ``g2_model``)."""
+
+    p_s: tuple[float, ...]
+    occupations: tuple[float, ...]  # the occupation each pulse sees
+    singles: tuple[float, ...]      # signal click probability, 0.0 on the pair
+    darks: tuple[float, ...]        # dark-count click probability of each window
+    leaks: tuple[float, ...]        # pump-leakage click probability of each window
+    eta_det: float
+    pair: tuple[int, int] | None    # (write, read) pulse indices
+    table: fock.ClickTable | None   # the pair's joint clicks at the write occupation
+    extra_read: float               # heating click beyond it on the read window
+
+    def _g2(self, write_background: float, read_background: float) -> float:
+        w, r = self.pair
+        return fock.oracle_g2(self.occupations[w], self.p_s[w], self.p_s[r], self.eta_det,
+                              (write_background, read_background))
+
+    @property
+    def oracle_g2(self) -> float:
+        w, r = self.pair
+        return self._g2(self.darks[w], self.darks[r])
+
+    @property
+    def predicted_g2(self) -> float:
+        w, r = self.pair
+        return self._g2(_any_of(self.darks[w], self.leaks[w]),
+                        _any_of(self.darks[r], self.leaks[r], self.extra_read))
+
+
+def sequence_model(config: ExperimentConfig) -> SequenceModel:
+    """The ``SequenceModel`` of ``config``; ``simulate`` samples exactly this."""
     seq = config.sequence
     det = config.detection
     eta = det.eta_det
-
-    p_s = []
-    for pulse in seq.pulses:
-        energy = pulse_energy_at_device(pulse, det.eta_fc)
-        p_s.append(optomech.scattering_probability(pulse.side, energy, config.g0,
-                                                   config.cavity, config.mode))
-    occupations = dynamics.pulse_occupations(seq, config.mode, p_s)
+    p_s = tuple(optomech.scattering_probability(
+        pulse.side, pulse_energy_at_device(pulse, det.eta_fc), config.g0, config.cavity,
+        config.mode) for pulse in seq.pulses)
+    occupations = tuple(dynamics.pulse_occupations(seq, config.mode, p_s))
 
     pair = _paired_indices(seq)
     table = None
@@ -155,57 +187,37 @@ def _sequence_statistics(config: ExperimentConfig):
     if pair is not None:
         w, r = pair
         table = fock.two_pulse_click_table(occupations[w], p_s[w], p_s[r], eta)
-        # heating accumulated between write and read enters as an independent
-        # extra thermal click source on the read window
         delta_n = occupations[r] - occupations[w]
         if delta_n > 0:
             extra_read = fock.single_pulse_click_probability("red", delta_n, p_s[r], eta)
 
-    singles = []
-    for i, pulse in enumerate(seq.pulses):
-        if pair is not None and i in pair:
-            singles.append(0.0)
-        else:
-            singles.append(fock.single_pulse_click_probability(pulse.side, occupations[i],
-                                                               p_s[i], eta))
-
-    darks = [-math.expm1(-det.dark_rate * p.window_length) for p in seq.pulses]
-    leaks = [pump_leakage_probability(p, config) for p in seq.pulses]
-    return p_s, occupations, pair, table, extra_read, singles, darks, leaks
+    return SequenceModel(
+        p_s=p_s, occupations=occupations,
+        singles=tuple(0.0 if i in (pair or ()) else fock.single_pulse_click_probability(
+            pulse.side, occupations[i], p_s[i], eta) for i, pulse in enumerate(seq.pulses)),
+        darks=tuple(-math.expm1(-det.dark_rate * p.window_length) for p in seq.pulses),
+        leaks=tuple(pump_leakage_probability(p, config) for p in seq.pulses),
+        eta_det=eta, pair=pair, table=table, extra_read=extra_read)
 
 
-@dataclass(frozen=True)
-class G2Model:
-    """Same-sequence write/read g2 of the model, with the oracle inputs."""
+def g2_model(config: ExperimentConfig) -> SequenceModel | None:
+    """The ``SequenceModel`` of a config with a write/read pair, or None without one.
 
-    oracle_g2: float     # ideal: dark counts are the only background
-    predicted_g2: float  # full model: dark counts, pump leakage and heating
-    n_th: float
-    p_write: float
-    p_read: float
-    eta_det: float
-    dark_write: float
-    dark_read: float
-
-
-def g2_model(config: ExperimentConfig) -> G2Model | None:
-    """The ideal and the full-model g2 of the write/read pair, or None without one.
-
-    Both are ``fock.oracle_g2`` at the write pulse's occupation.  The ideal
-    value takes dark counts as each window's only background.  The full model
-    folds every independent background of a window into its (write, read)
-    background pair: dark counts and pump leakage on both windows, plus the
-    heating-induced extra thermal click on the read window.  These are
-    exactly the sources ``simulate`` ORs onto the oracle's joint click table,
-    so ``predicted_g2`` is the value the Monte Carlo estimate converges to.
+    Both g2 properties are ``fock.oracle_g2`` at the write pulse's occupation.
+    ``oracle_g2`` takes dark counts as each window's only background.
+    ``predicted_g2`` folds every independent background of a window into its
+    (write, read) background pair: dark counts and pump leakage on both
+    windows, plus the heating-induced extra thermal click on the read window.
+    These are exactly the sources ``simulate`` ORs onto the oracle's joint
+    click table, so ``predicted_g2`` is the value the Monte Carlo converges to.
 
     ``stats.g2_crosscorr`` pools every click of a label, so that holds only
     while the pair's pulses are the sole ``write`` and the sole ``read``
     pulse; a config with a pair and a label on more pulses raises
     ``ConfigError`` naming them.
     """
-    p_s, occupations, pair, _, extra_read, _, darks, leaks = _sequence_statistics(config)
-    if pair is None:
+    model = sequence_model(config)
+    if model.pair is None:
         return None
     for label in ("write", "read"):
         shared = [f"pulse {i} (start {pulse.start:g} s)"
@@ -215,18 +227,7 @@ def g2_model(config: ExperimentConfig) -> G2Model | None:
                 f"g2 model: the {label!r} label names {', '.join(shared)}; the g2 "
                 "estimator pools their clicks, but the model covers only the first "
                 "write pulse and the read pulse after it")
-    w, r = pair
-    n_th, eta = occupations[w], config.detection.eta_det
-
-    def g2(backgrounds: tuple[float, float]) -> float:
-        return fock.oracle_g2(n_th, p_s[w], p_s[r], eta, backgrounds)
-
-    return G2Model(
-        oracle_g2=g2((darks[w], darks[r])),
-        predicted_g2=g2((_any_of(darks[w], leaks[w]),
-                         _any_of(darks[r], leaks[r], extra_read))),
-        n_th=n_th, p_write=p_s[w], p_read=p_s[r], eta_det=eta,
-        dark_write=darks[w], dark_read=darks[r])
+    return model
 
 
 def _any_of(*probabilities: float) -> float:
@@ -265,33 +266,33 @@ def simulate(config: ExperimentConfig, seed: int,
         raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
     seq = config.sequence
 
-    p_s, occupations, pair, table, extra_read, singles, darks, leaks = \
-        _sequence_statistics(config)
+    model = sequence_model(config)
     n_total = seq.n_sequences
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     # signal clicks of the write and read pulses; every other pulse draws its own below
     signals = {}
+    table = model.table
     if table is not None:
         # the sequences with any pair click, then one uniform per sequence splits
         # them into 01 (read only), 10 (write only) and 11 (both)
         q = table.p01 + table.p10 + table.p11
         pairs = _bernoulli(rng, n_total, q)
         u = rng.random(pairs.size) * q
-        w, r = pair
+        w, r = model.pair
         signals[w] = pairs[u >= table.p01]
         read = pairs[(u < table.p01) | (u >= table.p01 + table.p10)]
         signals[r] = stats._sorted_distinct(
-            np.concatenate((read, _bernoulli(rng, n_total, extra_read))))
+            np.concatenate((read, _bernoulli(rng, n_total, model.extra_read))))
 
     # per pulse: (sequence index, pulse index, click time, origin code), after
     # an empty first entry that fixes the dtypes when there is no pulse
     columns = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16),
                 np.empty(0), np.empty(0, dtype=np.int8))]
     for i, pulse in enumerate(seq.pulses):
-        signal = signals[i] if i in signals else _bernoulli(rng, n_total, singles[i])
-        leak = _bernoulli(rng, n_total, leaks[i])
-        dark = _bernoulli(rng, n_total, darks[i])
+        signal = signals[i] if i in signals else _bernoulli(rng, n_total, model.singles[i])
+        leak = _bernoulli(rng, n_total, model.leaks[i])
+        dark = _bernoulli(rng, n_total, model.darks[i])
         idx = stats._sorted_distinct(np.concatenate((signal, leak, dark)))
         is_signal = stats._isin_sorted(idx, signal)
         is_leak = ~is_signal & stats._isin_sorted(idx, leak)
@@ -321,8 +322,8 @@ def simulate(config: ExperimentConfig, seed: int,
     report = SimReport(
         n_sequences=n_total,
         pulse_labels=tuple(p.label for p in seq.pulses),
-        pulse_ps=tuple(p_s),
-        pulse_occupations=tuple(occupations),
+        pulse_ps=model.p_s,
+        pulse_occupations=model.occupations,
         pulse_totals=tuple(totals),
     )
     return batch, report

@@ -124,7 +124,8 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
     """
     n_seq = int(batch.n_sequences)
     if n_seq <= abs(delta_n):
-        raise ValueError("g2: need more sequences than the requested offset")
+        raise UndefinedEstimateError(f"g2(dn={delta_n:+d}) undefined: {n_seq} sequences "
+                                     f"have no pair {abs(delta_n)} apart")
     # usable pairs: write i in [w_lo, w_hi), read i + delta_n in [0, n_seq)
     w_lo, w_hi = max(0, -delta_n), n_seq - max(0, delta_n)
     w = _within(_clicked_sequences(batch, "write"), w_lo, w_hi)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omclab import __version__, cli, load_config, sim
+from omclab import __version__, cli, dynamics, load_config, sim
 from omclab.cli import main, read_artifact_json
 from omclab.core import (
     ConfigError,
     PiezoInterface,
+    Pulse,
+    PulseSequence,
     ValidationError,
     parse_config,
+    read_table,
     serialize_config,
 )
 
@@ -128,8 +132,20 @@ def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
     predicted = float(full_line.rsplit(":", 1)[1])
     assert 2.0 < predicted < ideal  # backgrounds only dilute the correlation
     payload = read_artifact_json(out_json)
+    assert set(payload) == {"oracle_g2", "predicted_g2", "n_th", "p_write", "p_read",
+                            "eta_det", "dark_write", "dark_read"}
     assert payload["oracle_g2"] == pytest.approx(ideal, abs=5e-4)
     assert payload["predicted_g2"] == pytest.approx(predicted, abs=5e-4)
+    # the oracle inputs are the write/read pair's as simulate reports them
+    config = load_config(device_config_path)
+    _, report = sim.simulate(config, 0)
+    w, r = report.pulse_labels.index("write"), report.pulse_labels.index("read")
+    assert payload["n_th"] == report.pulse_occupations[w]
+    assert (payload["p_write"], payload["p_read"]) == (report.pulse_ps[w], report.pulse_ps[r])
+    assert payload["eta_det"] == config.detection.eta_det
+    for key, i in (("dark_write", w), ("dark_read", r)):
+        window = config.sequence.pulses[i].window_length
+        assert payload[key] == -math.expm1(-config.detection.dark_rate * window)
 
 
 def test_g2_model_refuses_a_label_on_two_pulses(tmp_path, device_config_path, capsys):
@@ -195,6 +211,23 @@ def test_heating_cli(tmp_path, device_config_path):
     lines = (tmp_path / "heating_curves.csv").read_text().splitlines()
     assert lines[1] == "p_s,tau_s,n_th"
     assert len(lines) == 2 + 4 * 40  # four calibration rows in the shipped config
+
+
+def test_heating_curve_is_what_a_later_pulse_sees(tmp_path, device_config_path):
+    # one heating model serves both: the curve at delay tau is the occupation a
+    # probe pulse tau after a heater pulse of the same p_s sees, less the
+    # probe's own n_instant
+    assert run("heating", "--config", device_config_path, "--out", tmp_path,
+               "--ps", "0.005,0.02,0.3", "--points", 15) == 0
+    _, _, (ps_column, taus, n_th) = read_table(tmp_path / "heating_curves.csv")
+    mode = load_config(device_config_path).mode
+    heater = Pulse("blue", 40e-9, 1e-6, 0.0)
+    for p_s, tau, n in zip(ps_column.tolist(), taus.tolist(), n_th.tolist()):
+        probe = Pulse("red", 40e-9, 1e-6, heater.end + tau)
+        seen = dynamics.pulse_occupations(PulseSequence((heater, probe), 1e3, 1), mode,
+                                          [p_s, p_s])[1]
+        assert n == pytest.approx(seen - mode.heating.instant_occupation(p_s), rel=1e-8)
+    assert len(n_th) == 45
 
 
 def test_thermometry_cli(tmp_path, device_config_path):
@@ -407,6 +440,28 @@ def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     no_write = tmp_path / "no_write.csv"
     no_write.write_text(header + "3,read,210.0\n")
     assert run("g2", "--records", no_write) == cli.EXIT_NUMERICAL
+
+
+def test_g2_skips_offsets_beyond_a_short_run(tmp_path, device_config_path, capsys):
+    # three sequences have no pair 3 or 4 apart: those offsets are skipped and
+    # named, as an offset without clicks is, instead of ending the command
+    records = tmp_path / "records.csv"
+    records.write_text("# n_sequences=3\nsequence_index,pulse_label,click_time_ns\n"
+                       + "".join(f"{i},write,20.0\n{i},read,210.0\n" for i in range(3)))
+    assert run("g2", "--records", records, "--out", tmp_path / "g2.json") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    for dn in (-4, -3, 3, 4):
+        assert f"g2(dn={dn:+d}) undefined: 3 sequences have no pair {abs(dn)} apart" in out
+    by_dn = {e["delta_n"]: e for e in read_artifact_json(tmp_path / "g2.json")["estimates"]}
+    assert sorted(by_dn) == [-2, -1, 0, 1, 2]
+    assert by_dn[2]["counts"] == [1, 1, 1, 1]
+    # with no offset left there is nothing to report
+    assert run("g2", "--records", records, "--dn-range=3..4") == cli.EXIT_NUMERICAL
+    # fig3b on four sequences skips dn = -4 and +4 and still writes its file
+    assert run("reproduce", "fig3b", "--config", device_config_path, "--seed", 0,
+               "--out", tmp_path / "fig3b", "--sequences", 4) == cli.EXIT_OK
+    assert "g2(dn=+4) undefined: 4 sequences have no pair 4 apart" in capsys.readouterr().out
+    assert read_artifact_json(tmp_path / "fig3b" / "fig3b_g2.json")["n_sequences"] == 4
 
 
 def test_g2_out_and_fig3b_write_one_estimate_schema(tmp_path, device_config_path):

@@ -11,17 +11,24 @@ PARAMS = HeatingParams(tau_rise=165e-9, tau_decay=22e-6,
 MODE = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
 
 
+def _calibrated(amplitude, n_instant):
+    """``PARAMS`` time constants with one calibration row: a lone row gives its
+    (amplitude, n_instant) at every p_s."""
+    return HeatingParams(tau_rise=PARAMS.tau_rise, tau_decay=PARAMS.tau_decay,
+                         calibration=((0.02, amplitude, n_instant),))
+
+
 def _heating_peak_delay(params):
     """Stationary point of exp(-t/td)(1-exp(-t/tr)): tr*ln(1+td/tr)."""
     return params.tau_rise * math.log1p(params.tau_decay / params.tau_rise)
 
 
 def test_heating_at_zero_delay_is_instantaneous_value():
-    assert dynamics.heating_occupation(0.0, PARAMS, 1.3, 0.21) == pytest.approx(0.21)
+    assert dynamics.heating_occupation(0.0, _calibrated(1.3, 0.21), 0.3) == pytest.approx(0.21)
 
 
 def test_heating_long_delay_returns_to_instantaneous_value():
-    assert dynamics.heating_occupation(1.0, PARAMS, 1.3, 0.21) == pytest.approx(0.21)
+    assert dynamics.heating_occupation(1.0, _calibrated(1.3, 0.21), 0.0) == pytest.approx(0.21)
 
 
 def test_heating_peak_position():
@@ -29,19 +36,22 @@ def test_heating_peak_position():
     assert peak == pytest.approx(0.81e-6, rel=0.01)
     # cross-check against a dense numerical maximisation of the curve itself
     taus = np.linspace(1e-9, 5e-6, 200001)
-    values = [dynamics.heating_occupation(t, PARAMS, 1.0, 0.0) for t in taus]
+    heating = _calibrated(1.0, 0.0)
+    values = [dynamics.heating_occupation(t, heating, 0.02) for t in taus]
     assert taus[int(np.argmax(values))] == pytest.approx(peak, rel=1e-3)
 
 
 def test_heating_nonnegative_and_above_floor():
+    heating = _calibrated(0.7, 0.1)
     for tau in np.geomspace(1e-9, 1e-3, 50):
-        n = dynamics.heating_occupation(tau, PARAMS, 0.7, 0.1)
+        n = dynamics.heating_occupation(tau, heating, 0.02)
         assert n >= 0.1 - 1e-15
 
 
 def test_heating_continuity():
     taus = np.linspace(0, 2e-6, 40001)
-    values = np.array([dynamics.heating_occupation(t, PARAMS, 1.0, 0.1) for t in taus])
+    heating = _calibrated(1.0, 0.1)
+    values = np.array([dynamics.heating_occupation(t, heating, 0.02) for t in taus])
     assert np.max(np.abs(np.diff(values))) < 5e-4
 
 
@@ -55,8 +65,7 @@ def _pulse(start):
 
 def _response_alone(earlier, p_s, start):
     """Single-pulse response of ``earlier`` at ``start``, as calibrated for ``p_s``."""
-    return dynamics.heating_occupation(start - earlier.end, PARAMS, PARAMS.amplitude(p_s),
-                                       PARAMS.instant_occupation(p_s))
+    return dynamics.heating_occupation(start - earlier.end, PARAMS, p_s)
 
 
 def test_occupation_no_pulses_is_baseline():

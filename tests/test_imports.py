@@ -121,3 +121,11 @@ def test_detector_flags_an_environment_read():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_reads_no_environment(path):
     assert environment_reads(path.read_text()) == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # every artifact header carries omclab.__version__
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["version"] == omclab.__version__

@@ -47,6 +47,23 @@ def test_no_drive_no_darks_no_records(device_config):
     assert sum(report.pulse_totals[0].values()) == 0
 
 
+def test_simulate_runs_a_pair_whose_g2_is_undefined(device_config):
+    # an undriven read pulse never clicks: simulate samples the pair without
+    # evaluating a g2, which only the model's g2 properties refuse
+    config = _pair_config(device_config, 0.03, 0.08, 0.3, 1000)
+    write, read = config.sequence.pulses
+    config = dataclasses.replace(config, sequence=dataclasses.replace(
+        config.sequence, pulses=(write, dataclasses.replace(read, peak_power=0.0))))
+    batch, report = sim.simulate(config, 3)
+    assert report.pulse_ps[1] == 0.0
+    assert np.any(batch.pulse_label == "write")
+    assert not np.any(batch.pulse_label == "read")
+    model = sim.g2_model(config)
+    for name in ("oracle_g2", "predicted_g2"):
+        with pytest.raises(fock.HeraldingError):
+            getattr(model, name)
+
+
 def test_reproducibility_bit_identical(device_config):
     config = _pair_config(device_config, 0.03, 0.08, 0.3, 30000, eta_rest=0.4)
     b1, _ = sim.simulate(config, 7)

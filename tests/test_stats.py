@@ -88,6 +88,13 @@ def test_g2_requires_clicks():
         stats.g2_crosscorr(_records_from_masks(write, np.zeros(n, dtype=bool)), 0)
 
 
+def test_g2_offset_beyond_the_run_is_undefined():
+    clicks = np.ones(3, dtype=bool)
+    with pytest.raises(stats.UndefinedEstimateError,
+                       match=r"g2\(dn=-3\) undefined: 3 sequences have no pair 3 apart"):
+        stats.g2_crosscorr(_records_from_masks(clicks, clicks.copy()), -3)
+
+
 def test_g2_thinning_invariance():
     # halving both streams at random moves the estimate by less than the CI width
     rng = np.random.default_rng(31)
