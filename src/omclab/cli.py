@@ -125,16 +125,13 @@ def _asymmetry_point(config: ExperimentConfig, duration: float, red, blue) -> li
 def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    _, names, columns = read_table(args.counts, {"side": str, "clicks": np.int64,
+    sides = ("red", "blue")
+    _, names, columns = read_table(args.counts, {"side": sides, "clicks": np.int64,
                                                  "n_pulses": np.int64})
     table = dict(zip(names, columns))
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
     if not required.issubset(table):
         raise ConfigError(f"{args.counts}: counts file must have columns {sorted(required)}")
-    sides = table["side"].tolist()
-    for side in sides:
-        if side not in ("red", "blue"):
-            raise ConfigError(f"{args.counts}: side must be 'red' or 'blue', got {side!r}")
     energy, clicks, n_pulses = (table[name] for name in ("pulse_energy_j", "clicks", "n_pulses"))
     # a threshold detector clicks at most once per pulse
     for name, bad, rule in (("pulse_energy_j", energy <= 0, "> 0"),
@@ -143,10 +140,10 @@ def cmd_thermometry(args) -> int:
                             ("clicks", clicks > n_pulses, "<= n_pulses")):
         if bad.any():
             i = np.argmax(bad)
-            row = ",".join(str(column[i]) for column in columns)
+            row = ",".join(sides[column[i]] if key == "side" else str(column[i])
+                           for key, column in zip(names, columns))
             raise ConfigError(f"{args.counts}: row {row!r}: {name} must be {rule}")
-    red_rows = [i for i, side in enumerate(sides) if side == "red"]
-    blue_rows = [i for i, side in enumerate(sides) if side == "blue"]
+    red_rows, blue_rows = (np.flatnonzero(table["side"] == k).tolist() for k in (0, 1))
     if not red_rows or not blue_rows:
         raise ConfigError(f"{args.counts}: counts file needs both red and blue rows")
     if len(red_rows) != len(blue_rows):
@@ -168,11 +165,11 @@ def _write_heating(config: ExperimentConfig, path: Path, header: str, ps_values:
     """Heating curves n_th(tau), one per scattering probability, to ``path``."""
     if not ps_values:
         raise ConfigError("no scattering probabilities: none given and no calibration table")
-    n_th = [config.mode.n_baseline + dynamics.heating_occupation(tau, config.mode.heating, p_s)
-            for p_s in ps_values for tau in taus]
+    n_th = [config.mode.n_baseline + dynamics.heating_occupation(taus, config.mode.heating, p_s)
+            for p_s in ps_values]
     write_table(path, [header], ["p_s", "tau_s", "n_th"],
                 [np.repeat(ps_values, len(taus)), np.tile(taus, len(ps_values)),
-                 np.array(n_th)])
+                 np.concatenate(n_th)])
 
 
 def cmd_heating(args) -> int:

@@ -30,6 +30,8 @@ Frequency = float  # ordinary frequency in Hz (f, not omega)
 
 Side = Literal["red", "blue"]
 
+LABELS = ("write", "read")  # blue pulses write excitations, red ones read them out
+
 # reduced Planck constant in J s; exact, as h is exact in SI since 2019
 HBAR = 6.62607015e-34 / (2 * math.pi)
 
@@ -205,8 +207,7 @@ class Pulse:
 
     @property
     def label(self) -> str:
-        # blue pulses create excitations (write), red pulses read them out
-        return "write" if self.side == "blue" else "read"
+        return LABELS[0] if self.side == "blue" else LABELS[1]
 
 
 @dataclass(frozen=True)
@@ -458,62 +459,54 @@ def serialize_config(config: ExperimentConfig) -> str:
 # one column at a time: the reader returns one numpy array per column, and the
 # writer takes one.  No Python code runs per field.  Both work through a table
 # one block of about _BLOCK_CHARS characters of rows at a time, so that besides
-# the columns (and the reader's decoded text) they hold one block's cells.  The
-# writer puts a text column with few distinct values (a click's label or
-# origin) into the row format as literal text, one format per combination of
-# those values, so that `%` fills in only the other cells.
+# the columns (and the reader's decoded text) they hold one block's cells.  A
+# column of a few fixed values (a click's label or origin) moves as codes into
+# them: the writer puts the values into the row format, one format per
+# combination, so that `%` fills in only the other cells.
 
 _BLOCK_CHARS = 2**18
-_ROW_FORMATS = 8  # text columns fold into the row format while it has at most this many
-
-
-def _categories(column, limit: int):
-    """(distinct values in order of first appearance, each row's index into
-    them) of a text column, or None if it has more than ``limit`` values."""
-    import numpy as np
-
-    n = len(column)
-    code = np.full(n + 1, -1, dtype=np.intp)  # the last -1 ends the search below
-    values = []
-    i = 0  # the first row without a code; every row before it has one
-    while i < n:
-        if len(values) == limit:
-            return None
-        code[i:n][column[i:] == column[i]] = len(values)
-        values.append(str(column[i]))
-        i += int(np.argmax(code[i:] < 0))
-    return values, code[:n]
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str],
                 columns, float_format: str = "%.10g") -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
-    then one line per row of the equal-length ``columns`` (one numpy array
-    per name).  A float column is written with ``float_format``, any other
-    value as its ``str``; each block of rows comes from one ``%`` call."""
+    then one line per row of the equal-length ``columns``, one per name: a
+    numpy array, or a ``(values, codes)`` pair of text values and int codes
+    into them.  A float column is written with ``float_format``, any other
+    value as its ``str``; each block of rows comes from one ``%`` call.  A text
+    cell ``read_table`` would not read back is a ``ValueError`` naming it."""
     import numpy as np
 
     if len(columns) != len(names):
         raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
-    n_rows = len(columns[0]) if names else 0
-    if any(len(column) != n_rows for column in columns):
+    pairs = [column if isinstance(column, tuple) else (None, column) for column in columns]
+    n_rows = len(pairs[0][1]) if names else 0
+    if any(len(codes) != n_rows for _, codes in pairs):
         raise ValueError(f"{path}: columns differ in length")
-    # per column, its choices of text in a row format: a folded text column's
-    # values (each '%' doubled), else one cell for `%`; row i's format is
+    # per column, its choices of text in a row format: a coded column's values
+    # (each '%' doubled), else one cell for `%`; row i's format is
     # formats[code[i]], and the cells come from the free columns
     choices, free = [], []
-    code, n_formats = np.zeros(n_rows, dtype=np.intp), 1
-    for column in columns:
-        found = (_categories(column, _ROW_FORMATS // n_formats)
-                 if column.dtype.kind == "U" and n_rows else None)
-        if found:
-            values, codes = found
-            choices.append([value.replace("%", "%%") for value in values])
-            code = code * len(values) + codes
-            n_formats *= len(values)
-        else:
+    code = np.zeros(n_rows, dtype=np.intp)
+    for j, (name, (values, column)) in enumerate(zip(names, pairs)):
+        text = column if values is None else np.array(values, dtype=str)
+        if text.dtype.kind == "U":
+            # lost on reading: a comma or a str.splitlines break in a field, a
+            # first field starting '#' (a comment), a blank only field (a blank line)
+            points = np.ascontiguousarray(text).view((np.uint32, text.itemsize // 4))
+            ends = [ord(c) for c in ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+            lost = (np.isin(points, ends).any(axis=1)
+                    | (j == 0) & (points[:, 0] == ord("#"))
+                    | (len(names) == 1) & (np.char.strip(text) == ""))
+            if lost.any():
+                raise ValueError(f"{path}: column {name!r}: {str(text[np.argmax(lost)])!r} "
+                                 "would not read back")
+        if values is None:
             choices.append([float_format if column.dtype.kind == "f" else "%s"])
             free.append(column)
+            continue
+        choices.append([value.replace("%", "%%") for value in values])
+        code = code * len(values) + column
     formats = np.array([",".join(row) + "\n" for row in itertools.product(*choices)],
                        dtype=object)
     with open(path, "w", encoding="utf-8") as out:
@@ -535,15 +528,16 @@ def read_table(path: str | Path,
     """Read a comma table: (metadata, column names, one numpy array per column).
 
     Every column is float64 unless ``dtypes`` names it: ``str`` means text,
-    each field stripped; a numpy dtype means that dtype.  Lines that start
+    each field stripped; a tuple of text values means each stripped field's
+    int8 index into it; a numpy dtype means that dtype.  Lines that start
     with ``#`` and blank lines are skipped wherever they are; a ``#`` inside
     a row is text.  A file that does not decode, one holding a NUL character,
     one without a column line, a row whose field count differs from it, a
-    field that does not parse as its column's dtype and a float that is not
-    finite are each a ``ConfigError`` naming the file (and the row and column).
-    Of several faulty rows, the first with a wrong field count is named;
-    failing that, the first that does not parse; failing that, the first
-    non-finite float.
+    field that does not parse as its column's dtype (or is not in its tuple)
+    and a float that is not finite are each a ``ConfigError`` naming the file
+    (and the row and column).  Of several faulty rows, the first with a wrong
+    field count is named; failing that, the first that does not parse;
+    failing that, the first non-finite float.
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
@@ -551,6 +545,7 @@ def read_table(path: str | Path,
     if "\x00" in text:  # a numpy text column would drop a field's trailing NULs
         raise ConfigError(f"{path}: contains a NUL character")
     dtypes = dtypes or {}
+    coded = {name: kind for name, kind in dtypes.items() if isinstance(kind, tuple)}
     metadata: dict[str, str] = {}
     names = None
     parts = []  # per column, its array from each block
@@ -610,9 +605,10 @@ def read_table(path: str | Path,
         lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
         widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
         as_text = [f"U{width}" for width in widths]
-        kinds = [as_text[j] if dtypes.get(name) is str else dtypes.get(name, np.float64)
-                 for j, name in enumerate(names)]
+        kinds = [as_text[j] if dtypes.get(name) is str or name in coded
+                 else dtypes.get(name, np.float64) for j, name in enumerate(names)]
         table = parse(rows, kinds)
+        faults = []  # (row, column) of each field that does not parse
         if table is None:
             # halve the rows until the first bad one is left (about one more
             # parse in all), then type its columns one at a time
@@ -622,26 +618,31 @@ def read_table(path: str | Path,
                 lo, hi = (lo, mid) if parse(rows[lo:mid], kinds) is None else (mid, hi)
             faults = [(lo, j) for j in range(len(names))
                       if parse(rows[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
-        elif finite_fault:
+            table = parse(rows[:hi], as_text)  # the text a tuple can miss on before it
+        codes = {}  # per coded column, each field's index into its tuple, else -1
+        for j in [j for j, name in enumerate(names) if name in coded]:
+            stripped, codes[j] = np.char.strip(table[f"f{j}"]), np.full(len(table), -1, np.int8)
+            for k, value in enumerate(coded[names[j]]):
+                codes[j][stripped == value] = k
+        faults += [(int(np.argmax(code < 0)), j) for j, code in codes.items() if (code < 0).any()]
+        if not faults and finite_fault:
             continue  # only a field that does not parse can still change the error
-        else:
-            faults = [(int(np.argmin(finite)), j) for j in range(len(names))
-                      if table.dtype[j].kind == "f"
-                      and not (finite := np.isfinite(table[f"f{j}"])).all()]
-        if faults:
-            i, j = min(faults)
+        non_finite = [] if faults else [(int(np.argmin(finite)), j) for j in range(len(names))
+                                        if table.dtype[j].kind == "f"
+                                        and not (finite := np.isfinite(table[f"f{j}"])).all()]
+        if faults or non_finite:
+            i, j = min(faults or non_finite)
             kind = np.dtype(kinds[j])
-            message = (f"{path}: row {rows[i]!r}: {names[j]} must be "
-                       f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
+            must = (f"one of {', '.join(coded[names[j]])}" if j in codes else
+                    f"{'finite ' if kind.kind == 'f' else ''}{kind.name}")
+            message = (f"{path}: row {rows[i]!r}: {names[j]} must be {must}, "
                        f"got {rows[i].split(',')[j].strip()!r}")
-            if table is None:
-                parse_fault = message
-            else:
-                finite_fault = message
+            # a parse fault outranks any non-finite float, found before it or after
+            parse_fault, finite_fault = (message, None) if faults else (None, message)
             continue
         for j, name in enumerate(names):
-            parts[j].append(np.char.strip(table[f"f{j}"]) if dtypes.get(name) is str
-                            else np.ascontiguousarray(table[f"f{j}"]))
+            parts[j].append(codes[j] if j in codes else np.char.strip(table[f"f{j}"])
+                            if dtypes.get(name) is str else np.ascontiguousarray(table[f"f{j}"]))
     if names is None:
         raise ConfigError(f"{path}: no column names line")
     if parse_fault or finite_fault:

@@ -23,14 +23,16 @@ import numpy as np
 from .core import HeatingParams, MechanicalMode, PulseSequence
 
 
-def heating_occupation(tau: float, heating: HeatingParams, p_s: float) -> float:
-    """Single-pulse response at delay tau >= 0 after a pulse of scattering
-    probability p_s, at the (amplitude, n_instant) ``heating`` calibrates for it."""
-    if tau < 0:
+def heating_occupation(tau, heating: HeatingParams, p_s: float):
+    """Single-pulse response at delays tau >= 0 (scalar or array) after a pulse
+    of scattering probability p_s, at the (amplitude, n_instant) ``heating``
+    calibrates for it."""
+    if np.any(tau < 0):
         raise ValueError("heating: tau must be non-negative")
-    rise = -math.expm1(-tau / heating.tau_rise)
-    return (heating.amplitude(p_s) * math.exp(-tau / heating.tau_decay) * rise
-            + heating.instant_occupation(p_s))
+    rise = -np.expm1(-tau / heating.tau_rise)
+    out = (heating.amplitude(p_s) * np.exp(-tau / heating.tau_decay) * rise
+           + heating.instant_occupation(p_s))
+    return out if np.ndim(out) else float(out)
 
 
 def pulse_occupations(sequence: PulseSequence, mode: MechanicalMode,

@@ -32,6 +32,7 @@ import numpy as np
 from . import dynamics, fock, optomech, stats
 from .core import (
     HBAR,
+    LABELS,
     ConfigError,
     ExperimentConfig,
     Pulse,
@@ -40,7 +41,7 @@ from .core import (
     write_table,
 )
 
-_ORIGINS = ("signal", "dark", "leakage")
+ORIGINS = ("signal", "dark", "leakage")  # what made a click; a record holds an index
 
 # duration of the pulses the single-pulse calibrations drive (fig2, figs1)
 PULSE_DURATION = 40e-9
@@ -58,9 +59,9 @@ class RecordBatch:
     n_sequences: int
     sequence_index: np.ndarray   # int64
     pulse_index: np.ndarray      # int16, position of the pulse in the sequence
-    pulse_label: np.ndarray      # str
+    pulse_label: np.ndarray      # int8 code into core.LABELS
     click_time: np.ndarray       # float64 seconds
-    origin: np.ndarray | None    # str, None when blinded
+    origin: np.ndarray | None    # int8 code into ORIGINS, None when blinded
     _clicked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -296,7 +297,7 @@ def simulate(config: ExperimentConfig, seed: int,
         idx = stats._sorted_distinct(np.concatenate((signal, leak, dark)))
         is_signal = stats._isin_sorted(idx, signal)
         is_leak = ~is_signal & stats._isin_sorted(idx, leak)
-        code = np.ones(idx.size, dtype=np.int8)  # an index into _ORIGINS
+        code = np.ones(idx.size, dtype=np.int8)  # an index into ORIGINS
         code[is_signal] = 0
         code[is_leak] = 2
         span = np.where(is_signal | is_leak, pulse.duration, pulse.window_length)
@@ -304,20 +305,20 @@ def simulate(config: ExperimentConfig, seed: int,
                         pulse.start + rng.random(idx.size) * span, code))
 
     seq_idx, pulse_idx, times, codes = (np.concatenate(col) for col in zip(*columns))
-    counts = np.bincount(pulse_idx.astype(np.intp) * len(_ORIGINS) + codes,
-                         minlength=len(seq.pulses) * len(_ORIGINS))
-    totals = [dict(zip(_ORIGINS, row)) for row in counts.reshape(-1, len(_ORIGINS)).tolist()]
+    counts = np.bincount(pulse_idx.astype(np.intp) * len(ORIGINS) + codes,
+                         minlength=len(seq.pulses) * len(ORIGINS))
+    totals = [dict(zip(ORIGINS, row)) for row in counts.reshape(-1, len(ORIGINS)).tolist()]
     order = _click_order(seq_idx, times)
     seq_idx, pulse_idx, times, codes = (a[order] for a in (seq_idx, pulse_idx, times, codes))
 
-    labels = np.array([p.label for p in seq.pulses], dtype=str)
+    labels = np.array([LABELS.index(p.label) for p in seq.pulses], dtype=np.int8)
     batch = RecordBatch(
         n_sequences=n_total,
         sequence_index=seq_idx,
         pulse_index=pulse_idx,
         pulse_label=labels[pulse_idx],
         click_time=times,
-        origin=None if blind else np.array(_ORIGINS)[codes],
+        origin=None if blind else codes,
     )
     report = SimReport(
         n_sequences=n_total,
@@ -339,14 +340,10 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
     overlapping) detector window for dark counts.
     """
     idx = np.full(len(batch), -1, dtype=np.int16)
-    # per label, its clicks' rows and times, from one compare of the labels
-    clicks = {}
-    for label in dict.fromkeys(pulse.label for pulse in sequence.pulses):
-        rows = np.flatnonzero(batch.pulse_label == label)
-        clicks[label] = rows, batch.click_time[rows]
     for spans in ("duration", "window"):
         for i, pulse in enumerate(sequence.pulses):
-            rows, times = clicks[pulse.label]
+            rows = np.flatnonzero(batch.pulse_label == LABELS.index(pulse.label))
+            times = batch.click_time[rows]
             length = pulse.duration if spans == "duration" else pulse.window_length
             idx[rows[(times >= pulse.start) & (times < pulse.start + length)
                      & (idx[rows] < 0)]] = i
@@ -359,17 +356,17 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
 
 
 RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
-_RECORD_DTYPES = {"sequence_index": np.int64, "pulse_label": str, "origin": str}
+_RECORD_DTYPES = {"sequence_index": np.int64, "pulse_label": LABELS, "origin": ORIGINS}
 
 
 def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
     """Record stream as CSV: sequence_index, pulse_label, click_time_ns[, origin]."""
     names = list(RECORD_COLUMNS)
-    columns = [batch.sequence_index, batch.pulse_label, batch.click_time * 1e9]
+    columns = [batch.sequence_index, (LABELS, batch.pulse_label), batch.click_time * 1e9]
     if batch.origin is not None:
         names.append("origin")
-        columns.append(batch.origin)
+        columns.append((ORIGINS, batch.origin))
     write_table(path, [*(header_lines or []), f"n_sequences={batch.n_sequences}"],
                 names, columns, float_format="%.6f")
 

@@ -15,6 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .core import LABELS
+
 # scipy.optimize is imported in the functions that call it: it takes about
 # 0.5 s to load, which every command that never fits or solves for an
 # interval would otherwise pay at start-up.
@@ -100,7 +102,8 @@ def _clicked_sequences(batch, label: str) -> np.ndarray:
     once per batch and label (a batch's arrays are read-only)."""
     memo = batch._clicked
     if label not in memo:
-        memo[label] = _sorted_distinct(batch.sequence_index[batch.pulse_label == label])
+        memo[label] = _sorted_distinct(
+            batch.sequence_index[batch.pulse_label == LABELS.index(label)])
         memo[label].flags.writeable = False
     return memo[label]
 

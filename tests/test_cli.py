@@ -385,6 +385,8 @@ def _config_error_line(capsys) -> str:
     ("4,read,nan", "click_time_ns must be finite"),
     ("4,read,-inf", "click_time_ns must be finite"),
     ("4,read,1e400", "click_time_ns must be finite"),
+    ("4,probe,210.0", "row '4,probe,210.0': pulse_label must be one of write, read, got 'probe'"),
+    ("4,Read,nan", "pulse_label must be one of write, read, got 'Read'"),
 ])
 def test_g2_records_malformed_row(tmp_path, capsys, row, message):
     records = tmp_path / "records.csv"
@@ -545,6 +547,7 @@ def test_thermometry_counts_error_names_the_file(tmp_path, device_config_path, c
 
 
 def test_thermometry_rejects_an_unknown_side(tmp_path, device_config_path, capsys):
+    # the table reader's message for a field outside its column's values
     counts = tmp_path / "counts.csv"
     counts.write_text("side,pulse_energy_j,clicks,n_pulses\n"
                       "red,2e-15,100,1000000000\nRed,6e-15,300,1000000000\n"
@@ -552,7 +555,8 @@ def test_thermometry_rejects_an_unknown_side(tmp_path, device_config_path, capsy
     assert run("thermometry", "--config", device_config_path, "--counts", counts,
                "--out", tmp_path) == cli.EXIT_CONFIG
     err = _config_error_line(capsys)
-    assert str(counts) in err and "'Red'" in err
+    assert (f"{counts}: row 'Red,6e-15,300,1000000000': side must be one of red, blue, "
+            "got 'Red'") in err
     assert not (tmp_path / "thermometry.csv").exists()
 
 
@@ -729,9 +733,9 @@ _RECORDS = sim.RecordBatch(
     n_sequences=10,
     sequence_index=np.array([0, 3, 3, 7, 9]),
     pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
-    pulse_label=np.array(["write", "write", "read", "read", "write"]),
+    pulse_label=np.array([0, 0, 1, 1, 0], dtype=np.int8),  # write, write, read, read, write
     click_time=np.array([20e-9, 25e-9, 200e-9, 210e-9, 5e-6]),
-    origin=np.array(["signal", "dark", "signal", "leakage", "dark"]),
+    origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
 _FIT_TABLE = "x,y\n0,1\n1,3\n2,5\n3,7\n"
 _ODD_FIELDS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "", "1e400", "1.5"]),

@@ -192,13 +192,17 @@ def _at_block_sizes():
             yield
 
 
-def _at_row_formats():
-    """Run the loop body with text columns folded into the row format (the
-    default), then with none folded."""
-    for row_formats in (core._ROW_FORMATS, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_ROW_FORMATS", row_formats)
-            yield
+def _as_given(columns):
+    """``columns`` as they are, then with each text column as a (values, codes)
+    pair, which ``write_table`` folds into the row format."""
+    yield columns
+    coded = []
+    for column in columns:
+        if column.dtype.kind == "U":
+            values, codes = np.unique(column, return_inverse=True)
+            column = (tuple(values.tolist()), codes)
+        coded.append(column)
+    yield coded
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,8 +210,8 @@ def _at_row_formats():
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     # one typed numpy array per column: a float column reads back as
     # float_format of each value, any other as its str; the file's bytes do
-    # not depend on the block size or on which text columns fold into the
-    # row format
+    # not depend on the block size or on whether a text column comes as text
+    # or as codes into its values
     n_rows = data.draw(st.integers(0, 6))
     columns = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -218,8 +222,8 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     written = []
     for _ in _at_block_sizes():
-        for _ in _at_row_formats():
-            core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, columns)
+        for given in _as_given(columns):
+            core.write_table(path, ["omclab fuzz", f"rows={n_rows}"], names, given)
             written.append(path.read_bytes())
             metadata, read_names, read_columns = core.read_table(path,
                                                                  dict.fromkeys(names, str))
@@ -237,7 +241,7 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     # two text columns that fold together, between numbers
     [np.array([3, 1, 4, 1]), np.array(["write", "read", "read", "write"]),
      np.array(["signal", "dark", "signal", "leakage"]), np.array([0.5, 0.25, 0.125, 1.0])],
-    # more distinct values than the limit, beside a column with two
+    # twenty values, beside a column with two: forty row formats
     [np.array([f"label {i}" for i in range(20)]), np.array(["a", "b"] * 10)],
     # text columns only, one of them non-ASCII
     [np.array(["détecteur", "光子", "détecteur"]), np.array(["x", "x", "x"])],
@@ -251,17 +255,85 @@ def test_table_bytes_do_not_depend_on_folding_text_into_the_row_format(tmp_path,
         ",".join("%.10g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in rows)
     path = tmp_path / "table.csv"
-    for _ in _at_row_formats():
-        core.write_table(path, ["n=1"], names, columns)
+    for given in _as_given(columns):
+        core.write_table(path, ["n=1"], names, given)
         assert path.read_text(encoding="utf-8") == expected
 
 
-def test_categories_code_rows_by_first_appearance():
-    column = np.array(["read", "write", "read", "dark", "write"])
-    values, code = core._categories(column, 3)
-    assert values == ["read", "write", "dark"]
-    assert code.tolist() == [0, 1, 0, 2, 1]
-    assert core._categories(column, 2) is None
+@pytest.mark.parametrize("columns, value", [
+    # a first field starting with '#' reads back as a comment line
+    ([np.array(["#a", "b"])], "#a"),
+    ([np.array(["a", "#b"]), np.array([1, 2])], "#b"),
+    # a blank single field reads back as a blank line
+    ([np.array(["a", ""])], ""),
+    ([np.array(["a", " \t"])], " \t"),
+    # a comma or a line break splits the row
+    ([np.array([1, 2]), np.array(["a,b", "c"])], "a,b"),
+    *(([np.array([1]), np.array([f"a{end}b"])], f"a{end}b")
+      for end in ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                  "\u2029"]),
+    # a coded column's values are checked whether or not a row uses them
+    ([np.array([1.5]), (("write", "re,ad"), np.array([0]))], "re,ad"),
+    ([(("#write", "read"), np.array([1]))], "#write"),
+])
+def test_write_table_refuses_a_cell_it_would_not_read_back(tmp_path, columns, value):
+    path = tmp_path / "table.csv"
+    names = [f"c{j}" for j in range(len(columns))]
+    column = next(j for j, c in enumerate(columns)
+                  if value in (c[0] if isinstance(c, tuple) else c.tolist()))
+    with pytest.raises(ValueError) as exc:
+        core.write_table(path, [], names, columns)
+    assert str(exc.value).startswith(f"{path}: column 'c{column}': {value!r} would not read back")
+
+
+def test_write_table_writes_what_reads_back(tmp_path):
+    # '#' and whitespace away from those places, and a blank field beside another
+    path = tmp_path / "table.csv"
+    columns = [np.array(["a#", " ", "x y"]), np.array(["#b", "", "c"])]
+    core.write_table(path, [], ["s", "t"], columns)
+    _, _, read = core.read_table(path, {"s": str, "t": str})
+    assert [c.tolist() for c in read] == [["a#", "", "x y"], ["#b", "", "c"]]
+
+
+def test_coded_column_reads_each_field_as_its_index(tmp_path):
+    # padded fields, a value that another value starts with, and no rows
+    path = tmp_path / "table.csv"
+    path.write_text("n,label\n1,read\n2,  write \n3,re\n4,read\n")
+    _, _, (n, label) = core.read_table(path, {"n": np.int64, "label": ("write", "read", "re")})
+    assert label.dtype == np.int8 and label.tolist() == [1, 0, 2, 1]
+    path.write_text("n,label\n")
+    _, _, (n, label) = core.read_table(path, {"n": np.int64, "label": ("write", "read")})
+    assert label.dtype == np.int8 and label.size == 0
+
+
+@pytest.mark.parametrize("text, row", [
+    # a miss in a later block outranks a non-finite float in an earlier one
+    ("n,s,x\n1,a,nan\n" + "2,b,0.5\n" * 20 + "3,z,0.5\n", "3,z,0.5"),
+    # a miss before a field that does not parse, in one block, is named first
+    ("n,s,x\n" + "2,b,0.5\n" * 3 + "3,z,0.5\n4,a,abc\n", "3,z,0.5"),
+    # and after one, second
+    ("n,s,x\n" + "2,b,0.5\n" * 3 + "4,a,abc\n3,z,0.5\n", "4,a,abc"),
+    # in one row: the first column that does not parse, a miss before a
+    # field that does not parse, and a miss before a non-finite float
+    ("n,s,x\nq,z,0.5\n", "q,z,0.5"),
+    ("n,s,x\n2,b,0.5\n3,z,abc\n", "3,z,abc"),
+    ("n,s,x\n1,z,nan\n", "1,z,nan"),
+])
+def test_coded_field_outside_its_values_does_not_parse(tmp_path, text, row):
+    # a field outside its tuple is a field that does not parse: named as one,
+    # in the same order of faults, at any block size
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    dtypes = {"n": np.int64, "s": ("a", "b")}
+    with pytest.raises(ConfigError) as expected:
+        _reference_read_table(path, dtypes)
+    assert f"row {row!r}" in str(expected.value)
+    for _ in _at_block_sizes():
+        with pytest.raises(ConfigError) as got:
+            core.read_table(path, dtypes)
+        assert str(got.value) == str(expected.value)
+    if row == "3,z,0.5":
+        assert str(got.value).endswith("s must be one of a, b, got 'z'")
 
 
 def test_typed_table_reads_each_field_back_exactly(tmp_path):
@@ -313,7 +385,8 @@ def test_bad_number_names_file_row_and_column(tmp_path, column, field):
 def _reference_read_table(path, dtypes):
     """read_table one line at a time: splitlines, a '#' as the first character
     marks a comment, str.strip finds a blank line; each field typed by its
-    dtype's constructor (parse errors before non-finite floats)."""
+    dtype's constructor, or its stripped text's index in a tuple (parse errors
+    before non-finite floats)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     metadata = {}
     for line in lines:
@@ -334,15 +407,22 @@ def _reference_read_table(path, dtypes):
     kinds = [dtypes.get(name, np.float64) for name in names]
 
     def fault(i, j, kind):
-        kind = np.dtype(kind)
-        return ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be "
-                           f"{'finite ' if kind.kind == 'f' else ''}{kind.name}, "
+        if isinstance(kind, tuple):
+            must = f"one of {', '.join(kind)}"
+        else:
+            kind = np.dtype(kind)
+            must = f"{'finite ' if kind.kind == 'f' else ''}{kind.name}"
+        return ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be {must}, "
                            f"got {fields[i][j].strip()!r}")
 
     values = [[None] * len(names) for _ in rows]
     for i, row in enumerate(fields):
         for j, (field, kind) in enumerate(zip(row, kinds)):
-            if kind is not str:
+            if isinstance(kind, tuple):
+                if field.strip() not in kind:
+                    raise fault(i, j, kind)
+                values[i][j] = kind.index(field.strip())
+            elif kind is not str:
                 try:
                     values[i][j] = np.dtype(kind).type(field)
                 except (ValueError, OverflowError):
@@ -356,6 +436,8 @@ def _reference_read_table(path, dtypes):
         if kind is str:
             width = max([1, *(len(row[j].encode()) for row in fields)])
             columns.append(np.array([row[j].strip() for row in fields], dtype=f"U{width}"))
+        elif isinstance(kind, tuple):
+            columns.append(np.array([row[j] for row in values], dtype=np.int8))
         else:
             columns.append(np.array([row[j] for row in values], dtype=kind))
     return metadata, names, columns
@@ -370,6 +452,7 @@ _FIELD_TEXT = st.text(st.characters(exclude_categories=("Cs",),
                                     exclude_characters=",\x00" + "".join(_LINE_BREAKS)),
                       max_size=6)
 _PAD = st.sampled_from(["", " ", "\t", "  "])
+_CODED = ("b", "ab", "c d")  # a coded column's values, one the end of another
 _NUMBER_FIELDS = {
     np.int64: st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
                         st.sampled_from(["1.5", "99999999999999999999", "abc", ""])),
@@ -382,11 +465,16 @@ _NUMBER_FIELDS = {
 def _table_text(draw):
     """Rows of 1-3 typed columns, with comment, empty, whitespace-only and
     short or long lines between them, joined by any of splitlines' breaks."""
-    kinds = draw(st.lists(st.sampled_from([np.int64, np.float64, str]), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from([np.int64, np.float64, str, _CODED]),
+                          min_size=1, max_size=3))
     names = [f"c{j}" for j in range(len(kinds))]
 
     def field(kind):
         if kind is str:
+            return draw(_FIELD_TEXT)
+        if kind is _CODED:  # mostly one of its values, padded or not
+            if draw(st.integers(0, 9)):
+                return draw(_PAD) + draw(st.sampled_from(_CODED)) + draw(_PAD)
             return draw(_FIELD_TEXT)
         # numbers mostly valid, so that most tables parse
         if draw(st.integers(0, 9)):
@@ -467,10 +555,11 @@ def test_table_memory_is_bounded_by_a_block(tmp_path):
     n_rows = 100_000
     rng = np.random.default_rng(5)
     names = ["sequence_index", "pulse_label", "click_time_ns", "origin"]
+    labels, origins = ("write", "read"), ("signal", "dark", "leakage")
     columns = [np.sort(rng.integers(0, 10**7, n_rows)),
-               np.where(rng.random(n_rows) < 0.5, "write", "read"),
+               (labels, (rng.random(n_rows) < 0.5).astype(np.int8)),
                rng.uniform(0.0, 4e4, n_rows),
-               np.where(rng.random(n_rows) < 0.9, "signal", "dark")]
+               (origins, (rng.random(n_rows) < 0.1).astype(np.int8))]
     path = tmp_path / "records.csv"
     tracemalloc.start()
     try:
@@ -478,11 +567,13 @@ def test_table_memory_is_bounded_by_a_block(tmp_path):
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         _, _, read = core.read_table(path, {"sequence_index": np.int64,
-                                            "pulse_label": str, "origin": str})
+                                            "pulse_label": labels, "origin": origins})
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [c.tolist() for c in read[:2]] == [c.tolist() for c in columns[:2]]
+    assert read[0].tolist() == columns[0].tolist()
+    assert read[1].tolist() == columns[1][1].tolist()
+    assert read[3].tolist() == columns[3][1].tolist()
     assert write_peak < 8e6
     assert read_peak < sum(c.nbytes for c in read) + 16e6
 

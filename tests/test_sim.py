@@ -9,6 +9,7 @@ from scipy.stats import chi2, poisson
 
 from omclab import fock, load_config, sim, stats
 from omclab.core import (
+    LABELS,
     ConfigError,
     DetectionChain,
     HeatingParams,
@@ -56,8 +57,8 @@ def test_simulate_runs_a_pair_whose_g2_is_undefined(device_config):
         config.sequence, pulses=(write, dataclasses.replace(read, peak_power=0.0))))
     batch, report = sim.simulate(config, 3)
     assert report.pulse_ps[1] == 0.0
-    assert np.any(batch.pulse_label == "write")
-    assert not np.any(batch.pulse_label == "read")
+    assert np.any(batch.pulse_label == LABELS.index("write"))
+    assert not np.any(batch.pulse_label == LABELS.index("read"))
     model = sim.g2_model(config)
     for name in ("oracle_g2", "predicted_g2"):
         with pytest.raises(fock.HeraldingError):
@@ -90,7 +91,7 @@ def test_report_totals_count_each_origin_of_each_pulse():
     batch, report = sim.simulate(config, 4)
     for i, totals in enumerate(report.pulse_totals):
         origins = batch.origin[batch.pulse_index == i]
-        counts = {name: int(np.count_nonzero(origins == name)) for name in sim._ORIGINS}
+        counts = {name: int(np.count_nonzero(origins == k)) for k, name in enumerate(sim.ORIGINS)}
         assert totals == counts
         assert len(set(counts.values())) == 3 and min(counts.values()) > 0
     _, blind = sim.simulate(config, 4, blind=True)
@@ -123,8 +124,8 @@ def test_paired_statistics_match_oracle(device_config):
 
     w = np.zeros(n_seq, dtype=bool)
     r = np.zeros(n_seq, dtype=bool)
-    w[batch.sequence_index[batch.pulse_label == "write"]] = True
-    r[batch.sequence_index[batch.pulse_label == "read"]] = True
+    w[batch.sequence_index[batch.pulse_label == LABELS.index("write")]] = True
+    r[batch.sequence_index[batch.pulse_label == LABELS.index("read")]] = True
 
     for emp_p, true_p, label in [
         (w.mean(), table.p_write, "write marginal"),
@@ -157,8 +158,8 @@ def test_pair_outcomes_follow_the_click_table(device_config):
         batch, report = sim.simulate(config, seed)
         table = fock.two_pulse_click_table(0.041, report.pulse_ps[0], report.pulse_ps[1],
                                            config.detection.eta_det)
-        w = batch.sequence_index[batch.pulse_label == "write"]
-        r = batch.sequence_index[batch.pulse_label == "read"]
+        w = batch.sequence_index[batch.pulse_label == LABELS.index("write")]
+        r = batch.sequence_index[batch.pulse_label == LABELS.index("read")]
         n11 = np.intersect1d(w, r, assume_unique=True).size
         observed = np.array([n_seq - w.size - r.size + n11, r.size - n11, w.size - n11, n11])
         expected = n_seq * np.array([table.p00, table.p01, table.p10, table.p11])
@@ -214,7 +215,7 @@ def test_dark_rate_expectation(device_config):
     batch, report = sim.simulate(config, 5)
     expected = (1 - math.exp(-40.0 * window)) * 200_000
     assert abs(len(batch) - expected) < 3 * math.sqrt(expected)
-    assert set(np.unique(batch.origin)) == {"dark"}
+    assert np.unique(batch.origin).tolist() == [sim.ORIGINS.index("dark")]
     # dark click times fill the whole window, not just the pulse
     assert batch.click_time.max() > 10e-6
 
@@ -262,14 +263,15 @@ def test_records_csv_round_trip(tmp_path, device_config):
 @pytest.mark.parametrize("label, time", [
     ("write", 190e-9 + 20e-6),  # past every pulse's window
     ("write", 20e-6),           # past the write window, inside the read window
-    ("probe", 20e-9),           # inside the write pulse, with a label no pulse has
+    ("probe", 20e-9),           # inside the write pulse, with a code past core.LABELS
 ])
 def test_assign_pulse_indices_rejects_a_click_outside_its_label_windows(label, time):
     config = load_config(DENSE_CONFIG)
+    code = LABELS.index(label) if label in LABELS else len(LABELS)
     batch = sim.RecordBatch(
         n_sequences=4, sequence_index=np.array([0, 1, 2]),
         pulse_index=np.zeros(3, dtype=np.int16),
-        pulse_label=np.array(["write", "read", label]),
+        pulse_label=np.array([0, 1, code], dtype=np.int8),
         click_time=np.array([20e-9, 200e-9, time]), origin=None)
     with pytest.raises(ValueError, match="outside all pulse windows"):
         sim.assign_pulse_indices(batch, config.sequence)
@@ -327,10 +329,10 @@ _GOLDEN_BATCH = sim.RecordBatch(
     n_sequences=12,
     sequence_index=np.array([0, 3, 3, 7, 11]),
     pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
-    pulse_label=np.array(["write", "write", "read", "read", "write"]),
+    pulse_label=np.array([0, 0, 1, 1, 0], dtype=np.int8),  # write, write, read, read, write
     # 25.1234567 ns and 210.0000004 ns show the %.6f ns rounding
     click_time=np.array([20e-9, 25.1234567e-9, 200.25e-9, 210.0000004e-9, 5e-6]),
-    origin=np.array(["signal", "dark", "signal", "leakage", "dark"]),
+    origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
 
 _GOLDEN_RECORDS = """\
@@ -386,9 +388,9 @@ def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
     batch = sim.read_records_csv(path)
     assert batch.n_sequences == 12
     assert batch.sequence_index.tolist() == [0, 11]
-    assert batch.pulse_label.tolist() == ["write", "read"]
+    assert batch.pulse_label.tolist() == [LABELS.index("write"), LABELS.index("read")]
     assert batch.click_time.tolist() == [20.5e-9, 200.25e-9]
-    assert batch.origin.tolist() == ["signal", "dark"]
+    assert batch.origin.tolist() == [sim.ORIGINS.index("signal"), sim.ORIGINS.index("dark")]
     path.write_text(path.read_text() + "7,read\n")
     with pytest.raises(ConfigError, match=re.escape("row '7,read' has 2 fields for 4 columns")):
         sim.read_records_csv(path)

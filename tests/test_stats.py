@@ -16,7 +16,7 @@ def _records_from_masks(write, read):
         n_sequences=write.size,
         sequence_index=np.concatenate([w, r]),
         pulse_index=np.repeat(np.array([0, 1], dtype=np.int16), [w.size, r.size]),
-        pulse_label=np.repeat(["write", "read"], [w.size, r.size]),
+        pulse_label=np.repeat(np.array([0, 1], dtype=np.int8), [w.size, r.size]),
         click_time=np.repeat([20e-9, 210e-9], [w.size, r.size]),
         origin=None,
     )
@@ -69,7 +69,7 @@ def test_g2_unsorted_duplicate_clicks_count_as_sorted_distinct():
                         pulse_label=clean.pulse_label[order],
                         click_time=clean.click_time[order], origin=None)
     assert np.any(np.diff(messy.sequence_index) < 0)
-    for label in ("write", "read"):
+    for label in (0, 1):
         clicked = messy.sequence_index[messy.pulse_label == label]
         assert np.unique(clicked).size < clicked.size
     for dn in range(-3, 4):
