@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, cavity, dynamics, optomech, sim, stats, transducer
 from .core import (
+    SIDES,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -125,8 +126,7 @@ def _asymmetry_point(config: ExperimentConfig, duration: float, red, blue) -> li
 def cmd_thermometry(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    sides = ("red", "blue")
-    _, names, columns = read_table(args.counts, {"side": sides, "clicks": np.int64,
+    _, names, columns = read_table(args.counts, {"side": SIDES, "clicks": np.int64,
                                                  "n_pulses": np.int64})
     table = dict(zip(names, columns))
     required = {"side", "pulse_energy_j", "clicks", "n_pulses"}
@@ -140,7 +140,7 @@ def cmd_thermometry(args) -> int:
                             ("clicks", clicks > n_pulses, "<= n_pulses")):
         if bad.any():
             i = np.argmax(bad)
-            row = ",".join(sides[column[i]] if key == "side" else str(column[i])
+            row = ",".join(SIDES[column[i]] if key == "side" else str(column[i])
                            for key, column in zip(names, columns))
             raise ConfigError(f"{args.counts}: row {row!r}: {name} must be {rule}")
     red_rows, blue_rows = (np.flatnonzero(table["side"] == k).tolist() for k in (0, 1))

@@ -29,6 +29,7 @@ from typing import Literal
 Frequency = float  # ordinary frequency in Hz (f, not omega)
 
 Side = Literal["red", "blue"]
+SIDES = typing.get_args(Side)  # a counts file's side column is coded into these
 
 LABELS = ("write", "read")  # blue pulses write excitations, red ones read them out
 
@@ -458,11 +459,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 # of column names; then rows with exactly one field per column.  Tables move
 # one column at a time: the reader returns one numpy array per column, and the
 # writer takes one.  No Python code runs per field.  Both work through a table
-# one block of about _BLOCK_CHARS characters of rows at a time, so that besides
-# the columns (and the reader's decoded text) they hold one block's cells.  A
-# column of a few fixed values (a click's label or origin) moves as codes into
-# them: the writer puts the values into the row format, one format per
-# combination, so that `%` fills in only the other cells.
+# one block of about _BLOCK_CHARS characters of rows (or bytes of a text column
+# being checked) at a time, so that besides the columns (and the reader's
+# decoded text) they hold one block's cells.  A column of a few fixed values (a
+# click's label or origin) moves as codes into them, which the writer puts into
+# the row format, so that `%` fills in only the other cells.
 
 _BLOCK_CHARS = 2**18
 
@@ -474,7 +475,7 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     numpy array, or a ``(values, codes)`` pair of text values and int codes
     into them.  A float column is written with ``float_format``, any other
     value as its ``str``; each block of rows comes from one ``%`` call.  A text
-    cell ``read_table`` would not read back is a ``ValueError`` naming it."""
+    cell whose row ``read_table`` would lose or split is a ``ValueError``."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -488,19 +489,20 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     # formats[code[i]], and the cells come from the free columns
     choices, free = [], []
     code = np.zeros(n_rows, dtype=np.intp)
+    ends = [ord(c) for c in ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
     for j, (name, (values, column)) in enumerate(zip(names, pairs)):
         text = column if values is None else np.array(values, dtype=str)
         if text.dtype.kind == "U":
             # lost on reading: a comma or a str.splitlines break in a field, a
             # first field starting '#' (a comment), a blank only field (a blank line)
-            points = np.ascontiguousarray(text).view((np.uint32, text.itemsize // 4))
-            ends = [ord(c) for c in ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
-            lost = (np.isin(points, ends).any(axis=1)
-                    | (j == 0) & (points[:, 0] == ord("#"))
-                    | (len(names) == 1) & (np.char.strip(text) == ""))
-            if lost.any():
-                raise ValueError(f"{path}: column {name!r}: {str(text[np.argmax(lost)])!r} "
-                                 "would not read back")
+            for cells in np.array_split(text, text.nbytes // _BLOCK_CHARS + 1):
+                points = np.ascontiguousarray(cells).view((np.uint32, cells.itemsize // 4))
+                lost = (np.isin(points, ends).any(axis=1)
+                        | (j == 0) & (points[:, 0] == ord("#"))
+                        | (len(names) == 1) & (np.char.strip(cells) == ""))
+                if lost.any():
+                    raise ValueError(f"{path}: column {name!r}: "
+                                     f"{str(cells[np.argmax(lost)])!r} would not read back")
         if values is None:
             choices.append([float_format if column.dtype.kind == "f" else "%s"])
             free.append(column)
