@@ -138,10 +138,9 @@ def cmd_thermometry(args) -> int:
                             ("clicks", clicks < 0, ">= 0"),
                             ("n_pulses", n_pulses < 1, ">= 1"),
                             ("clicks", clicks > n_pulses, "<= n_pulses")):
-        if bad.any():
-            i = np.argmax(bad)
-            row = ",".join(SIDES[column[i]] if key == "side" else str(column[i])
-                           for key, column in zip(names, columns))
+        if bad.any():  # the row as written: read_table skips comment and blank lines
+            row = [line for line in Path(args.counts).read_text(encoding="utf-8").splitlines()
+                   if line.strip() and not line.startswith("#")][1 + np.argmax(bad)]
             raise ConfigError(f"{args.counts}: row {row!r}: {name} must be {rule}")
     red_rows, blue_rows = (np.flatnonzero(table["side"] == k).tolist() for k in (0, 1))
     if not red_rows or not blue_rows:

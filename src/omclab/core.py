@@ -187,7 +187,7 @@ class Pulse:
     window: float | None = None
 
     def __post_init__(self):
-        if self.side not in ("red", "blue"):
+        if self.side not in SIDES:
             raise ValidationError("pulse: side must be 'red' or 'blue'")
         if self.duration <= 0:
             raise ValidationError("pulse: duration must be positive")
@@ -454,16 +454,13 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 # --- comma tables ----------------------------------------------------------------
 #
-# Every CSV omclab reads or writes (click records, user inputs, artifacts):
-# `#` comment lines first, where `# <name>=<value>` is metadata; then one line
-# of column names; then rows with exactly one field per column.  Tables move
-# one column at a time: the reader returns one numpy array per column, and the
-# writer takes one.  No Python code runs per field.  Both work through a table
-# one block of about _BLOCK_CHARS characters of rows (or bytes of a text column
-# being checked) at a time, so that besides the columns (and the reader's
-# decoded text) they hold one block's cells.  A column of a few fixed values (a
-# click's label or origin) moves as codes into them, which the writer puts into
-# the row format, so that `%` fills in only the other cells.
+# Every CSV omclab reads or writes (records, user inputs, artifacts): `#` comment
+# lines first, where `# <name>=<value>` is metadata; then one line of column
+# names; then rows of one field per column.  Both directions move numpy columns
+# one block of about _BLOCK_CHARS characters of rows at a time, with no Python
+# code per field.  Text is only ever a column of a few fixed values (a click's
+# label or origin, a counts file's side), moved as codes into them; the writer
+# folds the values into the row format, so `%` fills in only the numbers.
 
 _BLOCK_CHARS = 2**18
 
@@ -472,10 +469,11 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
                 columns, float_format: str = "%.10g") -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
     then one line per row of the equal-length ``columns``, one per name: a
-    numpy array, or a ``(values, codes)`` pair of text values and int codes
-    into them.  A float column is written with ``float_format``, any other
-    value as its ``str``; each block of rows comes from one ``%`` call.  A text
-    cell whose row ``read_table`` would lose or split is a ``ValueError``."""
+    numeric numpy array, or a ``(values, codes)`` pair of text values and int
+    codes into them.  A float column is written with ``float_format``, any
+    other number as its ``str``; each block of rows comes from one ``%`` call.
+    A text array is a ``ValueError``, and so is a coded value that would not
+    read back as itself."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -486,27 +484,24 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
         raise ValueError(f"{path}: columns differ in length")
     # per column, its choices of text in a row format: a coded column's values
     # (each '%' doubled), else one cell for `%`; row i's format is
-    # formats[code[i]], and the cells come from the free columns
+    # formats[code[i]], and the cells come from the number columns
     choices, free = [], []
     code = np.zeros(n_rows, dtype=np.intp)
-    ends = [ord(c) for c in ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
     for j, (name, (values, column)) in enumerate(zip(names, pairs)):
-        text = column if values is None else np.array(values, dtype=str)
-        if text.dtype.kind == "U":
-            # lost on reading: a comma or a str.splitlines break in a field, a
-            # first field starting '#' (a comment), a blank only field (a blank line)
-            for cells in np.array_split(text, text.nbytes // _BLOCK_CHARS + 1):
-                points = np.ascontiguousarray(cells).view((np.uint32, cells.itemsize // 4))
-                lost = (np.isin(points, ends).any(axis=1)
-                        | (j == 0) & (points[:, 0] == ord("#"))
-                        | (len(names) == 1) & (np.char.strip(cells) == ""))
-                if lost.any():
-                    raise ValueError(f"{path}: column {name!r}: "
-                                     f"{str(cells[np.argmax(lost)])!r} would not read back")
         if values is None:
+            if column.dtype.kind in "USO":
+                raise ValueError(f"{path}: column {name!r} is text; pass it as (values, codes)")
             choices.append([float_format if column.dtype.kind == "f" else "%s"])
             free.append(column)
             continue
+        for k, value in enumerate(values):
+            # read_table splits a row at a comma or a line break, skips a line
+            # starting '#' or blank, strips each field, refuses a NUL and reads
+            # a repeated value as one code
+            if ("," in value or "".join(value.splitlines()) != value or value != value.strip()
+                    or "\x00" in value or j == 0 and value.startswith("#")
+                    or len(names) == 1 and not value or values.index(value) < k):
+                raise ValueError(f"{path}: column {name!r}: {value!r} would not read back")
         choices.append([value.replace("%", "%%") for value in values])
         code = code * len(values) + column
     formats = np.array([",".join(row) + "\n" for row in itertools.product(*choices)],
@@ -529,22 +524,22 @@ def read_table(path: str | Path,
                dtypes: dict | None = None) -> tuple[dict[str, str], list[str], list]:
     """Read a comma table: (metadata, column names, one numpy array per column).
 
-    Every column is float64 unless ``dtypes`` names it: ``str`` means text,
-    each field stripped; a tuple of text values means each stripped field's
-    int8 index into it; a numpy dtype means that dtype.  Lines that start
-    with ``#`` and blank lines are skipped wherever they are; a ``#`` inside
-    a row is text.  A file that does not decode, one holding a NUL character,
-    one without a column line, a row whose field count differs from it, a
-    field that does not parse as its column's dtype (or is not in its tuple)
-    and a float that is not finite are each a ``ConfigError`` naming the file
-    (and the row and column).  Of several faulty rows, the first with a wrong
-    field count is named; failing that, the first that does not parse;
-    failing that, the first non-finite float.
+    Every column is float64 unless ``dtypes`` names it: a tuple of text
+    values means each stripped field's int8 index into it; a numpy number
+    dtype means that dtype.  Lines that start with ``#`` and blank lines are
+    skipped wherever they are; a ``#`` inside a row is text.  A file that
+    does not decode, one holding a NUL character, one without a column line,
+    a row whose field count differs from it, a field that does not parse as
+    its column's dtype (or is not in its tuple) and a float that is not
+    finite are each a ``ConfigError`` naming the file (and the row and
+    column).  Of several faulty rows, the first with a wrong field count is
+    named; failing that, the first that does not parse; failing that, the
+    first non-finite float.
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
     text = read_text(path)
-    if "\x00" in text:  # a numpy text column would drop a field's trailing NULs
+    if "\x00" in text:  # a coded field's trailing NULs would be dropped before its lookup
         raise ConfigError(f"{path}: contains a NUL character")
     dtypes = dtypes or {}
     coded = {name: kind for name, kind in dtypes.items() if isinstance(kind, tuple)}
@@ -569,11 +564,9 @@ def read_table(path: str | Path,
         lines = text[start:stop].splitlines()
         start = stop
         data = "\n".join([*lines, ""]).encode()
-        # one scan of the lines' UTF-8 bytes: the separators give each line's
-        # field count and each field's length in bytes (never fewer than its
-        # characters: loadtxt silently cuts a text field longer than its
-        # column's width), and a line's first byte is '#' only if its first
-        # character is
+        # one scan of the lines' UTF-8 bytes: the separators give each line's field
+        # count and each field's length in bytes, never fewer than its characters
+        # (loadtxt cuts a text field longer than its column's width)
         scan = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero((scan == ord(",")) | (scan == ord("\n")))
         line_ends = np.flatnonzero(scan[ends] == ord("\n"))
@@ -607,9 +600,15 @@ def read_table(path: str | Path,
         lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
         widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
         as_text = [f"U{width}" for width in widths]
-        kinds = [as_text[j] if dtypes.get(name) is str or name in coded
-                 else dtypes.get(name, np.float64) for j, name in enumerate(names)]
-        table = parse(rows, kinds)
+        kinds = [as_text[j] if name in coded else dtypes.get(name, np.float64)
+                 for j, name in enumerate(names)]
+        # loadtxt's integer parser reads a C table out of bounds (a crash) on a
+        # character above U+00FF: it gets integer fields stripped, '?' if not ASCII
+        ints = [j for j, kind in enumerate(kinds) if np.dtype(kind).kind in "iub"]
+        safe = rows if not ints or scan.max(initial=0) < 0x80 else [",".join(
+            f if j not in ints else f.strip() if f.strip().isascii() else "?"
+            for j, f in enumerate(row.split(","))) for row in rows]
+        table = parse(safe, kinds)
         faults = []  # (row, column) of each field that does not parse
         if table is None:
             # halve the rows until the first bad one is left (about one more
@@ -617,10 +616,10 @@ def read_table(path: str | Path,
             lo, hi = 0, len(rows)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if parse(rows[lo:mid], kinds) is None else (mid, hi)
+                lo, hi = (lo, mid) if parse(safe[lo:mid], kinds) is None else (mid, hi)
             faults = [(lo, j) for j in range(len(names))
-                      if parse(rows[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
-            table = parse(rows[:hi], as_text)  # the text a tuple can miss on before it
+                      if parse(safe[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
+            table = parse(safe[:hi], as_text)  # the text a tuple can miss on before it
         codes = {}  # per coded column, each field's index into its tuple, else -1
         for j in [j for j, name in enumerate(names) if name in coded]:
             stripped, codes[j] = np.char.strip(table[f"f{j}"]), np.full(len(table), -1, np.int8)
@@ -642,9 +641,8 @@ def read_table(path: str | Path,
             # a parse fault outranks any non-finite float, found before it or after
             parse_fault, finite_fault = (message, None) if faults else (None, message)
             continue
-        for j, name in enumerate(names):
-            parts[j].append(codes[j] if j in codes else np.char.strip(table[f"f{j}"])
-                            if dtypes.get(name) is str else np.ascontiguousarray(table[f"f{j}"]))
+        for j in range(len(names)):
+            parts[j].append(codes[j] if j in codes else np.ascontiguousarray(table[f"f{j}"]))
     if names is None:
         raise ConfigError(f"{path}: no column names line")
     if parse_fault or finite_fault:

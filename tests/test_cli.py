@@ -718,7 +718,19 @@ def test_thermometry_impossible_counts_is_a_config_error(tmp_path, device_config
     assert not (tmp_path / "thermometry.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["cavity.kappa_e = 3.83e9", "piezo.f_s = 3.05e9",
+def test_thermometry_quotes_a_bad_row_as_written(tmp_path, device_config_path, capsys):
+    # padded and in another float spelling, after a comment and a blank line
+    # (so the bad row is the third line after the column line, but the second row)
+    counts = tmp_path / "counts.csv"
+    bad = "red, 2.0e-15 ,500,100"
+    counts.write_text("# counts\nside,pulse_energy_j,clicks,n_pulses\nblue,2e-15,700,1000000000\n"
+                      f"# a comment\n\n{bad}\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert f"{counts}: row {bad!r}: clicks must be <= n_pulses" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("line",["cavity.kappa_e = 3.83e9", "piezo.f_s = 3.05e9",
                                   "piezo.f_p = 3050259261.0"])
 def test_derived_or_dropped_key_is_unknown(tmp_path, device_config_path, capsys, line):
     cfg = tmp_path / "old.cfg"
