@@ -470,8 +470,8 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     """Write a comma table: ``# <line>`` per comment line, the column names,
     then one line per row of the equal-length ``columns``, one per name: a
     numeric numpy array, or a ``(values, codes)`` pair of text values and int
-    codes into them.  A float column is written with ``float_format``, any
-    other number as its ``str``; each block of rows comes from one ``%`` call.
+    codes into them.  A float column is written with ``float_format``, a bool
+    one as 1 or 0, any other number as its ``str``; each block of rows is one ``%`` call.
     A text array is a ``ValueError``, and so is a coded value that would not
     read back as itself."""
     import numpy as np
@@ -491,7 +491,7 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
         if values is None:
             if column.dtype.kind in "USO":
                 raise ValueError(f"{path}: column {name!r} is text; pass it as (values, codes)")
-            choices.append([float_format if column.dtype.kind == "f" else "%s"])
+            choices.append([{"f": float_format, "b": "%d"}.get(column.dtype.kind, "%s")])
             free.append(column)
             continue
         for k, value in enumerate(values):

@@ -730,7 +730,7 @@ def test_thermometry_quotes_a_bad_row_as_written(tmp_path, device_config_path, c
     assert f"{counts}: row {bad!r}: clicks must be <= n_pulses" in _config_error_line(capsys)
 
 
-@pytest.mark.parametrize("line",["cavity.kappa_e = 3.83e9", "piezo.f_s = 3.05e9",
+@pytest.mark.parametrize("line", ["cavity.kappa_e = 3.83e9", "piezo.f_s = 3.05e9",
                                   "piezo.f_p = 3050259261.0"])
 def test_derived_or_dropped_key_is_unknown(tmp_path, device_config_path, capsys, line):
     cfg = tmp_path / "old.cfg"

@@ -189,19 +189,23 @@ def _at_block_sizes():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
-    # one column per name: an int64 column reads back as itself, a float
-    # column as float_format of each value, a coded one as its codes; the
+    # one column per name: an int64 or bool column reads back as itself, a
+    # float column as float_format of each value, a coded one as its codes; the
     # file's bytes do not depend on the block size.  A float that float_format
     # rounds past the largest float64 is written as a number that is not finite
     n_rows = data.draw(st.integers(0, 6))
     columns, dtypes, expected = [], {}, []
     for j in range(data.draw(st.integers(1, 4))):
-        kind = data.draw(st.sampled_from(["int", "float", "coded"]))
+        kind = data.draw(st.sampled_from(["int", "bool", "float", "coded"]))
         if kind == "int":
             values = data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
                                         min_size=n_rows, max_size=n_rows))
             columns.append(np.array(values, dtype=np.int64))
             dtypes[f"c{j}"] = np.int64
+        elif kind == "bool":
+            values = data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.bool_))
+            dtypes[f"c{j}"] = np.bool_
         elif kind == "float":
             values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                         min_size=n_rows, max_size=n_rows))

@@ -172,23 +172,12 @@ def test_coincidence_ci_relative_accuracy_at_1e10_sequences():
         assert hi == pytest.approx(p_hi / scale, rel=1e-12)
 
 
-def test_coincidence_ci_coverage():
-    # 68% interval must cover the truth in 68% +- 4% of synthetic replicas
-    g2_true, p_w, p_r, n_seq, reps = 2.0, 4e-3, 4e-3, 6_000_000, 1000
-    rng = np.random.default_rng(2027)
-    p11 = g2_true * p_w * p_r
-    probs = [1 - p_w - p_r + p11, p_r - p11, p_w - p11, p11]
-    counts = rng.multinomial(n_seq, probs, size=reps)
-    hits = 0
-    for n00, n01, n10, n11 in counts:
-        lo, hi = stats.coincidence_ci(int(n11), int(n10 + n11), int(n01 + n11), n_seq)
-        hits += lo <= g2_true <= hi
-    assert abs(hits / reps - 0.68) <= 0.04
-
-
-def test_g2_interval_covers_the_device_model_at_its_stated_rate(device_config):
-    # one experiment at the device's g2 model is one multinomial draw of the
-    # dn = 0 click pairs, with every background the sampler ORs on each window
+def test_coincidence_ci_coverage(device_config):
+    # the 68% interval covers the truth in 68% +- 4% of multinomial replicas
+    # of the dn = 0 click pairs: at a fixed g2 = 2 point, and at the device's
+    # g2 model, with every background the sampler ORs on each window, at 1e10
+    # sequences (about 76 expected coincidences; 4000 replicas give a
+    # standard error of about 0.007)
     model = sim.g2_model(device_config)
     w, r = model.pair
     q_w = 1 - (1 - model.darks[w]) * (1 - model.leaks[w])
@@ -197,29 +186,32 @@ def test_g2_interval_covers_the_device_model_at_its_stated_rate(device_config):
     p_wr = t.p11 + t.p10 * q_r + t.p01 * q_w + t.p00 * q_w * q_r
     p_w = 1 - (1 - t.p_write) * (1 - q_w)
     p_r = 1 - (1 - t.p_read) * (1 - q_r)
-    g2 = model.predicted_g2
-    assert p_wr / (p_w * p_r) == pytest.approx(g2, rel=1e-9)
-    # 1e10 sequences: about 76 expected coincidences; 4000 experiments give
-    # each coverage a standard error of about 0.007
-    n_seq, reps = 10**10, 4000
-    rng = np.random.default_rng(9)
-    counts = rng.multinomial(n_seq, [p_wr, p_w - p_wr, p_r - p_wr, 1 - p_w - p_r + p_wr],
-                             size=reps)
-    low, high = np.array([stats.coincidence_ci(int(k), int(k + k_w), int(k + k_r), n_seq)
-                          for k, k_w, k_r, _ in counts]).T
-    point = counts[:, 0] * n_seq / ((counts[:, 0] + counts[:, 1]) * (counts[:, 0] + counts[:, 2]))
+    assert p_wr / (p_w * p_r) == pytest.approx(model.predicted_g2, rel=1e-9)
+    points = [  # g2, p_wr, p_w, p_r, sequences, replicas, seed
+        (2.0, 2.0 * 4e-3 * 4e-3, 4e-3, 4e-3, 6_000_000, 1000, 2027),
+        (model.predicted_g2, p_wr, p_w, p_r, 10**10, 4000, 9),
+    ]
+    for g2, p11, p_w, p_r, n_seq, reps, seed in points:
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n_seq, [1 - p_w - p_r + p11, p_r - p11, p_w - p11, p11],
+                                 size=reps)
+        low, high = np.array([stats.coincidence_ci(int(n11), int(n10 + n11), int(n01 + n11),
+                                                   n_seq)
+                              for _, n01, n10, n11 in counts]).T
+        n01, n10, n11 = counts[:, 1:].T
+        point = n11 * n_seq / ((n10 + n11) * (n01 + n11))
 
-    def coverage(scale):
-        """Share of the intervals, scaled about their point, that hold g2."""
-        return np.mean((point - scale * (point - low) <= g2)
-                       & (g2 <= point + scale * (high - point)))
+        def coverage(scale):
+            """Share of the intervals, scaled about their point, that hold g2."""
+            return np.mean((point - scale * (point - low) <= g2)
+                           & (g2 <= point + scale * (high - point)))
 
-    band = (0.64, 0.72)
-    assert band[0] <= coverage(1.0) <= band[1]
-    # the band fails an interval mis-scaled either way (0.58 and 0.79 here)
-    assert coverage(0.8) < band[0] and coverage(1.25) > band[1]
-    # known and not asserted: at 1e9 sequences (7.6 expected coincidences)
-    # the interval undercovers, about 0.63, with g2 above it in about 0.21
+        assert abs(coverage(1.0) - 0.68) <= 0.04, g2
+        # the band fails an interval mis-scaled either way
+        assert coverage(0.8) < 0.64 and coverage(1.25) > 0.72, g2
+    # known and not asserted: at the device's model at 1e9 sequences (7.6
+    # expected coincidences) the interval undercovers, about 0.64, with g2
+    # above it in about 0.21
 
 
 def test_fit_linear_exact_through_two_points():
