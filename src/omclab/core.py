@@ -473,7 +473,7 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
     codes into them.  A float column is written with ``float_format``, a bool
     one as 1 or 0, any other number as its ``str``; each block of rows is one ``%`` call.
     A text array is a ``ValueError``, and so is a coded value that would not
-    read back as itself."""
+    read back as itself or a float that would not read back as a finite one."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -491,6 +491,10 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
         if values is None:
             if column.dtype.kind in "USO":
                 raise ValueError(f"{path}: column {name!r} is text; pass it as (values, codes)")
+            if column.dtype.kind == "f" and column.size:
+                peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
+                if not math.isfinite(float(float_format % peak)):
+                    raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
             choices.append([{"f": float_format, "b": "%d"}.get(column.dtype.kind, "%s")])
             free.append(column)
             continue

@@ -1,24 +1,24 @@
 """Monte Carlo generation of time-tagged detector clicks.
 
-For every repetition of the configured pulse sequence the engine draws, per
-pulse, a threshold-detector click from the exact (closed-form) statistics of
-that pulse, OR-ed with dark counts (Poisson over the detector gating window)
-and residual pump leakage (Poisson per pulse, set by the configured filter
-suppression applied to the pump photon number).  The first pair-creation
-pulse and the following state-swap pulse are correlated by sampling the joint
-click table computed by the ``fock`` oracle, so simulator and oracle agree by
-construction; any extra occupation the read pulse sees from pulse heating
-enters as an additional independent thermal click source (exact for the
-rates used here, where per-pulse click probabilities are far below one).
-``sequence_model`` builds these per-pulse probabilities once per config as a
-``SequenceModel``; ``g2_model`` evaluates the pair's g2 from the same model.
+``sequence_model`` builds once per config the ``SequenceModel`` every
+repetition shares: per pulse its scattering probability, occupation, dark
+counts (Poisson over its detector window) and pump leakage (Poisson, from the
+filter suppression applied to the pump photon number); per *unit*, the write
+pulse with the read pulse after it or any other pulse alone, the exact joint
+distribution of the unit's click outcomes.  The pair's signal clicks come from
+the ``fock`` oracle's joint click table, so simulator and oracle agree by
+construction; a click is signal if there is one, else leakage, else dark.  The
+occupation Delta n the read pulse gains from heating enters as one more
+independent signal click on its window, correct only to O((eta p)^2 Delta n):
+adding Delta n to the pair's table instead moves ``predicted_g2`` on
+configs/gap_omc.cfg from 5.51204 to 5.51183.
 
-Each independent click source is a Bernoulli process over the sequences,
-drawn directly as a binomial number of distinct, uniformly placed sequence
-indices, so the cost scales with the clicks, not with the sequences.  One
-Philox stream (Salmon et al., SC'11) keyed by the seed feeds the sources in
-a fixed order, so a given (config, seed) yields identical records and
-distinct seeds give independent streams.
+``simulate`` samples each unit by one rule: the sequences in which it clicks
+at all, drawn as a binomial number of distinct uniform sequence indices (so
+the cost scales with the clicks), then one uniform per sequence picks its cell
+of the table.  One Philox stream (Salmon et al., SC'11) keyed by the seed feeds
+the units in pulse order, so a given (config, seed) yields identical records
+and distinct seeds give independent streams.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, fock, optomech, stats
+from . import dynamics, fock, optomech
 from .core import (
     HBAR,
     LABELS,
@@ -141,19 +141,23 @@ def read_pulse_duration(sequence: PulseSequence) -> float:
 
 @dataclass(frozen=True)
 class SequenceModel:
-    """Per-pulse statistics shared by every sequence, in pulse order.  Without a
-    write/read pair ``table`` is None and ``extra_read`` 0.0, and the g2
-    properties are undefined (see ``g2_model``)."""
+    """Per-pulse statistics shared by every sequence, in pulse order, and per
+    unit (the write/read pair, or any other pulse alone) a read-only table with
+    one axis of length 4 per pulse: 0 for no click, else 1 + its ``ORIGINS``
+    code.  Without a pair the g2 properties are undefined (see ``g2_model``)."""
 
     p_s: tuple[float, ...]
     occupations: tuple[float, ...]  # the occupation each pulse sees
-    singles: tuple[float, ...]      # signal click probability, 0.0 on the pair
     darks: tuple[float, ...]        # dark-count click probability of each window
     leaks: tuple[float, ...]        # pump-leakage click probability of each window
     eta_det: float
     pair: tuple[int, int] | None    # (write, read) pulse indices
-    table: fock.ClickTable | None   # the pair's joint clicks at the write occupation
-    extra_read: float               # heating click beyond it on the read window
+    extra_read: float               # heating click on the read window beyond the pair's
+    outcomes: tuple[tuple[tuple[int, ...], np.ndarray], ...]  # per unit: (pulses, table)
+
+    def __post_init__(self):
+        for _, table in self.outcomes:
+            table.flags.writeable = False
 
     def _g2(self, write_background: float, read_background: float) -> float:
         w, r = self.pair
@@ -181,24 +185,32 @@ def sequence_model(config: ExperimentConfig) -> SequenceModel:
         pulse.side, pulse_energy_at_device(pulse, det.eta_fc), config.g0, config.cavity,
         config.mode) for pulse in seq.pulses)
     occupations = tuple(dynamics.pulse_occupations(seq, config.mode, p_s))
+    darks = tuple(-math.expm1(-det.dark_rate * p.window_length) for p in seq.pulses)
+    leaks = tuple(pump_leakage_probability(p, config) for p in seq.pulses)
 
     pair = _paired_indices(seq)
-    table = None
-    extra_read = 0.0
-    if pair is not None:
-        w, r = pair
-        table = fock.two_pulse_click_table(occupations[w], p_s[w], p_s[r], eta)
-        delta_n = occupations[r] - occupations[w]
-        if delta_n > 0:
-            extra_read = fock.single_pulse_click_probability("red", delta_n, p_s[r], eta)
+    w, r = pair or (None, None)
+    extra_read = 0.0 if pair is None else fock.single_pulse_click_probability(
+        "red", max(occupations[r] - occupations[w], 0.0), p_s[r], eta)
 
-    return SequenceModel(
-        p_s=p_s, occupations=occupations,
-        singles=tuple(0.0 if i in (pair or ()) else fock.single_pulse_click_probability(
-            pulse.side, occupations[i], p_s[i], eta) for i, pulse in enumerate(seq.pulses)),
-        darks=tuple(-math.expm1(-det.dark_rate * p.window_length) for p in seq.pulses),
-        leaks=tuple(pump_leakage_probability(p, config) for p in seq.pulses),
-        eta_det=eta, pair=pair, table=table, extra_read=extra_read)
+    def origins(i: int, extra: float = 0.0) -> np.ndarray:
+        """Pulse i's outcome without (row 0) and with (row 1) a signal click."""
+        miss = (1 - extra) * (1 - leaks[i])
+        return np.array([[miss * (1 - darks[i]), extra, miss * darks[i], (1 - extra) * leaks[i]],
+                         [0.0, 1.0, 0.0, 0.0]])
+
+    outcomes = []
+    for i, pulse in enumerate(seq.pulses):
+        if i == w:
+            t = fock.two_pulse_click_table(occupations[w], p_s[w], p_s[r], eta)
+            joint = np.array([[t.p00, t.p01], [t.p10, t.p11]])
+            outcomes.append((pair, origins(w).T @ joint @ origins(r, extra_read)))
+        elif i != r:
+            s = fock.single_pulse_click_probability(pulse.side, occupations[i], p_s[i], eta)
+            outcomes.append(((i,), np.array([1 - s, s]) @ origins(i)))
+    return SequenceModel(p_s=p_s, occupations=occupations, darks=darks, leaks=leaks,
+                         eta_det=eta, pair=pair, extra_read=extra_read,
+                         outcomes=tuple(outcomes))
 
 
 def g2_model(config: ExperimentConfig) -> SequenceModel | None:
@@ -209,8 +221,9 @@ def g2_model(config: ExperimentConfig) -> SequenceModel | None:
     ``predicted_g2`` folds every independent background of a window into its
     (write, read) background pair: dark counts and pump leakage on both
     windows, plus the heating-induced extra thermal click on the read window.
-    These are exactly the sources ``simulate`` ORs onto the oracle's joint
-    click table, so ``predicted_g2`` is the value the Monte Carlo converges to.
+    These are exactly the sources the pair's outcome table ORs onto the
+    oracle's joint click table, so ``predicted_g2`` is the value the Monte
+    Carlo converges to.
 
     ``stats.g2_crosscorr`` pools every click of a label, so that holds only
     while the pair's pulses are the sole ``write`` and the sole ``read``
@@ -239,6 +252,18 @@ def _any_of(*probabilities: float) -> float:
 def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Sorted indices of the successes among n independent Bernoulli(p) trials."""
     return np.sort(rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False))
+
+
+def _sample_unit(rng: np.random.Generator, n: int,
+                 table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per pulse of a unit, the sorted sequences of n in which it clicks and
+    each click's ``ORIGINS`` code: the sequences with any click, then one
+    uniform per sequence picks its cell of ``table``, unravelled per pulse."""
+    cum = np.cumsum(table.ravel()[1:])  # the non-empty cells
+    seqs = _bernoulli(rng, n, min(cum[-1], 1.0))
+    cell = 1 + np.searchsorted(cum[:-1], rng.random(seqs.size) * cum[-1], side="right")
+    lookup = np.array(np.unravel_index(np.arange(table.size), table.shape), dtype=np.int8)
+    return [(seqs.compress(o > 0), o.compress(o > 0) - 1) for o in lookup.take(cell, axis=1)]
 
 
 def _click_order(seq_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -271,38 +296,16 @@ def simulate(config: ExperimentConfig, seed: int,
     n_total = seq.n_sequences
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    # signal clicks of the write and read pulses; every other pulse draws its own below
-    signals = {}
-    table = model.table
-    if table is not None:
-        # the sequences with any pair click, then one uniform per sequence splits
-        # them into 01 (read only), 10 (write only) and 11 (both)
-        q = table.p01 + table.p10 + table.p11
-        pairs = _bernoulli(rng, n_total, q)
-        u = rng.random(pairs.size) * q
-        w, r = model.pair
-        signals[w] = pairs[u >= table.p01]
-        read = pairs[(u < table.p01) | (u >= table.p01 + table.p10)]
-        signals[r] = stats._sorted_distinct(
-            np.concatenate((read, _bernoulli(rng, n_total, model.extra_read))))
-
     # per pulse: (sequence index, pulse index, click time, origin code), after
     # an empty first entry that fixes the dtypes when there is no pulse
     columns = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16),
                 np.empty(0), np.empty(0, dtype=np.int8))]
-    for i, pulse in enumerate(seq.pulses):
-        signal = signals[i] if i in signals else _bernoulli(rng, n_total, model.singles[i])
-        leak = _bernoulli(rng, n_total, model.leaks[i])
-        dark = _bernoulli(rng, n_total, model.darks[i])
-        idx = stats._sorted_distinct(np.concatenate((signal, leak, dark)))
-        is_signal = stats._isin_sorted(idx, signal)
-        is_leak = ~is_signal & stats._isin_sorted(idx, leak)
-        code = np.ones(idx.size, dtype=np.int8)  # an index into ORIGINS
-        code[is_signal] = 0
-        code[is_leak] = 2
-        span = np.where(is_signal | is_leak, pulse.duration, pulse.window_length)
-        columns.append((idx, np.full(idx.size, i, dtype=np.int16),
-                        pulse.start + rng.random(idx.size) * span, code))
+    for pulses, table in model.outcomes:
+        for i, (idx, code) in zip(pulses, _sample_unit(rng, n_total, table)):
+            pulse = seq.pulses[i]
+            span = np.where(code == ORIGINS.index("dark"), pulse.window_length, pulse.duration)
+            columns.append((idx, np.full(idx.size, i, dtype=np.int16),
+                            pulse.start + rng.random(idx.size) * span, code))
 
     seq_idx, pulse_idx, times, codes = (np.concatenate(col) for col in zip(*columns))
     counts = np.bincount(pulse_idx.astype(np.intp) * len(ORIGINS) + codes,

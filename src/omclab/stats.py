@@ -79,14 +79,6 @@ def _sorted_distinct(idx: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _isin_sorted(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Whether each of ``values`` occurs in the sorted array ``idx``."""
-    if not idx.size:
-        return np.zeros(values.shape, dtype=bool)
-    hit = np.minimum(np.searchsorted(idx, values), idx.size - 1)
-    return idx[hit] == values
-
-
 def _n_common(a: np.ndarray, b: np.ndarray) -> int:
     """How many values two sorted, distinct arrays share.
 

@@ -314,19 +314,24 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
-# a change that moves any of these bytes says which output changes, and why
+# a change that moves any of these bytes says which output changes, and why.
+# Made at omclab 0.3.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the
+# version is in every artifact's header line, and 0.3.0's random stream (one
+# draw per unit from its outcome table) moved the sampled values of
+# fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
+# in the header line only
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "bc173feaf7671af1c3bf1e722fd3b45f59be6e86b661f4ab91709eb70ca0a2c5",
-    "fig1b_fit.json": "fbd0bdc278827479e683b300601271b81169ad2a98a48184b6cba67c827e2fbf",
-    "fig1b_reflection.csv": "536354565316a8f765c813891954775af98766312acc3f2b3f25dcc97fd723f8",
-    "fig1c_fit.json": "d404bc644d8e1d83cf9408e5f110a0e49bb0ca6374c0ae36f2993a503366f3ea",
-    "fig1c_psd.csv": "898c9c99630e9cbeac8b57e6f9b0904ac35bea2aca3c3ea438b4cfd6fe3a8143",
-    "fig2_thermometry.csv": "e98637a66b23d044724431cdeef655238c10fb5e940942955ad0a7b951d0f265",
-    "fig3a_heating.csv": "58cf84a3e994c01b9f4a45f13f390eb44cd8ce079646161209c67f163d0e9653",
-    "fig3b_g2.json": "10d1a75d4e63663f46221eaa01838bb0f676eab7c85418ecfeae52ce4f59f583",
-    "figs1_calibration.csv": "7c07f201c08c795c6c9c4ec72262e1829c54abc684451fd55bd1923196b4f37b",
-    "figs1_fit.json": "6af32fe2b4e6ac3e5b793ee3c339c7dffdc67a7546c26b3edd752b5de9bbd8cc",
-    "noise_vs_q.csv": "fda2c856d759f8e4e69da2e13bfdcbbd49bac938ab96c910064bd72754b98520",
+    "budget.json": "f54611c9d146822d5fbf9ba9d3de33c33cc51517ee01cc51e3774c26d294b85c",
+    "fig1b_fit.json": "0b8c15b90103a069a020630d538962084ba01b519088ea006e4c31e1dbf02425",
+    "fig1b_reflection.csv": "ac5ef45291437bbd5e4a37ebcac44833d702de1d908f1262c11c63a17d0edd74",
+    "fig1c_fit.json": "0491306175a51058e7110f5a7645ec4d18299124c2f7e92d45865cf5fb4298d8",
+    "fig1c_psd.csv": "ce3528329440e2fc1a64dc67c7ceda3a3a151019796bc170ae28d6c95094f089",
+    "fig2_thermometry.csv": "9d20dc50383c696be9989d5e93909f3e1acbf97408db22be3dc2884314726c03",
+    "fig3a_heating.csv": "3d78c28215114cdf2c35bf047a4c0ebe555bd1b835c983d392bbf49faf4837ac",
+    "fig3b_g2.json": "fb18ccf0dd40f56975551541c470c8ac972dd1cc095985f687afdc7aa8b9ded8",
+    "figs1_calibration.csv": "3fe42b078deb2ce6704c103bb14deec43625f6f5a35c1c36ecd039576f39237f",
+    "figs1_fit.json": "bfb52df05ec1bf54bd630f6afe66ba678a4287e6cefee342d5c36e66e1afa061",
+    "noise_vs_q.csv": "2befd8d82c85dcff6e3a671eb5df43bb2d5068d208f1d6cc3edfd2f7b1d7a65b",
 }
 
 

@@ -287,11 +287,18 @@ def test_table_bytes_do_not_depend_on_folding_text_into_the_row_format(tmp_path,
     ([np.array([1]), (("read\x00",), np.array([0]))], "read\x00"),
     # read_table reads a repeated value as one code
     ([np.array([1, 2]), (("read", "write", "read"), np.array([0, 2]))], "read"),
+    # read_table refuses a float that is not finite, and %.10g rounds the
+    # largest float64s past it
+    ([np.array([1.5, np.nan, np.inf])], math.nan),
+    ([(("a",), np.array([0, 0])), np.array([-np.inf, 2.0])], -math.inf),
+    ([np.array([1.0, 1.7976931345e308])], 1.7976931345e308),
+    ([np.array([-1.7976931345e308]), (("a",), np.array([0]))], -1.7976931345e308),
 ])
 def test_write_table_refuses_a_cell_it_would_not_read_back(tmp_path, columns, value):
     path = tmp_path / "table.csv"
     names = [f"c{j}" for j in range(len(columns))]
-    column = next(j for j, c in enumerate(columns) if isinstance(c, tuple) and value in c[0])
+    column = next(j for j, c in enumerate(columns)  # by repr, which also matches a nan
+                  if repr(value) in map(repr, c[0] if isinstance(c, tuple) else c.tolist()))
     with pytest.raises(ValueError) as exc:
         core.write_table(path, [], names, columns)
     assert str(exc.value) == f"{path}: column 'c{column}': {value!r} would not read back"

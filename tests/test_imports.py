@@ -1,13 +1,14 @@
 """Every top-level import of an ``omclab`` module is used by that module, every
-public function and class is used somewhere, and no module reads the
+top-level function and public class is used somewhere, and no module reads the
 environment.
 
 The project depends on no linter, so this is the check: a name a module
 imports at top level must appear in its code, or in ``__all__`` for the
-package's re-exports.  A public top-level function or class must be referred
-to by some ``omclab`` module, by a ``perfbench`` script or by an ``__all__``;
-one only the tests call is code nothing uses.  A setting comes from a flag or
-a config key only, so no module may touch ``os.environ`` or ``os.getenv``.
+package's re-exports.  A top-level function, private or public, or a public
+class must be referred to by some ``omclab`` module, by a ``perfbench`` script
+or by an ``__all__``; one only the tests call is code nothing uses.  A setting
+comes from a flag or a config key only, so no module may touch ``os.environ``
+or ``os.getenv``.
 Only the standard library's ``ast`` is used.
 """
 
@@ -57,7 +58,7 @@ def test_module_uses_every_import(path):
 
 
 def unreferenced_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """``module.name`` for each public top-level function or class of ``modules``
+    """``module.name`` for each top-level function or public class of ``modules``
     (module name -> source) that nothing refers to.
 
     A reference is that name used as a name or an attribute anywhere in
@@ -76,19 +77,21 @@ def unreferenced_names(modules: dict[str, str], readers: list[str]) -> list[str]
         referenced.update(_all_names(tree))
     return sorted(f"{module}.{node.name}" for module, tree in trees.items()
                   for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in referenced)
+                  if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      or isinstance(node, ast.ClassDef) and not node.name.startswith("_"))
+                  and node.name not in referenced)
 
 
 def test_detector_flags_an_unreferenced_name():
     modules = {
         "a": ("__all__ = ['Exported']\n\nclass Exported:\n    pass\n\n"
-              "def helper():\n    return 1\n\ndef _private():\n    return 2\n\n"
-              "def called_by_reader():\n    return helper()\n\ndef orphan():\n    return 3\n"),
+              "def helper():\n    return _private()\n\ndef _private():\n    return 2\n\n"
+              "def called_by_reader():\n    return helper()\n\ndef orphan():\n    return 3\n\n"
+              "def _dead():\n    return 4\n\nclass _Hidden:\n    pass\n"),
         "b": "from .a import Exported\n\nclass Lonely(Exported):\n    pass\n",
     }
     readers = ["import a\n\na.called_by_reader()\n"]
-    assert unreferenced_names(modules, readers) == ["a.orphan", "b.Lonely"]
+    assert unreferenced_names(modules, readers) == ["a._dead", "a.orphan", "b.Lonely"]
 
 
 def test_every_public_name_is_referenced():

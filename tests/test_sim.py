@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -147,24 +148,83 @@ def test_paired_statistics_match_oracle(device_config):
     assert lo <= oracle <= hi
 
 
-def test_pair_outcomes_follow_the_click_table(device_config):
-    # chi-square of the per-sequence (write, read) outcomes 00/01/10/11 against
-    # the oracle's joint table, summed over seeds, at a dense_analysis-like
-    # high-rate pair with darks and leakage off
-    n_seq, seeds = 100_000, 50
-    config = _pair_config(device_config, 0.05, 0.38, 0.041, n_seq, eta_rest=0.41)
-    stat = 0.0
+def _three_pulse_config(device_config, n_sequences):
+    """A high-rate write/read pair and a lone blue pulse after it, with dark
+    counts, pump leakage and pulse heating each making a sizable share of the
+    clicks."""
+    heating = HeatingParams(calibration=((0.0, 0.0, 0.0), (0.5, 1.0, 0.05)))
+    config = _pair_config(device_config, 0.05, 0.38, 0.041, n_sequences, eta_rest=0.41,
+                          dark_rate=1e7, suppression=70.0, heating=heating)
+    lone = dataclasses.replace(
+        sim.single_pulse_config(config, "blue", 0.02, 1).sequence.pulses[0], start=600e-9)
+    return dataclasses.replace(config, sequence=dataclasses.replace(
+        config.sequence, pulses=(*config.sequence.pulses, lone)))
+
+
+def _enumerated_outcomes(config, model, pulses):
+    """A unit's outcome table, summed over every combination of its independent
+    click sources: the unit's joint signal clicks, and per pulse a heating
+    click (``extra_read`` on the read pulse), leakage and a dark count.  A
+    pulse's click is signal with a signal or heating click, else leakage,
+    else dark."""
+    if len(pulses) == 2:
+        t = fock.two_pulse_click_table(model.occupations[pulses[0]], model.p_s[pulses[0]],
+                                       model.p_s[pulses[1]], model.eta_det)
+        signals = {(0, 0): t.p00, (0, 1): t.p01, (1, 0): t.p10, (1, 1): t.p11}
+    else:
+        (i,) = pulses
+        s = fock.single_pulse_click_probability(config.sequence.pulses[i].side,
+                                                model.occupations[i], model.p_s[i],
+                                                model.eta_det)
+        signals = {(0,): 1 - s, (1,): s}
+    sources = [(model.extra_read if model.pair and i == model.pair[1] else 0.0,
+                model.leaks[i], model.darks[i]) for i in pulses]
+    table = np.zeros((4,) * len(pulses))
+    for signal, p_signal in signals.items():
+        for fired in itertools.product(itertools.product((False, True), repeat=3),
+                                       repeat=len(pulses)):
+            p, cell = p_signal, []
+            for clicked, probabilities, (extra, leak, dark) in zip(signal, sources, fired):
+                p *= math.prod(q if f else 1 - q
+                               for q, f in zip(probabilities, (extra, leak, dark)))
+                origin = ("signal" if clicked or extra else "leakage" if leak
+                          else "dark" if dark else None)
+                cell.append(0 if origin is None else 1 + sim.ORIGINS.index(origin))
+            table[tuple(cell)] += p
+    return table
+
+
+@pytest.mark.parametrize("case", ["pair", "three_pulses"])
+def test_simulate_samples_the_outcome_tables(device_config, case):
+    # chi-square of each unit's per-sequence outcomes (per pulse: no click or
+    # the click's origin) against its table enumerated from the independent
+    # sources, over every cell of every unit, counts summed over seeds; cells
+    # expecting fewer than 5 counts are pooled.  "pair" is a dense_analysis-like
+    # high-rate pair with darks, leakage and heating off
+    n_seq, seeds = 100_000, 50 if case == "pair" else 20
+    config = (_pair_config(device_config, 0.05, 0.38, 0.041, n_seq, eta_rest=0.41)
+              if case == "pair" else _three_pulse_config(device_config, n_seq))
+    model = sim.sequence_model(config)
+    counts = {pulses: 0 for pulses, _ in model.outcomes}
     for seed in range(seeds):
-        batch, report = sim.simulate(config, seed)
-        table = fock.two_pulse_click_table(0.041, report.pulse_ps[0], report.pulse_ps[1],
-                                           config.detection.eta_det)
-        w = batch.sequence_index[batch.pulse_label == LABELS.index("write")]
-        r = batch.sequence_index[batch.pulse_label == LABELS.index("read")]
-        n11 = np.intersect1d(w, r, assume_unique=True).size
-        observed = np.array([n_seq - w.size - r.size + n11, r.size - n11, w.size - n11, n11])
-        expected = n_seq * np.array([table.p00, table.p01, table.p10, table.p11])
+        batch, _ = sim.simulate(config, seed)
+        outcome = np.zeros((len(config.sequence.pulses), n_seq), dtype=np.int8)
+        outcome[batch.pulse_index, batch.sequence_index] = batch.origin + 1
+        assert np.count_nonzero(outcome) == len(batch)  # one click per pulse at most
+        for pulses, table in model.outcomes:
+            cells = np.ravel_multi_index(outcome[list(pulses)], table.shape)
+            counts[pulses] = counts[pulses] + np.bincount(cells, minlength=table.size)
+    stat, dof = 0.0, 0
+    for pulses, observed in counts.items():
+        expected = seeds * n_seq * _enumerated_outcomes(config, model, pulses).ravel()
+        small = expected < 5
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+        assert not observed[expected == 0].any(), pulses
+        observed, expected = observed[expected > 0], expected[expected > 0]
         stat += float(((observed - expected) ** 2 / expected).sum())
-    assert stat < chi2.ppf(0.999, 3 * seeds)
+        dof += expected.size - 1
+    assert stat < chi2.ppf(0.999, dof)
 
 
 def test_seed_independence_over_pairs(device_config):
@@ -207,14 +267,18 @@ def test_poisson_statistics_across_sequences(device_config):
     assert stat < chi2.ppf(0.999, dof)
 
 
-def test_dark_rate_expectation(device_config):
+@pytest.mark.parametrize("rate", [40.0, 1e12])  # at 1e12 Hz the dark probability is 1.0
+def test_dark_rate_expectation(device_config, rate):
     # dark-only run: clicks per window = rate * window length
     window = 20e-6
     pulses = (Pulse("blue", 40e-9, 0.0, 0.0, window=window),)
-    config = _config(device_config, dark_rate=40.0, pulses=pulses, n_sequences=200_000)
+    config = _config(device_config, dark_rate=rate, pulses=pulses, n_sequences=200_000)
     batch, report = sim.simulate(config, 5)
-    expected = (1 - math.exp(-40.0 * window)) * 200_000
+    p_dark = -math.expm1(-rate * window)
+    expected = p_dark * 200_000
     assert abs(len(batch) - expected) < 3 * math.sqrt(expected)
+    if p_dark == 1.0:  # every window clicks
+        assert np.array_equal(batch.sequence_index, np.arange(200_000))
     assert np.unique(batch.origin).tolist() == [sim.ORIGINS.index("dark")]
     # dark click times fill the whole window, not just the pulse
     assert batch.click_time.max() > 10e-6

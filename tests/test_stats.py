@@ -179,13 +179,8 @@ def test_coincidence_ci_coverage(device_config):
     # sequences (about 76 expected coincidences; 4000 replicas give a
     # standard error of about 0.007)
     model = sim.g2_model(device_config)
-    w, r = model.pair
-    q_w = 1 - (1 - model.darks[w]) * (1 - model.leaks[w])
-    q_r = 1 - (1 - model.darks[r]) * (1 - model.leaks[r]) * (1 - model.extra_read)
-    t = model.table
-    p_wr = t.p11 + t.p10 * q_r + t.p01 * q_w + t.p00 * q_w * q_r
-    p_w = 1 - (1 - t.p_write) * (1 - q_w)
-    p_r = 1 - (1 - t.p_read) * (1 - q_r)
+    table = dict(model.outcomes)[model.pair]  # axes (write, read): 0 for no click
+    p_wr, p_w, p_r = table[1:, 1:].sum(), table[1:].sum(), table[:, 1:].sum()
     assert p_wr / (p_w * p_r) == pytest.approx(model.predicted_g2, rel=1e-9)
     points = [  # g2, p_wr, p_w, p_r, sequences, replicas, seed
         (2.0, 2.0 * 4e-3 * 4e-3, 4e-3, 4e-3, 6_000_000, 1000, 2027),
