@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _g2_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
+def _dn_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
     """g2 at each offset in ``dns`` that has one; says which offsets it skips."""
     estimates = []
     for dn in dns:
@@ -236,7 +236,7 @@ def cmd_g2(args) -> int:
     if not args.records:
         raise ConfigError("g2 requires --records (or --oracle)")
     batch = sim.read_records_csv(args.records)
-    estimates = _g2_estimates(batch, args.dn_range)
+    estimates = _dn_estimates(batch, args.dn_range)
     if not estimates:
         raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
                                            f"{args.dn_range[0]}..{args.dn_range[-1]}")
@@ -372,7 +372,7 @@ def _reproduce_fig3b(config, chash, out, args):
         config.sequence, n_sequences=n_seq))
     model = sim.g2_model(run_cfg)
     batch, _ = sim.simulate(run_cfg, args.seed)
-    estimates = [_estimate_json(e) for e in _g2_estimates(batch, range(-4, 5))]
+    estimates = [_estimate_json(e) for e in _dn_estimates(batch, range(-4, 5))]
     _write_json(out / "fig3b_g2.json", header,
                 {"estimates": estimates,
                  "oracle_g2": None if model is None else model.oracle_g2,

@@ -95,12 +95,13 @@ def oracle_g2(n_th: float, p_write: float, p_read: float, eta_det: float,
     Bernoulli events of probability ``dark_per_window``.
     """
     q_w, q_r = dark_per_window
-    if not (0.0 <= q_w < 1.0 and 0.0 <= q_r < 1.0):
-        raise ValueError("g2: dark probabilities must lie in [0, 1)")
+    if not (0.0 <= q_w <= 1.0 and 0.0 <= q_r <= 1.0):
+        raise ValueError("g2: dark probabilities must lie in [0, 1]")
 
     table = two_pulse_click_table(n_th, p_write, p_read, eta_det)
-    p_w = 1.0 - (1.0 - table.p_write) * (1.0 - q_w)
-    p_r = 1.0 - (1.0 - table.p_read) * (1.0 - q_r)
+    s_w, s_r = table.p_write, table.p_read  # signal marginals; properties, so read once
+    p_w = s_w + q_w * (1.0 - s_w)
+    p_r = s_r + q_r * (1.0 - s_r)
     if p_w == 0.0 or p_r == 0.0:
         raise HeraldingError("g2 undefined: a marginal click probability is zero")
     p_wr = (table.p11

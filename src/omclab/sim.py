@@ -5,13 +5,14 @@ repetition shares: per pulse its scattering probability, occupation, dark
 counts (Poisson over its detector window) and pump leakage (Poisson, from the
 filter suppression applied to the pump photon number); per *unit*, the write
 pulse with the read pulse after it or any other pulse alone, the exact joint
-distribution of the unit's click outcomes.  The pair's signal clicks come from
-the ``fock`` oracle's joint click table, so simulator and oracle agree by
-construction; a click is signal if there is one, else leakage, else dark.  The
-occupation Delta n the read pulse gains from heating enters as one more
-independent signal click on its window, correct only to O((eta p)^2 Delta n):
-adding Delta n to the pair's table instead moves ``predicted_g2`` on
-configs/gap_omc.cfg from 5.51204 to 5.51183.
+distribution of the unit's click outcomes.  These tables are the one
+statement of the click model: ``simulate`` samples them and ``predicted_g2``
+is the g2 of the pair's table.  The pair's signal clicks come from the
+``fock`` oracle's joint click table; a click is signal if there is one, else
+leakage, else dark.  The occupation Delta n the read pulse gains from heating
+enters as one more independent signal click on its window, correct only to
+O((eta p)^2 Delta n): adding Delta n to the pair's click table instead moves
+``predicted_g2`` on configs/gap_omc.cfg from 5.51204 to 5.51183.
 
 ``simulate`` samples each unit by one rule: the sequences in which it clicks
 at all, drawn as a binomial number of distinct uniform sequence indices (so
@@ -142,38 +143,35 @@ def read_pulse_duration(sequence: PulseSequence) -> float:
 @dataclass(frozen=True)
 class SequenceModel:
     """Per-pulse statistics shared by every sequence, in pulse order, and per
-    unit (the write/read pair, or any other pulse alone) a read-only table with
-    one axis of length 4 per pulse: 0 for no click, else 1 + its ``ORIGINS``
-    code.  Without a pair the g2 properties are undefined (see ``g2_model``)."""
+    unit (the write/read pair, or any other pulse alone) the read-only table
+    ``simulate`` samples, with one axis of length 4 per pulse: 0 for no click,
+    else 1 + its ``ORIGINS`` code.  ``predicted_g2`` is the g2 of the pair's
+    table; without a pair the g2 properties are undefined (see ``g2_model``)."""
 
     p_s: tuple[float, ...]
     occupations: tuple[float, ...]  # the occupation each pulse sees
     darks: tuple[float, ...]        # dark-count click probability of each window
-    leaks: tuple[float, ...]        # pump-leakage click probability of each window
     eta_det: float
     pair: tuple[int, int] | None    # (write, read) pulse indices
-    extra_read: float               # heating click on the read window beyond the pair's
     outcomes: tuple[tuple[tuple[int, ...], np.ndarray], ...]  # per unit: (pulses, table)
 
     def __post_init__(self):
         for _, table in self.outcomes:
             table.flags.writeable = False
 
-    def _g2(self, write_background: float, read_background: float) -> float:
-        w, r = self.pair
-        return fock.oracle_g2(self.occupations[w], self.p_s[w], self.p_s[r], self.eta_det,
-                              (write_background, read_background))
-
     @property
     def oracle_g2(self) -> float:
         w, r = self.pair
-        return self._g2(self.darks[w], self.darks[r])
+        return fock.oracle_g2(self.occupations[w], self.p_s[w], self.p_s[r], self.eta_det,
+                              (self.darks[w], self.darks[r]))
 
     @property
     def predicted_g2(self) -> float:
-        w, r = self.pair
-        return self._g2(_any_of(self.darks[w], self.leaks[w]),
-                        _any_of(self.darks[r], self.leaks[r], self.extra_read))
+        t = dict(self.outcomes)[self.pair]  # axes (write, read)
+        p_w, p_r = t[1:].sum(), t[:, 1:].sum()
+        if p_w == 0.0 or p_r == 0.0:
+            raise fock.HeraldingError("g2 undefined: a marginal click probability is zero")
+        return float(t[1:, 1:].sum() / (p_w * p_r))
 
 
 def sequence_model(config: ExperimentConfig) -> SequenceModel:
@@ -208,22 +206,18 @@ def sequence_model(config: ExperimentConfig) -> SequenceModel:
         elif i != r:
             s = fock.single_pulse_click_probability(pulse.side, occupations[i], p_s[i], eta)
             outcomes.append(((i,), np.array([1 - s, s]) @ origins(i)))
-    return SequenceModel(p_s=p_s, occupations=occupations, darks=darks, leaks=leaks,
-                         eta_det=eta, pair=pair, extra_read=extra_read,
-                         outcomes=tuple(outcomes))
+    return SequenceModel(p_s=p_s, occupations=occupations, darks=darks, eta_det=eta,
+                         pair=pair, outcomes=tuple(outcomes))
 
 
 def g2_model(config: ExperimentConfig) -> SequenceModel | None:
     """The ``SequenceModel`` of a config with a write/read pair, or None without one.
 
-    Both g2 properties are ``fock.oracle_g2`` at the write pulse's occupation.
-    ``oracle_g2`` takes dark counts as each window's only background.
-    ``predicted_g2`` folds every independent background of a window into its
-    (write, read) background pair: dark counts and pump leakage on both
-    windows, plus the heating-induced extra thermal click on the read window.
-    These are exactly the sources the pair's outcome table ORs onto the
-    oracle's joint click table, so ``predicted_g2`` is the value the Monte
-    Carlo converges to.
+    ``oracle_g2`` is ``fock.oracle_g2`` at the write pulse's occupation with
+    dark counts as each window's only background.  ``predicted_g2`` is the g2
+    of the pair's outcome table, dark counts, pump leakage and the read
+    window's heating click included: the table ``simulate`` samples, so the
+    Monte Carlo converges to it.
 
     ``stats.g2_crosscorr`` pools every click of a label, so that holds only
     while the pair's pulses are the sole ``write`` and the sole ``read``
@@ -242,11 +236,6 @@ def g2_model(config: ExperimentConfig) -> SequenceModel | None:
                 "estimator pools their clicks, but the model covers only the first "
                 "write pulse and the read pulse after it")
     return model
-
-
-def _any_of(*probabilities: float) -> float:
-    """Probability that at least one of several independent events occurs."""
-    return -math.expm1(sum(math.log1p(-p) for p in probabilities))
 
 
 def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

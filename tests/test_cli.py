@@ -148,6 +148,22 @@ def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
         assert payload[key] == -math.expm1(-config.detection.dark_rate * window)
 
 
+@pytest.mark.parametrize("command, out", [(("g2", "--oracle"), "oracle.json"),
+                                          (("reproduce", "fig3b", "--sequences", 2000), ".")],
+                         ids=["g2_oracle", "reproduce_fig3b"])
+def test_g2_at_a_dark_probability_of_one(tmp_path, device_config_path, command, out):
+    # 2 MHz of dark counts over the 20 us windows round the dark probability
+    # to 1.0: every window clicks, so both model g2 values are 1
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(re.sub(r"(?m)^detection\.dark_rate = .*$", "detection.dark_rate = 2e6",
+                          device_config_path.read_text()))
+    assert -math.expm1(-2e6 * load_config(cfg).sequence.pulses[0].window_length) == 1.0
+    assert run(*command, "--config", cfg, "--out", tmp_path / out) == cli.EXIT_OK
+    payload = read_artifact_json(next(tmp_path.glob("*.json")))
+    for key in ("oracle_g2", "predicted_g2"):
+        assert payload[key] == pytest.approx(1.0, rel=1e-15, abs=0)
+
+
 def test_g2_model_refuses_a_label_on_two_pulses(tmp_path, device_config_path, capsys):
     # a second red pulse: the estimator would pool its clicks into "read"
     cfg = tmp_path / "three_pulses.cfg"
@@ -319,7 +335,11 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # version is in every artifact's header line, and 0.3.0's random stream (one
 # draw per unit from its outcome table) moved the sampled values of
 # fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
-# in the header line only
+# in the header line only.  fig3b_g2.json's oracle_g2 and predicted_g2 then
+# moved in their last digits (19.789251142005924 -> 19.789251141881135,
+# 5.512039935135834 -> 5.512039935159948), nearer their exact values, when
+# fock.oracle_g2 wrote each marginal as p + q (1 - p) and predicted_g2 became
+# the g2 of the pair's outcome table
 _REPRODUCE_ALL_SHA256 = {
     "budget.json": "f54611c9d146822d5fbf9ba9d3de33c33cc51517ee01cc51e3774c26d294b85c",
     "fig1b_fit.json": "0b8c15b90103a069a020630d538962084ba01b519088ea006e4c31e1dbf02425",
@@ -328,7 +348,7 @@ _REPRODUCE_ALL_SHA256 = {
     "fig1c_psd.csv": "ce3528329440e2fc1a64dc67c7ceda3a3a151019796bc170ae28d6c95094f089",
     "fig2_thermometry.csv": "9d20dc50383c696be9989d5e93909f3e1acbf97408db22be3dc2884314726c03",
     "fig3a_heating.csv": "3d78c28215114cdf2c35bf047a4c0ebe555bd1b835c983d392bbf49faf4837ac",
-    "fig3b_g2.json": "fb18ccf0dd40f56975551541c470c8ac972dd1cc095985f687afdc7aa8b9ded8",
+    "fig3b_g2.json": "88d77fd759238633c74aca4eee88ee59a6c70faaf0ab627f2e5dcff72c782492",
     "figs1_calibration.csv": "3fe42b078deb2ce6704c103bb14deec43625f6f5a35c1c36ecd039576f39237f",
     "figs1_fit.json": "bfb52df05ec1bf54bd630f6afe66ba678a4287e6cefee342d5c36e66e1afa061",
     "noise_vs_q.csv": "2befd8d82c85dcff6e3a671eb5df43bb2d5068d208f1d6cc3edfd2f7b1d7a65b",

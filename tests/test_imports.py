@@ -1,12 +1,15 @@
 """Every top-level import of an ``omclab`` module is used by that module, every
-top-level function and public class is used somewhere, and no module reads the
-environment.
+top-level function and public class is used somewhere, every dataclass field
+is read somewhere, and no module reads the environment.
 
 The project depends on no linter, so this is the check: a name a module
 imports at top level must appear in its code, or in ``__all__`` for the
 package's re-exports.  A top-level function, private or public, or a public
 class must be referred to by some ``omclab`` module, by a ``perfbench`` script
-or by an ``__all__``; one only the tests call is code nothing uses.  A setting
+or by an ``__all__``; one only the tests call is code nothing uses.  Likewise
+a field of an ``omclab`` dataclass must be read as an attribute by some
+``omclab`` module or ``perfbench`` script, unless its class is written out
+whole.  A setting
 comes from a flag or a config key only, so no module may touch ``os.environ``
 or ``os.getenv``.
 Only the standard library's ``ast`` is used.
@@ -99,6 +102,67 @@ def test_every_public_name_is_referenced():
     modules = {path.stem: path.read_text() for path in SOURCES}
     readers = [path.read_text() for path in PERFBENCH]
     assert unreferenced_names(modules, readers) == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    """Whether a decorator is ``dataclass`` or ``dataclass(...)``, bare or as an
+    attribute (``dataclasses.dataclass``)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def unread_fields(modules: dict[str, str], readers: list[str],
+                  exempt=frozenset()) -> list[str]:
+    """``module.Class.field`` for each field of a ``@dataclass`` class of
+    ``modules`` (module name -> source), other than the ``exempt`` classes,
+    that nothing reads.
+
+    A read is the field's name loaded as an attribute anywhere in ``modules``
+    or ``readers``; setting it by keyword or assigning it is not one.
+    Matching is by name alone, as in ``unreferenced_names``.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{cls.name}.{stmt.target.id}"
+                  for module, tree in trees.items() for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name not in exempt
+                  and any(map(_is_dataclass_decorator, cls.decorator_list))
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+# dataclasses written out whole, whose every field reaches an output without
+# being read by name
+_SERIALISED_WHOLE = {
+    "FitResult": "`fit` prints and writes it through dataclasses.asdict",
+    "SimReport": "`simulate` writes it as its report JSON through dataclasses.asdict",
+    "CalibrationPoint": "parse_config turns each heating.calib.N row into a tuple "
+                        "through dataclasses.astuple; its fields name the config keys",
+}
+
+
+def test_detector_flags_an_unread_field():
+    modules = {
+        "a": ("from dataclasses import dataclass\nimport dataclasses\n\n"
+              "@dataclass(frozen=True)\nclass Point:\n    x: float\n    y: float\n"
+              "    z: float = 0.0\n\n    def norm(self):\n        return self.x\n\n"
+              "@dataclasses.dataclass\nclass Box:\n    side: float\n    label: str\n\n"
+              "@dataclass\nclass Whole:\n    unread: int\n\n"
+              "class Plain:\n    note: str\n\n"
+              "def make(box):\n    box.label = 'b'\n    return Point(x=1.0, y=2.0)\n"),
+    }
+    readers = ["import a\n\nprint(a.make(None).side)\n"]
+    assert unread_fields(modules, readers, {"Whole"}) == [
+        "a.Box.label", "a.Point.y", "a.Point.z"]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    readers = [path.read_text() for path in PERFBENCH]
+    assert unread_fields(modules, readers, _SERIALISED_WHOLE) == []
 
 
 def environment_reads(source: str) -> list[str]:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +162,26 @@ def _three_pulse_config(device_config, n_sequences):
         config.sequence, pulses=(*config.sequence.pulses, lone)))
 
 
+def _click_sources(config, model, i):
+    """Pulse i's independent background click probabilities, taken from the
+    config: (heating click, leakage, dark count).  Only the pair's read pulse
+    has a heating click, from the occupation it gains over the write pulse."""
+    pulse = config.sequence.pulses[i]
+    extra = 0.0
+    if model.pair and i == model.pair[1]:
+        w, r = model.pair
+        extra = fock.single_pulse_click_probability(
+            "red", max(model.occupations[r] - model.occupations[w], 0.0), model.p_s[r],
+            model.eta_det)
+    return (extra, sim.pump_leakage_probability(pulse, config),
+            -math.expm1(-config.detection.dark_rate * pulse.window_length))
+
+
 def _enumerated_outcomes(config, model, pulses):
     """A unit's outcome table, summed over every combination of its independent
     click sources: the unit's joint signal clicks, and per pulse a heating
-    click (``extra_read`` on the read pulse), leakage and a dark count.  A
-    pulse's click is signal with a signal or heating click, else leakage,
-    else dark."""
+    click, leakage and a dark count (``_click_sources``).  A pulse's click is
+    signal with a signal or heating click, else leakage, else dark."""
     if len(pulses) == 2:
         t = fock.two_pulse_click_table(model.occupations[pulses[0]], model.p_s[pulses[0]],
                                        model.p_s[pulses[1]], model.eta_det)
@@ -177,8 +192,7 @@ def _enumerated_outcomes(config, model, pulses):
                                                 model.occupations[i], model.p_s[i],
                                                 model.eta_det)
         signals = {(0,): 1 - s, (1,): s}
-    sources = [(model.extra_read if model.pair and i == model.pair[1] else 0.0,
-                model.leaks[i], model.darks[i]) for i in pulses]
+    sources = [_click_sources(config, model, i) for i in pulses]
     table = np.zeros((4,) * len(pulses))
     for signal, p_signal in signals.items():
         for fired in itertools.product(itertools.product((False, True), repeat=3),
@@ -482,6 +496,35 @@ def test_predicted_g2_is_the_oracle_without_heating_or_leakage(device_config):
     model = sim.g2_model(config)
     assert model.predicted_g2 == pytest.approx(oracle, rel=1e-12)
     assert model.oracle_g2 == pytest.approx(oracle, rel=1e-12)
+
+
+def test_g2_properties_match_an_exact_evaluation(device_config):
+    # at the published point, both g2 properties against the fock closed form
+    # evaluated in exact rational arithmetic on the model's float inputs: a
+    # window stays dark only without a signal click and without each of its
+    # independent backgrounds, so they OR as 1 - prod(1 - x)
+    model = sim.g2_model(device_config)
+    w, r = model.pair
+    n, p_w, p_r, eta = map(Fraction, (model.occupations[w], model.p_s[w], model.p_s[r],
+                                      model.eta_det))
+    a = eta * p_w * (n + 1)
+    b = eta * p_r * ((1 + p_w) * n + p_w)
+    c = eta**2 * p_r * p_w * (1 + p_w) * (n + 1) ** 2
+
+    def g2(write_sources, read_sources):
+        """Exact g2 with the given background click probabilities per window."""
+        quiet_w, quiet_r = (math.prod(1 - Fraction(x) for x in sources)
+                            for sources in (write_sources, read_sources))
+        none_w, none_r = quiet_w / (1 + a), quiet_r / (1 + b)
+        neither = quiet_w * quiet_r / ((1 + a) * (1 + b) - c)
+        return (1 - none_w - none_r + neither) / ((1 - none_w) * (1 - none_r))
+
+    sources = {i: _click_sources(device_config, model, i) for i in (w, r)}
+    exact_oracle = g2(sources[w][2:], sources[r][2:])  # dark counts only
+    exact_predicted = g2(sources[w], sources[r])
+    assert sources[r][0] > 0 and sources[w][1] > 0  # heating and leakage both count
+    assert model.oracle_g2 == pytest.approx(float(exact_oracle), rel=1e-14, abs=0)
+    assert model.predicted_g2 == pytest.approx(float(exact_predicted), rel=1e-14, abs=0)
 
 
 def test_predicted_g2_matches_monte_carlo_with_heating_and_leakage(device_config):
