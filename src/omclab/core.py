@@ -465,13 +465,12 @@ def serialize_config(config: ExperimentConfig) -> str:
 _BLOCK_CHARS = 2**18
 
 
-def write_table(path: str | Path, comment_lines: list[str], names: list[str],
-                columns, float_format: str = "%.10g") -> None:
+def write_table(path: str | Path, comment_lines: list[str], names: list[str], columns) -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
     then one line per row of the equal-length ``columns``, one per name: a
     numeric numpy array, or a ``(values, codes)`` pair of text values and int
-    codes into them.  A float column is written with ``float_format``, a bool
-    one as 1 or 0, any other number as its ``str``; each block of rows is one ``%`` call.
+    codes into them.  A float column is written ``%.10g``, a bool one as 1 or
+    0, any other number as its ``str``; each block of rows is one ``%`` call.
     A text array is a ``ValueError``, and so is a coded value that would not
     read back as itself or a float that would not read back as a finite one."""
     import numpy as np
@@ -493,9 +492,9 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str],
                 raise ValueError(f"{path}: column {name!r} is text; pass it as (values, codes)")
             if column.dtype.kind == "f" and column.size:
                 peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
-                if not math.isfinite(float(float_format % peak)):
+                if not math.isfinite(float("%.10g" % peak)):
                     raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
-            choices.append([{"f": float_format, "b": "%d"}.get(column.dtype.kind, "%s")])
+            choices.append([{"f": "%.10g", "b": "%d"}.get(column.dtype.kind, "%s")])
             free.append(column)
             continue
         for k, value in enumerate(values):

@@ -347,20 +347,31 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
                        origin=batch.origin)
 
 
-RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_ns")
-_RECORD_DTYPES = {"sequence_index": np.int64, "pulse_label": LABELS, "origin": ORIGINS}
+RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_fs")
+_RECORD_DTYPES = {"sequence_index": np.int64, "pulse_label": LABELS,
+                  "click_time_fs": np.int64, "origin": ORIGINS}
 
 
 def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
-    """Record stream as CSV: sequence_index, pulse_label, click_time_ns[, origin]."""
+    """Record stream as CSV: sequence_index, pulse_label, click_time_fs[, origin].
+
+    A click time is written as its whole number of femtoseconds (int64,
+    rounded to nearest); a time that is not finite or whose count does not
+    fit in int64 (|t| >= 2^63 fs, about 9223 s) is a ``ValueError``.
+    """
+    fs = batch.click_time * 1e15  # the one float temporary, rounded in place
+    np.rint(fs, out=fs)
+    if not (-2.0**63 <= np.min(fs, initial=0.0) and np.max(fs, initial=0.0) < 2.0**63):
+        raise ValueError(f"{path}: a click time is not finite or its fs count exceeds int64")
     names = list(RECORD_COLUMNS)
-    columns = [batch.sequence_index, (LABELS, batch.pulse_label), batch.click_time * 1e9]
+    columns = [batch.sequence_index, (LABELS, batch.pulse_label), fs.astype(np.int64)]
+    del fs
     if batch.origin is not None:
         names.append("origin")
         columns.append((ORIGINS, batch.origin))
     write_table(path, [*(header_lines or []), f"n_sequences={batch.n_sequences}"],
-                names, columns, float_format="%.6f")
+                names, columns)
 
 
 def read_records_csv(path: str | Path) -> RecordBatch:
@@ -377,8 +388,10 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if n_sequences < 0:
         raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
                           "non-negative integer")
-    seq, labels, times, *origin = columns
-    times *= 1e-9  # ns to s, in place: read_table's arrays are the caller's own
+    seq, labels, fs, *origin = columns
+    # a division, not * 1e-15: 1e15 is exact, so a time on the fs grid reads
+    # back as the double nearest its decimal value
+    times = fs / 1e15
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,

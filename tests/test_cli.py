@@ -86,7 +86,7 @@ def test_simulate_blind_hides_origin(tmp_path, device_config_path):
     assert run("simulate", "--config", device_config_path, "--seed", 3,
                "--sequences", 20000, "--blind", "--out", out) == 0
     header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
-    assert header == "sequence_index,pulse_label,click_time_ns"
+    assert header == "sequence_index,pulse_label,click_time_fs"
 
 
 def test_g2_pipeline(tmp_path, device_config_path):
@@ -331,8 +331,10 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why.
-# Made at omclab 0.3.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the
-# version is in every artifact's header line, and 0.3.0's random stream (one
+# Made at omclab 0.4.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
+# versions constraints.txt pins); the version is in every artifact's header
+# line, and all eleven differ from 0.3.0's in that line only (0.4.0 changed the
+# record CSV, which no artifact holds).  0.3.0's random stream (one
 # draw per unit from its outcome table) moved the sampled values of
 # fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
 # in the header line only.  fig3b_g2.json's oracle_g2 and predicted_g2 then
@@ -341,17 +343,17 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # fock.oracle_g2 wrote each marginal as p + q (1 - p) and predicted_g2 became
 # the g2 of the pair's outcome table
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "f54611c9d146822d5fbf9ba9d3de33c33cc51517ee01cc51e3774c26d294b85c",
-    "fig1b_fit.json": "0b8c15b90103a069a020630d538962084ba01b519088ea006e4c31e1dbf02425",
-    "fig1b_reflection.csv": "ac5ef45291437bbd5e4a37ebcac44833d702de1d908f1262c11c63a17d0edd74",
-    "fig1c_fit.json": "0491306175a51058e7110f5a7645ec4d18299124c2f7e92d45865cf5fb4298d8",
-    "fig1c_psd.csv": "ce3528329440e2fc1a64dc67c7ceda3a3a151019796bc170ae28d6c95094f089",
-    "fig2_thermometry.csv": "9d20dc50383c696be9989d5e93909f3e1acbf97408db22be3dc2884314726c03",
-    "fig3a_heating.csv": "3d78c28215114cdf2c35bf047a4c0ebe555bd1b835c983d392bbf49faf4837ac",
-    "fig3b_g2.json": "88d77fd759238633c74aca4eee88ee59a6c70faaf0ab627f2e5dcff72c782492",
-    "figs1_calibration.csv": "3fe42b078deb2ce6704c103bb14deec43625f6f5a35c1c36ecd039576f39237f",
-    "figs1_fit.json": "bfb52df05ec1bf54bd630f6afe66ba678a4287e6cefee342d5c36e66e1afa061",
-    "noise_vs_q.csv": "2befd8d82c85dcff6e3a671eb5df43bb2d5068d208f1d6cc3edfd2f7b1d7a65b",
+    "budget.json": "3d9043196e543787c7f82a9e0a78d11e4087afb09063da7f600979cfb52ba8e4",
+    "fig1b_fit.json": "a20f15aaedf843e8a72494500b3d060431bc6a71128a016157213fd8c510d4e3",
+    "fig1b_reflection.csv": "f6447e500f885befff2041c3cdf775d7c4225dbe4cb242acf937278bc451524e",
+    "fig1c_fit.json": "2ed96cf9bcbf514fd659a60300c710c32efdbc716d3ebab053e4efec178175c3",
+    "fig1c_psd.csv": "1d7c4b7415a0a636aed7efc6d449ec69dbfbb3012b1b2665e113acfd2723b1b5",
+    "fig2_thermometry.csv": "32b179ddb0da665cef89349e3d8af4cf627fdfd4ab6fac97e6ece6f162d06504",
+    "fig3a_heating.csv": "b6abc048cc806bfbd61a063475699d44905f8ebafdbcb84a8d8a82dd136dc1be",
+    "fig3b_g2.json": "7baa6f75a6cc169ae0226904ab309d5f5a8c4edce3d2a0c94ea50690291a5606",
+    "figs1_calibration.csv": "28cb12a6205ac846dac44636895f9d0585fba3e06e68de1cb2a83ee5d4460f0f",
+    "figs1_fit.json": "d4d686d53f5fd62bfc7676001d2b97e62ae96551f2f38849250751174c292aa8",
+    "noise_vs_q.csv": "07dc7b867d6a3b4f0bf98261a0d0339a7946f5bbfd1945d4135821f4603b104c",
 }
 
 
@@ -402,21 +404,25 @@ def _config_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize("row, message", [
-    ("10,read,210.0", "sequence_index outside [0, 10)"),
-    ("-1,read,210.0", "sequence_index outside [0, 10)"),
+    ("10,read,210000000", "sequence_index outside [0, 10)"),
+    ("-1,read,210000000", "sequence_index outside [0, 10)"),
     ("4,read", "does not match the header"),
+    # '210.0' and 'nan' are no fs counts either: these rows check that the
+    # leftmost fault is named
     ("x,read,210.0", "'x,read,210.0'"),
     ("99999999999999999999,read,210.0", "'99999999999999999999,read,210.0'"),
-    ("4,read,nan", "click_time_ns must be finite"),
-    ("4,read,-inf", "click_time_ns must be finite"),
-    ("4,read,1e400", "click_time_ns must be finite"),
     ("4,probe,210.0", "row '4,probe,210.0': pulse_label must be one of write, read, got 'probe'"),
     ("4,Read,nan", "pulse_label must be one of write, read, got 'Read'"),
+    ("4,read,nan", "click_time_fs must be int64, got 'nan'"),
+    ("4,read,-inf", "click_time_fs must be int64, got '-inf'"),
+    ("4,read,1e400", "click_time_fs must be int64, got '1e400'"),
+    ("4,read,210.0", "click_time_fs must be int64, got '210.0'"),
+    ("4,read,9223372036854775808", "click_time_fs must be int64, got '9223372036854775808'"),
 ])
 def test_g2_records_malformed_row(tmp_path, capsys, row, message):
     records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
-                       f"3,write,20.0\n{row}\n")
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_fs\n"
+                       f"3,write,20000000\n{row}\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
     assert message in _config_error_line(capsys)
 
@@ -424,17 +430,26 @@ def test_g2_records_malformed_row(tmp_path, capsys, row, message):
 @pytest.mark.parametrize("value", ["abc", "-1", "1e3", ""])
 def test_g2_records_bad_n_sequences(tmp_path, capsys, value):
     records = tmp_path / "records.csv"
-    records.write_text(f"# n_sequences={value}\nsequence_index,pulse_label,click_time_ns\n"
-                       "3,write,20.0\n3,read,210.0\n")
+    records.write_text(f"# n_sequences={value}\nsequence_index,pulse_label,click_time_fs\n"
+                       "3,write,20000000\n3,read,210000000\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
     assert f"n_sequences={value!r}" in _config_error_line(capsys)
 
 
 def test_g2_records_not_a_record_csv(tmp_path, capsys):
     records = tmp_path / "records.csv"
-    records.write_text("sequence_index,pulse_label,click_time_ns\n3,write,20.0\n")
+    records.write_text("sequence_index,pulse_label,click_time_fs\n3,write,20000000\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
     assert "not a record CSV" in _config_error_line(capsys)
+
+
+def test_g2_records_refuses_the_0_3_0_format(tmp_path, capsys):
+    # 0.3.0 wrote click times as %.6f ns; such a file needs its times as fs counts
+    records = tmp_path / "records.csv"
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
+                       "3,write,20.000000\n3,read,210.000000\n")
+    assert run("g2", "--records", records) == cli.EXIT_CONFIG
+    assert "sequence_index,pulse_label,click_time_fs[,origin]" in _config_error_line(capsys)
 
 
 @pytest.mark.parametrize("n_sequences", [10**12, 2**63 - 1, 10**30])
@@ -442,8 +457,8 @@ def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
     # the counts scale with the clicks, so no n_sequences-long array is built
     records = tmp_path / "records.csv"
     records.write_text(f"# n_sequences={n_sequences}\n"
-                       "sequence_index,pulse_label,click_time_ns\n"
-                       "3,write,20.0\n3,read,210.0\n7,read,210.0\n")
+                       "sequence_index,pulse_label,click_time_fs\n"
+                       "3,write,20000000\n3,read,210000000\n7,read,210000000\n")
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--dn-range=-1..1", "--out", out_json) == 0
     by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
@@ -454,9 +469,9 @@ def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
 
 def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     # the only write click is in sequence 3, so dn = -4 has no usable write click
-    header = "# n_sequences=1000000000000\nsequence_index,pulse_label,click_time_ns\n"
+    header = "# n_sequences=1000000000000\nsequence_index,pulse_label,click_time_fs\n"
     records = tmp_path / "records.csv"
-    records.write_text(header + "3,write,20.0\n3,read,210.0\n7,read,210.0\n")
+    records.write_text(header + "3,write,20000000\n3,read,210000000\n7,read,210000000\n")
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--out", out_json) == 0
     out = capsys.readouterr().out
@@ -465,7 +480,7 @@ def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     assert sorted(by_dn) == list(range(-3, 5))
     assert by_dn[0]["counts"][0] == 1
     no_write = tmp_path / "no_write.csv"
-    no_write.write_text(header + "3,read,210.0\n")
+    no_write.write_text(header + "3,read,210000000\n")
     assert run("g2", "--records", no_write) == cli.EXIT_NUMERICAL
 
 
@@ -473,8 +488,8 @@ def test_g2_skips_offsets_beyond_a_short_run(tmp_path, device_config_path, capsy
     # three sequences have no pair 3 or 4 apart: those offsets are skipped and
     # named, as an offset without clicks is, instead of ending the command
     records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=3\nsequence_index,pulse_label,click_time_ns\n"
-                       + "".join(f"{i},write,20.0\n{i},read,210.0\n" for i in range(3)))
+    records.write_text("# n_sequences=3\nsequence_index,pulse_label,click_time_fs\n"
+                       + "".join(f"{i},write,20000000\n{i},read,210000000\n" for i in range(3)))
     assert run("g2", "--records", records, "--out", tmp_path / "g2.json") == cli.EXIT_OK
     out = capsys.readouterr().out
     for dn in (-4, -3, 3, 4):
@@ -493,8 +508,8 @@ def test_g2_skips_offsets_beyond_a_short_run(tmp_path, device_config_path, capsy
 
 def test_g2_out_and_fig3b_write_one_estimate_schema(tmp_path, device_config_path):
     records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
-                       "3,write,20.0\n3,read,210.0\n")
+    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_fs\n"
+                       "3,write,20000000\n3,read,210000000\n")
     assert run("g2", "--records", records, "--dn-range=0..0", "--out", tmp_path / "g2.json") == 0
     assert run("reproduce", "fig3b", "--config", device_config_path, "--seed", 0,
                "--out", tmp_path) == 0

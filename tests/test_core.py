@@ -190,9 +190,9 @@ def _at_block_sizes():
 @given(data=st.data())
 def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     # one column per name: an int64 or bool column reads back as itself, a
-    # float column as float_format of each value, a coded one as its codes; the
-    # file's bytes do not depend on the block size.  A float that float_format
-    # rounds past the largest float64 is written as a number that is not finite
+    # float column as %.10g of each value, a coded one as its codes; the file's
+    # bytes do not depend on the block size.  A float that %.10g rounds past
+    # the largest float64 is written as a number that is not finite
     n_rows = data.draw(st.integers(0, 6))
     columns, dtypes, expected = [], {}, []
     for j in range(data.draw(st.integers(1, 4))):
@@ -616,26 +616,25 @@ def test_table_memory_is_bounded_by_a_block(tmp_path):
     # it and 34 MB to read it
     n_rows = 100_000
     rng = np.random.default_rng(5)
-    names = ["sequence_index", "pulse_label", "click_time_ns", "origin"]
+    names = ["sequence_index", "pulse_label", "click_time_fs", "origin"]
     labels, origins = ("write", "read"), ("signal", "dark", "leakage")
     index = np.sort(rng.integers(0, 10**7, n_rows))
     label = (rng.random(n_rows) < 0.5).astype(np.int8)
-    time = rng.uniform(0.0, 4e4, n_rows)
+    time = rng.integers(0, 4 * 10**10, n_rows)
     origin = (rng.random(n_rows) < 0.1).astype(np.int8)
     path = tmp_path / "records.csv"
     tracemalloc.start()
     try:
         core.write_table(path, ["n_sequences=10000000"], names,
-                         [index, (labels, label), time, (origins, origin)], float_format="%.6f")
+                         [index, (labels, label), time, (origins, origin)])
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _, _, read = core.read_table(path, {"sequence_index": np.int64,
-                                            "pulse_label": labels, "origin": origins})
+        _, _, read = core.read_table(path, {"sequence_index": np.int64, "pulse_label": labels,
+                                            "click_time_fs": np.int64, "origin": origins})
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [c.tolist() for c in (read[0], read[1], read[3])] == [
-        c.tolist() for c in (index, label, origin)]
+    assert [c.tolist() for c in read] == [c.tolist() for c in (index, label, time, origin)]
     assert write_peak < 8e6
     assert read_peak < sum(c.nbytes for c in read) + 16e6
 

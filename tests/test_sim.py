@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
 from omclab import fock, load_config, sim, stats
@@ -332,7 +334,7 @@ def test_records_csv_round_trip(tmp_path, device_config):
     assert again.n_sequences == batch.n_sequences
     assert np.array_equal(again.sequence_index, batch.sequence_index)
     assert np.array_equal(again.pulse_label, batch.pulse_label)
-    assert np.allclose(again.click_time, batch.click_time, atol=1e-15)
+    assert np.allclose(again.click_time, batch.click_time, rtol=0.0, atol=1e-15)
     assert np.array_equal(again.origin, batch.origin)
     restored = sim.assign_pulse_indices(again, config.sequence)
     assert np.array_equal(restored.pulse_index, batch.pulse_index)
@@ -408,7 +410,7 @@ _GOLDEN_BATCH = sim.RecordBatch(
     sequence_index=np.array([0, 3, 3, 7, 11]),
     pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
     pulse_label=np.array([0, 0, 1, 1, 0], dtype=np.int8),  # write, write, read, read, write
-    # 25.1234567 ns and 210.0000004 ns show the %.6f ns rounding
+    # 25.1234567 ns and 210.0000004 ns show the rounding to whole femtoseconds
     click_time=np.array([20e-9, 25.1234567e-9, 200.25e-9, 210.0000004e-9, 5e-6]),
     origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
@@ -416,22 +418,22 @@ _GOLDEN_BATCH = sim.RecordBatch(
 _GOLDEN_RECORDS = """\
 # omclab 0.2.0 config=abc seed=7
 # n_sequences=12
-sequence_index,pulse_label,click_time_ns,origin
-0,write,20.000000,signal
-3,write,25.123457,dark
-3,read,200.250000,signal
-7,read,210.000000,leakage
-11,write,5000.000000,dark
+sequence_index,pulse_label,click_time_fs,origin
+0,write,20000000,signal
+3,write,25123457,dark
+3,read,200250000,signal
+7,read,210000000,leakage
+11,write,5000000000,dark
 """
 
 _GOLDEN_BLIND = """\
 # n_sequences=12
-sequence_index,pulse_label,click_time_ns
-0,write,20.000000
-3,write,25.123457
-3,read,200.250000
-7,read,210.000000
-11,write,5000.000000
+sequence_index,pulse_label,click_time_fs
+0,write,20000000
+3,write,25123457
+3,read,200250000
+7,read,210000000
+11,write,5000000000
 """
 
 
@@ -454,15 +456,67 @@ def test_records_csv_round_trip_keeps_dtypes(tmp_path, batch):
         assert (back is None) if column is None else back.dtype == column.dtype, name
 
 
+def _grid_times() -> list[float]:
+    """Each pulse's start, end and window end in two configs, as the double
+    nearest its whole number of femtoseconds (190e-9 + 40e-9 is not the
+    double nearest 230 ns), and three times between."""
+    times = [20.5e-9, 200.25e-9, 230e-9]
+    for path in (Path(__file__).resolve().parents[1] / "configs" / "gap_omc.cfg", DENSE_CONFIG):
+        for pulse in load_config(path).sequence.pulses:
+            start = Fraction(repr(pulse.start)) * 10**15
+            for length in (0, pulse.duration, pulse.window_length):
+                times.append(float((start + Fraction(repr(length)) * 10**15) / 10**15))
+    return times
+
+
+def test_records_csv_reads_fs_grid_times_back_bit_identical(tmp_path):
+    times = np.array(_grid_times())
+    n = times.size
+    batch = sim.RecordBatch(n_sequences=n, sequence_index=np.arange(n),
+                            pulse_index=np.zeros(n, dtype=np.int16),
+                            pulse_label=np.zeros(n, dtype=np.int8), click_time=times, origin=None)
+    path = tmp_path / "records.csv"
+    sim.write_records_csv(batch, path)
+    assert sim.read_records_csv(path).click_time.tolist() == times.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0.0, 1e-3))
+def test_records_csv_moves_a_time_by_at_most_half_a_femtosecond(tmp_path_factory, t):
+    # t * 1e15 is rounded once before it is rounded to whole fs, so a time
+    # within an ulp of a half-fs point can round the far way: 0.5 fs plus at
+    # most two ulps of t in all
+    batch = sim.RecordBatch(n_sequences=1, sequence_index=np.zeros(1, dtype=np.int64),
+                            pulse_index=np.zeros(1, dtype=np.int16),
+                            pulse_label=np.zeros(1, dtype=np.int8), click_time=np.array([t]),
+                            origin=None)
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    sim.write_records_csv(batch, path)
+    back = float(sim.read_records_csv(path).click_time[0])
+    assert abs(Fraction(back) - Fraction(t)) <= Fraction(1, 2 * 10**15) + 2 * Fraction(
+        float(np.spacing(t)))
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e4, -1e4])
+def test_write_records_csv_refuses_a_time_it_cannot_store(tmp_path, time):
+    # 1e4 s is 1e19 fs, past int64; the file is not opened
+    batch = dataclasses.replace(_GOLDEN_BATCH,
+                                click_time=np.array([20e-9, 25e-9, time, 210e-9, 5e-6]))
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a click time is not finite")):
+        sim.write_records_csv(batch, path)
+    assert not path.exists()
+
+
 def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("# n_sequences=12\n"
-                    " sequence_index , pulse_label,click_time_ns,origin\n"
-                    "0, write ,20.5, signal\n"
+                    " sequence_index , pulse_label,click_time_fs,origin\n"
+                    "0, write ,20500000, signal\n"
                     "# a comment between rows\n"
                     "\n"
                     "  \t\n"
-                    "  11,read,  200.25  ,dark \n")
+                    "  11,read,  200250000  ,dark \n")
     batch = sim.read_records_csv(path)
     assert batch.n_sequences == 12
     assert batch.sequence_index.tolist() == [0, 11]
