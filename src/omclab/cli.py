@@ -215,9 +215,9 @@ def _estimate_json(estimate: stats.G2Estimate) -> dict:
 
 
 def cmd_g2(args) -> int:
+    if bool(args.config) != args.oracle:
+        raise ConfigError("g2 --oracle needs --config, and g2 --records takes none")
     if args.oracle:
-        if not args.config:
-            raise ConfigError("g2 --oracle requires --config")
         config, chash = _load(args)
         model = sim.g2_model(config)
         if model is None:
@@ -233,8 +233,6 @@ def cmd_g2(args) -> int:
         print(f"g2 full model (dark counts, pump leakage, heating): {model.predicted_g2:.3f}")
         return EXIT_OK
 
-    if not args.records:
-        raise ConfigError("g2 requires --records (or --oracle)")
     batch = sim.read_records_csv(args.records)
     estimates = _dn_estimates(batch, args.dn_range)
     if not estimates:
@@ -497,9 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blind", action="store_true", help="suppress the origin column")
 
     p = add("g2", cmd_g2, help="cross-correlation estimates or the exact oracle")
-    p.add_argument("--records", default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--records", default=None)
+    mode.add_argument("--oracle", action="store_true")
     p.add_argument("--dn-range", type=_DN_RANGE, default="-4..4")
-    p.add_argument("--oracle", action="store_true")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
 

@@ -531,13 +531,13 @@ def read_table(path: str | Path,
     values means each stripped field's int8 index into it; a numpy number
     dtype means that dtype.  Lines that start with ``#`` and blank lines are
     skipped wherever they are; a ``#`` inside a row is text.  A file that
-    does not decode, one holding a NUL character, one without a column line,
-    a row whose field count differs from it, a field that does not parse as
-    its column's dtype (or is not in its tuple) and a float that is not
-    finite are each a ``ConfigError`` naming the file (and the row and
-    column).  Of several faulty rows, the first with a wrong field count is
-    named; failing that, the first that does not parse; failing that, the
-    first non-finite float.
+    does not decode, one holding a NUL character, one without a column line
+    or naming a column twice in it, a row whose field count differs from it,
+    a field that does not parse as its column's dtype (or is not in its
+    tuple) and a float that is not finite are each a ``ConfigError`` naming
+    the file (and the row and column).  Of several faulty rows, the first
+    with a wrong field count is named; failing that, the first that does not
+    parse; failing that, the first non-finite float.
     """
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
@@ -588,6 +588,8 @@ def read_table(path: str | Path,
             if not at.size:
                 continue
             names = list(map(str.strip, lines[at[0]].split(",")))
+            if repeated := [name for name in names if names.count(name) > 1]:
+                raise ConfigError(f"{path}: column {repeated[0]!r} is named more than once")
             parts = [[] for _ in names]
             kept[at[0]] = False  # from here on, kept marks the rows
             at = at[1:]

@@ -48,6 +48,11 @@ ORIGINS = ("signal", "dark", "leakage")  # what made a click; a record holds an 
 PULSE_DURATION = 40e-9
 
 
+def _fs(seconds: float) -> int:
+    """``seconds`` as its nearest whole number of femtoseconds, the grid of click times."""
+    return round(seconds * 1e15)
+
+
 @dataclass(frozen=True)
 class RecordBatch:
     """Column-oriented click stream; the common currency of the estimators.
@@ -61,7 +66,7 @@ class RecordBatch:
     sequence_index: np.ndarray   # int64
     pulse_index: np.ndarray      # int16, position of the pulse in the sequence
     pulse_label: np.ndarray      # int8 code into core.LABELS
-    click_time: np.ndarray       # float64 seconds
+    click_time: np.ndarray       # int64 femtoseconds
     origin: np.ndarray | None    # int8 code into ORIGINS, None when blinded
     _clicked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -280,6 +285,11 @@ def simulate(config: ExperimentConfig, seed: int,
     if not (0 <= seed < 2**63):
         raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
     seq = config.sequence
+    for i, p in enumerate(seq.pulses):  # below 2^53 every fs count is exact in a double
+        if not (_fs(p.duration) > 0 and p.start + p.window_length < 10  # no _fs overflow
+                and _fs(p.start) + _fs(p.window_length) < 2**53):
+            raise ConfigError(f"pulse {i}: click times are whole femtoseconds, so a pulse lasts "
+                              "at least 0.5 fs and its window ends before 2^53 fs (9.007 s)")
 
     model = sequence_model(config)
     n_total = seq.n_sequences
@@ -288,13 +298,15 @@ def simulate(config: ExperimentConfig, seed: int,
     # per pulse: (sequence index, pulse index, click time, origin code), after
     # an empty first entry that fixes the dtypes when there is no pulse
     columns = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16),
-                np.empty(0), np.empty(0, dtype=np.int8))]
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))]
     for pulses, table in model.outcomes:
         for i, (idx, code) in zip(pulses, _sample_unit(rng, n_total, table)):
             pulse = seq.pulses[i]
-            span = np.where(code == ORIGINS.index("dark"), pulse.window_length, pulse.duration)
+            times = rng.random(idx.size)  # u * span truncates to whole fs in [0, span)
+            times *= np.where(code == ORIGINS.index("dark"), _fs(pulse.window_length),
+                              _fs(pulse.duration))
             columns.append((idx, np.full(idx.size, i, dtype=np.int16),
-                            pulse.start + rng.random(idx.size) * span, code))
+                            times.astype(np.int64) + _fs(pulse.start), code))
 
     seq_idx, pulse_idx, times, codes = (np.concatenate(col) for col in zip(*columns))
     counts = np.bincount(pulse_idx.astype(np.intp) * len(ORIGINS) + codes,
@@ -329,22 +341,19 @@ def assign_pulse_indices(batch: RecordBatch, sequence: PulseSequence) -> RecordB
     """Recover pulse indices from click times (for records re-read from CSV).
 
     Matches on label first within the pulse span, then within the (possibly
-    overlapping) detector window for dark counts.
+    overlapping) detector window for dark counts, in whole femtoseconds as
+    ``simulate`` draws them.
     """
     idx = np.full(len(batch), -1, dtype=np.int16)
-    for spans in ("duration", "window"):
+    for span in ("duration", "window_length"):
         for i, pulse in enumerate(sequence.pulses):
             rows = np.flatnonzero(batch.pulse_label == LABELS.index(pulse.label))
-            times = batch.click_time[rows]
-            length = pulse.duration if spans == "duration" else pulse.window_length
-            idx[rows[(times >= pulse.start) & (times < pulse.start + length)
+            times, start = batch.click_time[rows], _fs(pulse.start)
+            idx[rows[(times >= start) & (times < start + _fs(getattr(pulse, span)))
                      & (idx[rows] < 0)]] = i
     if np.any(idx < 0):
         raise ValueError("records contain click times outside all pulse windows")
-    return RecordBatch(n_sequences=batch.n_sequences,
-                       sequence_index=batch.sequence_index, pulse_index=idx,
-                       pulse_label=batch.pulse_label, click_time=batch.click_time,
-                       origin=batch.origin)
+    return replace(batch, pulse_index=idx)
 
 
 RECORD_COLUMNS = ("sequence_index", "pulse_label", "click_time_fs")
@@ -356,17 +365,14 @@ def write_records_csv(batch: RecordBatch, path: str | Path,
                       header_lines: list[str] | None = None) -> None:
     """Record stream as CSV: sequence_index, pulse_label, click_time_fs[, origin].
 
-    A click time is written as its whole number of femtoseconds (int64,
-    rounded to nearest); a time that is not finite or whose count does not
-    fit in int64 (|t| >= 2^63 fs, about 9223 s) is a ``ValueError``.
+    ``click_time`` goes into ``click_time_fs`` as it is; a batch whose
+    ``click_time`` is not int64 femtoseconds is a ``ValueError``, raised
+    before the file is opened.
     """
-    fs = batch.click_time * 1e15  # the one float temporary, rounded in place
-    np.rint(fs, out=fs)
-    if not (-2.0**63 <= np.min(fs, initial=0.0) and np.max(fs, initial=0.0) < 2.0**63):
-        raise ValueError(f"{path}: a click time is not finite or its fs count exceeds int64")
+    if batch.click_time.dtype != np.int64:
+        raise ValueError(f"{path}: click_time must be int64 fs, got {batch.click_time.dtype}")
     names = list(RECORD_COLUMNS)
-    columns = [batch.sequence_index, (LABELS, batch.pulse_label), fs.astype(np.int64)]
-    del fs
+    columns = [batch.sequence_index, (LABELS, batch.pulse_label), batch.click_time]
     if batch.origin is not None:
         names.append("origin")
         columns.append((ORIGINS, batch.origin))
@@ -388,10 +394,7 @@ def read_records_csv(path: str | Path) -> RecordBatch:
     if n_sequences < 0:
         raise ConfigError(f"{path}: n_sequences={metadata['n_sequences']!r} is not a "
                           "non-negative integer")
-    seq, labels, fs, *origin = columns
-    # a division, not * 1e-15: 1e15 is exact, so a time on the fs grid reads
-    # back as the double nearest its decimal value
-    times = fs / 1e15
+    seq, labels, times, *origin = columns
     if seq.size and (seq.min() < 0 or seq.max() >= n_sequences):
         raise ConfigError(f"{path}: sequence_index outside [0, {n_sequences})")
     return RecordBatch(n_sequences=n_sequences, sequence_index=seq,

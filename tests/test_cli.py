@@ -121,6 +121,27 @@ def test_g2_pipeline(tmp_path, device_config_path):
         assert by_dn[dn]["ci_low"] < 1.6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--oracle", "--records", "nonexistent.csv"], "not allowed with argument"),
+    (["--dn-range=-1..1"], "one of the arguments --records --oracle is required"),
+])
+def test_g2_takes_exactly_one_mode(tmp_path, device_config_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run("g2", "--config", device_config_path, *argv, "--out", tmp_path / "g2.json")
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_g2_records_refuses_a_config(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text(_records_text())
+    assert run("g2", "--records", records, "--config", tmp_path / "nonexistent.cfg",
+               "--out", tmp_path / "g2.json") == cli.EXIT_CONFIG
+    assert "g2 --records takes none" in _config_error_line(capsys)
+    assert not (tmp_path / "g2.json").exists()
+
+
 def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
     out_json = tmp_path / "oracle.json"
     assert run("g2", "--oracle", "--config", device_config_path, "--out", out_json) == 0
@@ -146,6 +167,19 @@ def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
     for key, i in (("dark_write", w), ("dark_read", r)):
         window = config.sequence.pulses[i].window_length
         assert payload[key] == -math.expm1(-config.detection.dark_rate * window)
+
+
+def test_simulate_refuses_a_window_that_ends_at_2_to_the_53_fs(tmp_path, device_config_path,
+                                                               capsys):
+    # 9.007199254740993 s is 2^53 fs: past the grid click times are drawn on
+    cfg = tmp_path / "long_window.cfg"
+    cfg.write_text(device_config_path.read_text().replace(
+        "sequence.repetition_rate = 25e3", "sequence.repetition_rate = 0.1").replace(
+        "pulse.0.window = 20e-6", "pulse.0.window = 9.007199254740993"))
+    records = tmp_path / "out" / "records.csv"
+    assert run("simulate", "--config", cfg, "--out", records, "--sequences", 10) == cli.EXIT_CONFIG
+    assert "pulse 0: click times are whole femtoseconds" in _config_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, out", [(("g2", "--oracle"), "oracle.json"),
@@ -331,10 +365,12 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why.
-# Made at omclab 0.4.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
+# Made at omclab 0.5.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
 # versions constraints.txt pins); the version is in every artifact's header
-# line, and all eleven differ from 0.3.0's in that line only (0.4.0 changed the
-# record CSV, which no artifact holds).  0.3.0's random stream (one
+# line, and all eleven differ from 0.4.0's and 0.3.0's in that line only
+# (0.4.0 changed the record CSV, which no artifact holds, and 0.5.0 draws
+# click times on the fs grid, which no artifact holds either; fig2 and fig3b
+# count clicks per sequence, not their times).  0.3.0's random stream (one
 # draw per unit from its outcome table) moved the sampled values of
 # fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
 # in the header line only.  fig3b_g2.json's oracle_g2 and predicted_g2 then
@@ -343,17 +379,17 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # fock.oracle_g2 wrote each marginal as p + q (1 - p) and predicted_g2 became
 # the g2 of the pair's outcome table
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "3d9043196e543787c7f82a9e0a78d11e4087afb09063da7f600979cfb52ba8e4",
-    "fig1b_fit.json": "a20f15aaedf843e8a72494500b3d060431bc6a71128a016157213fd8c510d4e3",
-    "fig1b_reflection.csv": "f6447e500f885befff2041c3cdf775d7c4225dbe4cb242acf937278bc451524e",
-    "fig1c_fit.json": "2ed96cf9bcbf514fd659a60300c710c32efdbc716d3ebab053e4efec178175c3",
-    "fig1c_psd.csv": "1d7c4b7415a0a636aed7efc6d449ec69dbfbb3012b1b2665e113acfd2723b1b5",
-    "fig2_thermometry.csv": "32b179ddb0da665cef89349e3d8af4cf627fdfd4ab6fac97e6ece6f162d06504",
-    "fig3a_heating.csv": "b6abc048cc806bfbd61a063475699d44905f8ebafdbcb84a8d8a82dd136dc1be",
-    "fig3b_g2.json": "7baa6f75a6cc169ae0226904ab309d5f5a8c4edce3d2a0c94ea50690291a5606",
-    "figs1_calibration.csv": "28cb12a6205ac846dac44636895f9d0585fba3e06e68de1cb2a83ee5d4460f0f",
-    "figs1_fit.json": "d4d686d53f5fd62bfc7676001d2b97e62ae96551f2f38849250751174c292aa8",
-    "noise_vs_q.csv": "07dc7b867d6a3b4f0bf98261a0d0339a7946f5bbfd1945d4135821f4603b104c",
+    "budget.json": "7d13bf7490ace89fc7019680e48efb5558fb604596830e924769590ea4e7ebec",
+    "fig1b_fit.json": "bf9db25495f50a60b8c0694632696ead9c037f4f745faeaf26b263b676dba966",
+    "fig1b_reflection.csv": "3d2837e40b072492a9bd3ad2e394b9c972af7272d6da0fe3df4a50bde5def46d",
+    "fig1c_fit.json": "59f5f93f186acde356f6dba8298b41ecbe008e4dd0f9ae8df764e424418a9a5e",
+    "fig1c_psd.csv": "dd13893eb6e59616bce04b668d52a61c43c852daf850474d34fb81defb5d90cf",
+    "fig2_thermometry.csv": "c571e77dbc4b95b810730a009ca6384366eda1923a50737cdbb46ebf072ec750",
+    "fig3a_heating.csv": "2b85b50a0de94721087015e502b806847972a5acf09bf8a43a0df3c8ede753a0",
+    "fig3b_g2.json": "9cc83878d87c4c0dd471185a5b32d5bca13562025cc77c59a4068929f39e8898",
+    "figs1_calibration.csv": "a175786d341eb3c15a73c647f31db1791495ceffbcbfd5a4ff09c80fac3bb08d",
+    "figs1_fit.json": "4198ea6a8b945b729bce5e66cf76e8bd1a37749851ae58f0fd0a45f9cf9a51fa",
+    "noise_vs_q.csv": "0bbebdbc5f0b915eaf9244df98bf528c20d65ad3d165bc1ba1df318288e6b8c2",
 }
 
 
@@ -567,6 +603,18 @@ def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys)
                "--out", tmp_path) == cli.EXIT_CONFIG
     err = _config_error_line(capsys)
     assert str(counts) in err and "2 red and 1 blue" in err
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
+def test_thermometry_refuses_a_repeated_column(tmp_path, device_config_path, capsys):
+    # a second clicks column would otherwise stand in for the first
+    counts = tmp_path / "counts.csv"
+    counts.write_text("side,pulse_energy_j,clicks,n_pulses,clicks\n"
+                      "red,2e-15,300,1000000000,5\nblue,2e-15,900,1000000000,7\n")
+    assert run("thermometry", "--config", device_config_path, "--counts", counts,
+               "--out", tmp_path) == cli.EXIT_CONFIG
+    assert (f"{counts}: column 'clicks' is named more than once"
+            in _config_error_line(capsys))
     assert not (tmp_path / "thermometry.csv").exists()
 
 
@@ -786,7 +834,7 @@ _RECORDS = sim.RecordBatch(
     sequence_index=np.array([0, 3, 3, 7, 9]),
     pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
     pulse_label=np.array([0, 0, 1, 1, 0], dtype=np.int8),  # write, write, read, read, write
-    click_time=np.array([20e-9, 25e-9, 200e-9, 210e-9, 5e-6]),
+    click_time=np.array([20, 25, 200, 210, 5000]) * 10**6,  # fs
     origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
 _FIT_TABLE = "x,y\n0,1\n1,3\n2,5\n3,7\n"
@@ -842,7 +890,7 @@ def test_mutated_records_read_or_raise_config_error(kind, data):
             return
     assert kind == "replace"  # a dropped or added field or a bad n_sequences never reads
     assert isinstance(batch, sim.RecordBatch)
-    assert np.isfinite(batch.click_time).all()
+    assert batch.click_time.dtype == np.int64
     assert np.all((batch.sequence_index >= 0) & (batch.sequence_index < batch.n_sequences))
 
 

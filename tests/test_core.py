@@ -682,6 +682,17 @@ def test_table_without_column_line_is_a_config_error(tmp_path, text):
         core.read_table(path)
 
 
+@pytest.mark.parametrize("header, name", [("x,y,x", "x"), ("a, b,c ,b", "b"),
+                                          ("t,t,t", "t")])
+def test_table_header_that_repeats_a_name_is_a_config_error(tmp_path, header, name):
+    # names are stripped, so " b" and "b" are one name; the rows parse
+    path = tmp_path / "table.csv"
+    path.write_text(f"# n=1\n{header}\n" + ",".join("1" * len(header.split(","))) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        core.read_table(path)
+    assert str(exc.value) == f"{path}: column {name!r} is named more than once"
+
+
 @pytest.mark.parametrize("text", ["s,x\na\x00,1\n", "s,x\n\x00a,1\n", "# c\x00\ns,x\nb,1\n",
                                   "s,x\nb,1\x00\n"])
 def test_table_with_a_nul_is_a_config_error(tmp_path, text):

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
 from omclab import fock, load_config, sim, stats
@@ -297,7 +295,7 @@ def test_dark_rate_expectation(device_config, rate):
         assert np.array_equal(batch.sequence_index, np.arange(200_000))
     assert np.unique(batch.origin).tolist() == [sim.ORIGINS.index("dark")]
     # dark click times fill the whole window, not just the pulse
-    assert batch.click_time.max() > 10e-6
+    assert batch.click_time.max() > sim._fs(10e-6)
 
 
 def test_leakage_rate_scales_with_suppression(device_config):
@@ -334,10 +332,95 @@ def test_records_csv_round_trip(tmp_path, device_config):
     assert again.n_sequences == batch.n_sequences
     assert np.array_equal(again.sequence_index, batch.sequence_index)
     assert np.array_equal(again.pulse_label, batch.pulse_label)
-    assert np.allclose(again.click_time, batch.click_time, rtol=0.0, atol=1e-15)
+    assert np.array_equal(again.click_time, batch.click_time)
     assert np.array_equal(again.origin, batch.origin)
     restored = sim.assign_pulse_indices(again, config.sequence)
     assert np.array_equal(restored.pulse_index, batch.pulse_index)
+
+
+@pytest.mark.parametrize("windows", [True, False], ids=["windows", "no_windows"])
+def test_click_times_are_whole_fs_inside_their_pulse(tmp_path, device_config_path, windows):
+    # gap_omc.cfg with dark counts in every window, and a copy without the
+    # window keys, where a dark count's span is its pulse: each click lies in
+    # [start, start + span) in integers, and a record file assigns it back
+    text = re.sub(r"(?m)^detection\.dark_rate = .*$", "detection.dark_rate = 1e5",
+                  device_config_path.read_text())
+    text = re.sub(r"(?m)^sequence\.n_sequences = .*$", "sequence.n_sequences = 50000", text)
+    if not windows:
+        text = re.sub(r"(?m)^pulse\.\d\.window = .*\n", "", text)
+    (tmp_path / "device.cfg").write_text(text)
+    config = load_config(tmp_path / "device.cfg")
+    assert all((pulse.window is None) != windows for pulse in config.sequence.pulses)
+    batch, _ = sim.simulate(config, 2)
+    assert batch.click_time.dtype == np.int64
+    dark = batch.origin == sim.ORIGINS.index("dark")
+    for i, pulse in enumerate(config.sequence.pulses):
+        start = sim._fs(pulse.start)
+        for clicks, span in ((dark, pulse.window_length), (~dark, pulse.duration)):
+            times = batch.click_time[clicks & (batch.pulse_index == i)]
+            assert np.all((start <= times) & (times < start + sim._fs(span))), (i, span)
+        assert np.count_nonzero(dark & (batch.pulse_index == i)) > 100
+    path = tmp_path / "records.csv"
+    sim.write_records_csv(batch, path)
+    again = sim.assign_pulse_indices(sim.read_records_csv(path), config.sequence)
+    assert np.array_equal(again.pulse_index, batch.pulse_index)
+
+
+def test_a_click_in_the_last_femtosecond_of_a_pulse_round_trips(tmp_path):
+    # a pulse from 0 without a window key: _fs(end) - 1 lies inside it, and a
+    # record file keeps it there; _fs(end) lies past it
+    pulse = Pulse("blue", 40e-9, 0.0, 0.0)
+    sequence = PulseSequence((pulse,), 25e3, 3)
+    end = sim._fs(pulse.end)
+    times = [0, end // 2, end - 1]
+    batch = sim.RecordBatch(n_sequences=3, sequence_index=np.arange(3),
+                            pulse_index=np.zeros(3, dtype=np.int16),
+                            pulse_label=np.zeros(3, dtype=np.int8),
+                            click_time=np.array(times), origin=np.zeros(3, dtype=np.int8))
+    path = tmp_path / "records.csv"
+    sim.write_records_csv(batch, path)
+    again = sim.read_records_csv(path)
+    assert again.click_time.tolist() == times
+    assert sim.assign_pulse_indices(again, sequence).pulse_index.tolist() == [0, 0, 0]
+    late = dataclasses.replace(batch, click_time=np.array([0, end // 2, end]))
+    with pytest.raises(ValueError, match="outside all pulse windows"):
+        sim.assign_pulse_indices(late, sequence)
+
+
+@pytest.mark.parametrize("start, duration, window", [
+    (0.0, 40e-9, 9.007199254740993),  # a window that ends at 2^53 fs
+    (5.0, 40e-9, 4.1),                # one that ends after it
+    (1e300, 40e-9, None),             # far after it, where _fs would overflow
+    (0.0, 4e-16, None),               # a pulse of 0 fs
+])
+def test_simulate_refuses_a_pulse_off_the_fs_range(device_config, start, duration, window):
+    pulses = (Pulse("blue", duration, 0.0, start, window=window),)
+    config = _config(device_config, dark_rate=1.0, pulses=pulses, rep_rate=1e-301)
+    with pytest.raises(ConfigError, match="pulse 0: click times are whole femtoseconds"):
+        sim.simulate(config, 0)
+
+
+def test_a_pulse_of_one_femtosecond_clicks_at_its_start(device_config):
+    # a span of 1 fs: u * 1 truncates to 0 for every uniform u < 1
+    pulses = (Pulse("blue", 1e-15, 0.0, 190e-9),)
+    config = _config(device_config, dark_rate=1e16, pulses=pulses, n_sequences=1000)
+    batch, _ = sim.simulate(config, 4)
+    assert len(batch) > 990 and set(batch.click_time.tolist()) == {sim._fs(190e-9)}
+
+
+def test_simulate_draws_a_window_that_ends_just_below_2_to_the_53_fs(device_config):
+    # 2^53 - 1 fs: every dark click is a whole count in [0, 2^53 - 1)
+    window = 9.007199254740991
+    assert sim._fs(window) == 2**53 - 1
+    pulses = (Pulse("blue", 40e-9, 0.0, 0.0, window=window),)
+    config = _config(device_config, dark_rate=1.0, pulses=pulses, rep_rate=0.1,
+                     n_sequences=2000)
+    batch, _ = sim.simulate(config, 3)
+    assert len(batch) > 1900 and batch.click_time.dtype == np.int64
+    assert 0 <= batch.click_time.min() and batch.click_time.max() < 2**53 - 1
+    assert batch.click_time.max() > 0.99 * 2**53
+    assert np.array_equal(sim.assign_pulse_indices(batch, config.sequence).pulse_index,
+                          batch.pulse_index)
 
 
 @pytest.mark.parametrize("label, time", [
@@ -352,7 +435,7 @@ def test_assign_pulse_indices_rejects_a_click_outside_its_label_windows(label, t
         n_sequences=4, sequence_index=np.array([0, 1, 2]),
         pulse_index=np.zeros(3, dtype=np.int16),
         pulse_label=np.array([0, 1, code], dtype=np.int8),
-        click_time=np.array([20e-9, 200e-9, time]), origin=None)
+        click_time=np.array([sim._fs(t) for t in (20e-9, 200e-9, time)]), origin=None)
     with pytest.raises(ValueError, match="outside all pulse windows"):
         sim.assign_pulse_indices(batch, config.sequence)
 
@@ -400,7 +483,7 @@ def test_click_order_is_lexsort_order_with_ties():
     # with coarse click times so that (sequence, time) ties occur
     rng = np.random.default_rng(12)
     seq_idx = np.concatenate([np.sort(rng.integers(0, 300, 400)) for _ in range(3)])
-    times = rng.integers(0, 4, seq_idx.size).astype(float)
+    times = rng.integers(0, 4, seq_idx.size)
     order = sim._click_order(seq_idx, times)
     assert np.array_equal(order, np.lexsort((times, seq_idx)))
 
@@ -410,8 +493,7 @@ _GOLDEN_BATCH = sim.RecordBatch(
     sequence_index=np.array([0, 3, 3, 7, 11]),
     pulse_index=np.array([0, 0, 1, 1, 0], dtype=np.int16),
     pulse_label=np.array([0, 0, 1, 1, 0], dtype=np.int8),  # write, write, read, read, write
-    # 25.1234567 ns and 210.0000004 ns show the rounding to whole femtoseconds
-    click_time=np.array([20e-9, 25.1234567e-9, 200.25e-9, 210.0000004e-9, 5e-6]),
+    click_time=np.array([20_000_000, 25_123_457, 200_250_000, 210_000_000, 5_000_000_000]),
     origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
 
@@ -456,54 +538,16 @@ def test_records_csv_round_trip_keeps_dtypes(tmp_path, batch):
         assert (back is None) if column is None else back.dtype == column.dtype, name
 
 
-def _grid_times() -> list[float]:
-    """Each pulse's start, end and window end in two configs, as the double
-    nearest its whole number of femtoseconds (190e-9 + 40e-9 is not the
-    double nearest 230 ns), and three times between."""
-    times = [20.5e-9, 200.25e-9, 230e-9]
-    for path in (Path(__file__).resolve().parents[1] / "configs" / "gap_omc.cfg", DENSE_CONFIG):
-        for pulse in load_config(path).sequence.pulses:
-            start = Fraction(repr(pulse.start)) * 10**15
-            for length in (0, pulse.duration, pulse.window_length):
-                times.append(float((start + Fraction(repr(length)) * 10**15) / 10**15))
-    return times
-
-
-def test_records_csv_reads_fs_grid_times_back_bit_identical(tmp_path):
-    times = np.array(_grid_times())
-    n = times.size
-    batch = sim.RecordBatch(n_sequences=n, sequence_index=np.arange(n),
-                            pulse_index=np.zeros(n, dtype=np.int16),
-                            pulse_label=np.zeros(n, dtype=np.int8), click_time=times, origin=None)
+@pytest.mark.parametrize("time", [_GOLDEN_BATCH.click_time / 1e15,
+                                  _GOLDEN_BATCH.click_time.astype(np.float64),
+                                  _GOLDEN_BATCH.click_time.astype(np.uint64)],
+                         ids=["seconds", "float_fs", "uint64_fs"])
+def test_write_records_csv_refuses_a_click_time_that_is_not_int64_fs(tmp_path, time):
+    # the file is not opened
+    batch = dataclasses.replace(_GOLDEN_BATCH, click_time=time)
     path = tmp_path / "records.csv"
-    sim.write_records_csv(batch, path)
-    assert sim.read_records_csv(path).click_time.tolist() == times.tolist()
-
-
-@settings(max_examples=300, deadline=None)
-@given(t=st.floats(0.0, 1e-3))
-def test_records_csv_moves_a_time_by_at_most_half_a_femtosecond(tmp_path_factory, t):
-    # t * 1e15 is rounded once before it is rounded to whole fs, so a time
-    # within an ulp of a half-fs point can round the far way: 0.5 fs plus at
-    # most two ulps of t in all
-    batch = sim.RecordBatch(n_sequences=1, sequence_index=np.zeros(1, dtype=np.int64),
-                            pulse_index=np.zeros(1, dtype=np.int16),
-                            pulse_label=np.zeros(1, dtype=np.int8), click_time=np.array([t]),
-                            origin=None)
-    path = tmp_path_factory.mktemp("records") / "records.csv"
-    sim.write_records_csv(batch, path)
-    back = float(sim.read_records_csv(path).click_time[0])
-    assert abs(Fraction(back) - Fraction(t)) <= Fraction(1, 2 * 10**15) + 2 * Fraction(
-        float(np.spacing(t)))
-
-
-@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1e4, -1e4])
-def test_write_records_csv_refuses_a_time_it_cannot_store(tmp_path, time):
-    # 1e4 s is 1e19 fs, past int64; the file is not opened
-    batch = dataclasses.replace(_GOLDEN_BATCH,
-                                click_time=np.array([20e-9, 25e-9, time, 210e-9, 5e-6]))
-    path = tmp_path / "records.csv"
-    with pytest.raises(ValueError, match=re.escape(f"{path}: a click time is not finite")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: click_time must be int64 fs, got {time.dtype}")):
         sim.write_records_csv(batch, path)
     assert not path.exists()
 
@@ -521,7 +565,7 @@ def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
     assert batch.n_sequences == 12
     assert batch.sequence_index.tolist() == [0, 11]
     assert batch.pulse_label.tolist() == [LABELS.index("write"), LABELS.index("read")]
-    assert batch.click_time.tolist() == [20.5e-9, 200.25e-9]
+    assert batch.click_time.tolist() == [20_500_000, 200_250_000]
     assert batch.origin.tolist() == [sim.ORIGINS.index("signal"), sim.ORIGINS.index("dark")]
     path.write_text(path.read_text() + "7,read\n")
     with pytest.raises(ConfigError, match=re.escape("row '7,read' has 2 fields for 4 columns")):
