@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
     batch, report = sim.simulate(config, args.seed, blind=args.blind)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    sim.write_records_csv(batch, out_path, header_lines=[_header(chash, args.seed)])
+    sim.write_records(batch, out_path, header_lines=[_header(chash, args.seed)])
     report_path = out_path.with_suffix(".report.json")
     _write_json(report_path, _header(chash, args.seed), dataclasses.asdict(report))
     print(f"simulate: {len(batch)} clicks over {report.n_sequences} sequences -> {out_path}")
@@ -233,7 +233,7 @@ def cmd_g2(args) -> int:
         print(f"g2 full model (dark counts, pump leakage, heating): {model.predicted_g2:.3f}")
         return EXIT_OK
 
-    batch = sim.read_records_csv(args.records)
+    batch = sim.read_records(args.records)
     estimates = _dn_estimates(batch, args.dn_range)
     if not estimates:
         raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, help="Monte Carlo click generation")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--out", required=True, help="records CSV path")
+    p.add_argument("--out", required=True, help="record file path (.npz)")
     p.add_argument("--sequences", type=int, default=None)
     p.add_argument("--blind", action="store_true", help="suppress the origin column")
 

@@ -471,12 +471,16 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     numeric numpy array, or a ``(values, codes)`` pair of text values and int
     codes into them.  A float column is written ``%.10g``, a bool one as 1 or
     0, any other number as its ``str``; each block of rows is one ``%`` call.
-    A text array is a ``ValueError``, and so is a coded value that would not
-    read back as itself or a float that would not read back as a finite one."""
+    A text array is a ``ValueError``, and so is a column named twice, a coded
+    value that would not read back as itself or a float that would not read
+    back as a finite one; each is raised before the file is opened."""
     import numpy as np
 
     if len(columns) != len(names):
         raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
+    stripped = [name.strip() for name in names]  # as read_table reads the column line
+    if repeated := [name for name in stripped if stripped.count(name) > 1]:
+        raise ValueError(f"{path}: column {repeated[0]!r} is named more than once")
     pairs = [column if isinstance(column, tuple) else (None, column) for column in columns]
     n_rows = len(pairs[0][1]) if names else 0
     if any(len(codes) != n_rows for _, codes in pairs):

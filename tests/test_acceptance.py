@@ -311,8 +311,8 @@ def test_criterion_09_simulator_determinism(tmp_path, device_config):
     paths = []
     for run in ("a", "b"):
         batch, _ = sim.simulate(config, 7)
-        path = tmp_path / f"{run}.csv"
-        sim.write_records_csv(batch, path)
+        path = tmp_path / f"{run}.npz"
+        sim.write_records(batch, path)
         paths.append(path.read_bytes())
     ok = paths[0] == paths[1]
     _report("9 (determinism)", ok, "repeated (config, seed) runs are byte-identical")

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 
+import csv_records
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from omclab import __version__, cli, dynamics, load_config, sim
 from omclab.cli import main, read_artifact_json
 from omclab.core import (
+    LABELS,
     ConfigError,
     PiezoInterface,
     Pulse,
@@ -62,7 +67,7 @@ def test_budget_report(tmp_path, device_config_path):
 
 
 def test_simulate_is_deterministic(tmp_path, device_config_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    out1, out2 = tmp_path / "a.npz", tmp_path / "b.npz"
     assert run("simulate", "--config", device_config_path, "--seed", 7,
                "--sequences", 30000, "--out", out1) == 0
     assert run("simulate", "--config", device_config_path, "--seed", 7,
@@ -74,19 +79,22 @@ def test_simulate_is_deterministic(tmp_path, device_config_path):
 
 def test_simulate_zero_sequences_writes_no_clicks(tmp_path, device_config_path):
     # unlike reproduce's --sequences, simulate's runs the size it is given
-    out = tmp_path / "none.csv"
+    out = tmp_path / "none.npz"
     assert run("simulate", "--config", device_config_path, "--sequences", 0,
                "--out", out) == 0
-    batch = sim.read_records_csv(out)
+    batch = sim.read_records(out)
     assert batch.n_sequences == 0 and len(batch) == 0
 
 
 def test_simulate_blind_hides_origin(tmp_path, device_config_path):
-    out = tmp_path / "blind.csv"
+    out = tmp_path / "blind.npz"
     assert run("simulate", "--config", device_config_path, "--seed", 3,
                "--sequences", 20000, "--blind", "--out", out) == 0
-    header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
-    assert header == "sequence_index,pulse_label,click_time_fs"
+    with np.load(out, allow_pickle=False) as npz:
+        assert npz.files == ["n_sequences", "header", "labels", "sequence_index",
+                             "pulse_label", "click_time_fs"]
+        (header,) = npz["header"].tolist()
+    assert re.fullmatch(rf"omclab {re.escape(__version__)} config=[0-9a-f]{{12}} seed=3", header)
 
 
 def test_g2_pipeline(tmp_path, device_config_path):
@@ -108,7 +116,7 @@ def test_g2_pipeline(tmp_path, device_config_path):
     from omclab import serialize_config
     cfg_path.write_text(serialize_config(boosted))
 
-    records = tmp_path / "records.csv"
+    records = tmp_path / "records.npz"
     assert run("simulate", "--config", cfg_path, "--seed", 11, "--out", records) == 0
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--dn-range=-4..4",
@@ -134,8 +142,8 @@ def test_g2_takes_exactly_one_mode(tmp_path, device_config_path, capsys, argv, m
 
 
 def test_g2_records_refuses_a_config(tmp_path, capsys):
-    records = tmp_path / "records.csv"
-    records.write_text(_records_text())
+    records = tmp_path / "records.npz"
+    records.write_bytes(_records_bytes())
     assert run("g2", "--records", records, "--config", tmp_path / "nonexistent.cfg",
                "--out", tmp_path / "g2.json") == cli.EXIT_CONFIG
     assert "g2 --records takes none" in _config_error_line(capsys)
@@ -176,7 +184,7 @@ def test_simulate_refuses_a_window_that_ends_at_2_to_the_53_fs(tmp_path, device_
     cfg.write_text(device_config_path.read_text().replace(
         "sequence.repetition_rate = 25e3", "sequence.repetition_rate = 0.1").replace(
         "pulse.0.window = 20e-6", "pulse.0.window = 9.007199254740993"))
-    records = tmp_path / "out" / "records.csv"
+    records = tmp_path / "out" / "records.npz"
     assert run("simulate", "--config", cfg, "--out", records, "--sequences", 10) == cli.EXIT_CONFIG
     assert "pulse 0: click times are whole femtoseconds" in _config_error_line(capsys)
     assert not (tmp_path / "out").exists()
@@ -365,12 +373,13 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why.
-# Made at omclab 0.5.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
+# Made at omclab 0.6.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
 # versions constraints.txt pins); the version is in every artifact's header
-# line, and all eleven differ from 0.4.0's and 0.3.0's in that line only
-# (0.4.0 changed the record CSV, which no artifact holds, and 0.5.0 draws
-# click times on the fs grid, which no artifact holds either; fig2 and fig3b
-# count clicks per sequence, not their times).  0.3.0's random stream (one
+# line, and all eleven differ from 0.5.0's, 0.4.0's and 0.3.0's in that line
+# only (0.4.0 changed the record CSV, which no artifact holds; 0.5.0 draws
+# click times on the fs grid, which no artifact holds either, since fig2 and
+# fig3b count clicks per sequence, not their times; 0.6.0 replaced the record
+# CSV with the .npz record file, which no artifact is).  0.3.0's random stream (one
 # draw per unit from its outcome table) moved the sampled values of
 # fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
 # in the header line only.  fig3b_g2.json's oracle_g2 and predicted_g2 then
@@ -379,17 +388,17 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # fock.oracle_g2 wrote each marginal as p + q (1 - p) and predicted_g2 became
 # the g2 of the pair's outcome table
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "7d13bf7490ace89fc7019680e48efb5558fb604596830e924769590ea4e7ebec",
-    "fig1b_fit.json": "bf9db25495f50a60b8c0694632696ead9c037f4f745faeaf26b263b676dba966",
-    "fig1b_reflection.csv": "3d2837e40b072492a9bd3ad2e394b9c972af7272d6da0fe3df4a50bde5def46d",
-    "fig1c_fit.json": "59f5f93f186acde356f6dba8298b41ecbe008e4dd0f9ae8df764e424418a9a5e",
-    "fig1c_psd.csv": "dd13893eb6e59616bce04b668d52a61c43c852daf850474d34fb81defb5d90cf",
-    "fig2_thermometry.csv": "c571e77dbc4b95b810730a009ca6384366eda1923a50737cdbb46ebf072ec750",
-    "fig3a_heating.csv": "2b85b50a0de94721087015e502b806847972a5acf09bf8a43a0df3c8ede753a0",
-    "fig3b_g2.json": "9cc83878d87c4c0dd471185a5b32d5bca13562025cc77c59a4068929f39e8898",
-    "figs1_calibration.csv": "a175786d341eb3c15a73c647f31db1791495ceffbcbfd5a4ff09c80fac3bb08d",
-    "figs1_fit.json": "4198ea6a8b945b729bce5e66cf76e8bd1a37749851ae58f0fd0a45f9cf9a51fa",
-    "noise_vs_q.csv": "0bbebdbc5f0b915eaf9244df98bf528c20d65ad3d165bc1ba1df318288e6b8c2",
+    "budget.json": "a95d610d6e881151e6090078ebb45c943ca6878cb4626fef3039d968d3063765",
+    "fig1b_fit.json": "657460be5ac2477e389c3352a6a2294175f32ded76999e9318915bf76dd3668c",
+    "fig1b_reflection.csv": "5d36d8c6498e00af3d37b498f7807922a3632dcde349577f68b210c3e10b8e65",
+    "fig1c_fit.json": "8770572956c87142f30d99cd2aba87b2f3972ee68ba64ef5111c9b38b48ef8ff",
+    "fig1c_psd.csv": "f0034549167b05aaf43d00a399d7e041ef9044cdc2b1e039f79cbc288416c4c4",
+    "fig2_thermometry.csv": "4af409e8846279c90f7a570dbb4976c838b32b4091dfd46a1a64b7a4fcc77b63",
+    "fig3a_heating.csv": "ba4fc2977c51f8a2584582192606c34f925e6376cb9f2a702cd9f34dbe640f5c",
+    "fig3b_g2.json": "86b20d1318126e94bb9e375a97bc816057447f98a66b51a35821ebcd6aad548d",
+    "figs1_calibration.csv": "4607889babfcf07e807cd113b4e63b7ae2acb2b82dd831f5f7de237baf41a231",
+    "figs1_fit.json": "0070923390adee77b632f511a3a20dd03cbf530601b5e5f7990703f057c02d53",
+    "noise_vs_q.csv": "5a117a0902bbbb888f1871afe5fb9b7bad5b8c6b128f6c5775f341d18686afdf",
 }
 
 
@@ -439,6 +448,20 @@ def _config_error_line(capsys) -> str:
     return err
 
 
+def _record_file(path, n_sequences, rows):
+    """A blind record file written through np.savez: the member
+    ``n_sequences`` (an int is saved as int64, None leaves it out), then
+    ``rows`` of (sequence index, label, click time in fs).  Returns ``path``."""
+    seq, labels, times = zip(*rows)
+    members = {"n_sequences": n_sequences, "header": np.array([], dtype=str),
+               "labels": np.array(LABELS), "sequence_index": np.array(seq, dtype=np.int64),
+               "pulse_label": np.array([LABELS.index(l) for l in labels], dtype=np.int8),
+               "click_time_fs": np.array(times, dtype=np.int64)}
+    with open(path, "wb") as f:
+        np.savez(f, **{name: value for name, value in members.items() if value is not None})
+    return path
+
+
 @pytest.mark.parametrize("row, message", [
     ("10,read,210000000", "sequence_index outside [0, 10)"),
     ("-1,read,210000000", "sequence_index outside [0, 10)"),
@@ -456,45 +479,53 @@ def _config_error_line(capsys) -> str:
     ("4,read,9223372036854775808", "click_time_fs must be int64, got '9223372036854775808'"),
 ])
 def test_g2_records_malformed_row(tmp_path, capsys, row, message):
+    # a 0.5.0 record CSV exits 2 and names the file, whatever its rows; the
+    # README's conversion names the faulty row, as the 0.5.0 reader did
     records = tmp_path / "records.csv"
     records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_fs\n"
                        f"3,write,20000000\n{row}\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
-    assert message in _config_error_line(capsys)
+    assert f"{records}: not an .npz record file" in _config_error_line(capsys)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        csv_records.convert(records, tmp_path / "records.npz")
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1e3", ""])
-def test_g2_records_bad_n_sequences(tmp_path, capsys, value):
-    records = tmp_path / "records.csv"
-    records.write_text(f"# n_sequences={value}\nsequence_index,pulse_label,click_time_fs\n"
-                       "3,write,20000000\n3,read,210000000\n")
+@pytest.mark.parametrize("member, fault", [
+    (np.array("abc"), "n_sequences is <U3, not int64"),
+    (np.int64(-1), "n_sequences=-1 is negative"),
+    (np.float64(1e3), "n_sequences is float64, not int64"),
+    (np.array([], dtype=np.int64), "n_sequences has shape (0,), not ()"),
+], ids=["abc", "-1", "1e3", ""])
+def test_g2_records_bad_n_sequences(tmp_path, capsys, member, fault):
+    records = _record_file(tmp_path / "records.npz", member, [(3, "write", 20000000),
+                                                              (3, "read", 210000000)])
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
-    assert f"n_sequences={value!r}" in _config_error_line(capsys)
+    assert f"{records}: {fault}" in _config_error_line(capsys)
 
 
 def test_g2_records_not_a_record_csv(tmp_path, capsys):
-    records = tmp_path / "records.csv"
-    records.write_text("sequence_index,pulse_label,click_time_fs\n3,write,20000000\n")
+    # the click members without n_sequences
+    records = _record_file(tmp_path / "records.npz", None, [(3, "write", 20000000)])
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
-    assert "not a record CSV" in _config_error_line(capsys)
+    assert f"{records}: members ['click_time_fs.npy', 'header.npy', 'labels.npy', " \
+        "'pulse_label.npy', 'sequence_index.npy'] are not a record file's n_sequences, " \
+        "header, labels, sequence_index, pulse_label, click_time_fs" in _config_error_line(capsys)
 
 
 def test_g2_records_refuses_the_0_3_0_format(tmp_path, capsys):
-    # 0.3.0 wrote click times as %.6f ns; such a file needs its times as fs counts
+    # 0.3.0 wrote a record CSV with click times as %.6f ns: no record file
     records = tmp_path / "records.csv"
     records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_ns\n"
                        "3,write,20.000000\n3,read,210.000000\n")
     assert run("g2", "--records", records) == cli.EXIT_CONFIG
-    assert "sequence_index,pulse_label,click_time_fs[,origin]" in _config_error_line(capsys)
+    assert f"{records}: not an .npz record file" in _config_error_line(capsys)
 
 
-@pytest.mark.parametrize("n_sequences", [10**12, 2**63 - 1, 10**30])
+@pytest.mark.parametrize("n_sequences", [10**12, 2**63 - 1])
 def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
     # the counts scale with the clicks, so no n_sequences-long array is built
-    records = tmp_path / "records.csv"
-    records.write_text(f"# n_sequences={n_sequences}\n"
-                       "sequence_index,pulse_label,click_time_fs\n"
-                       "3,write,20000000\n3,read,210000000\n7,read,210000000\n")
+    records = _record_file(tmp_path / "records.npz", n_sequences, [
+        (3, "write", 20000000), (3, "read", 210000000), (7, "read", 210000000)])
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--dn-range=-1..1", "--out", out_json) == 0
     by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
@@ -505,9 +536,8 @@ def test_g2_records_huge_n_sequences(tmp_path, n_sequences):
 
 def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     # the only write click is in sequence 3, so dn = -4 has no usable write click
-    header = "# n_sequences=1000000000000\nsequence_index,pulse_label,click_time_fs\n"
-    records = tmp_path / "records.csv"
-    records.write_text(header + "3,write,20000000\n3,read,210000000\n7,read,210000000\n")
+    records = _record_file(tmp_path / "records.npz", 10**12, [
+        (3, "write", 20000000), (3, "read", 210000000), (7, "read", 210000000)])
     out_json = tmp_path / "g2.json"
     assert run("g2", "--records", records, "--out", out_json) == 0
     out = capsys.readouterr().out
@@ -515,17 +545,15 @@ def test_g2_records_skips_undefined_offsets(tmp_path, capsys):
     by_dn = {e["delta_n"]: e for e in read_artifact_json(out_json)["estimates"]}
     assert sorted(by_dn) == list(range(-3, 5))
     assert by_dn[0]["counts"][0] == 1
-    no_write = tmp_path / "no_write.csv"
-    no_write.write_text(header + "3,read,210000000\n")
+    no_write = _record_file(tmp_path / "no_write.npz", 10**12, [(3, "read", 210000000)])
     assert run("g2", "--records", no_write) == cli.EXIT_NUMERICAL
 
 
 def test_g2_skips_offsets_beyond_a_short_run(tmp_path, device_config_path, capsys):
     # three sequences have no pair 3 or 4 apart: those offsets are skipped and
     # named, as an offset without clicks is, instead of ending the command
-    records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=3\nsequence_index,pulse_label,click_time_fs\n"
-                       + "".join(f"{i},write,20000000\n{i},read,210000000\n" for i in range(3)))
+    records = _record_file(tmp_path / "records.npz", 3, [
+        row for i in range(3) for row in ((i, "write", 20000000), (i, "read", 210000000))])
     assert run("g2", "--records", records, "--out", tmp_path / "g2.json") == cli.EXIT_OK
     out = capsys.readouterr().out
     for dn in (-4, -3, 3, 4):
@@ -543,9 +571,8 @@ def test_g2_skips_offsets_beyond_a_short_run(tmp_path, device_config_path, capsy
 
 
 def test_g2_out_and_fig3b_write_one_estimate_schema(tmp_path, device_config_path):
-    records = tmp_path / "records.csv"
-    records.write_text("# n_sequences=10\nsequence_index,pulse_label,click_time_fs\n"
-                       "3,write,20000000\n3,read,210000000\n")
+    records = _record_file(tmp_path / "records.npz", 10,
+                           [(3, "write", 20000000), (3, "read", 210000000)])
     assert run("g2", "--records", records, "--dn-range=0..0", "--out", tmp_path / "g2.json") == 0
     assert run("reproduce", "fig3b", "--config", device_config_path, "--seed", 0,
                "--out", tmp_path) == 0
@@ -827,7 +854,7 @@ def test_derived_or_dropped_key_is_unknown(tmp_path, device_config_path, capsys,
     assert f"unknown configuration keys: {line.split(' = ')[0]}" in _config_error_line(capsys)
 
 
-# --- record and table CSV fuzzing ---------------------------------------------------
+# --- record file and table CSV fuzzing ---------------------------------------------
 
 _RECORDS = sim.RecordBatch(
     n_sequences=10,
@@ -843,55 +870,147 @@ _ODD_FIELDS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "", "1e400"
 
 
 def _mutated_table(kind: str, text: str, draw) -> str:
-    """``text`` with one field replaced, dropped or added, or (record files)
-    the n_sequences line dropped or set below the largest sequence index."""
+    """``text`` with one field replaced, dropped or added."""
     lines = text.splitlines()
-    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    if kind == "drop_n_sequences":
-        lines = lines[1:]
-    elif kind == "n_sequences_below_index":
-        lines[0] = f"# n_sequences={draw(st.integers(0, 9))}"
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split(",")
+    j = draw(st.integers(0, len(fields) - 1))
+    if kind == "replace":
+        fields[j] = draw(_ODD_FIELDS)
+    elif kind == "drop_field":
+        del fields[j]
     else:
-        i = draw(st.integers(first, len(lines) - 1))
-        fields = lines[i].split(",")
-        j = draw(st.integers(0, len(fields) - 1))
-        if kind == "replace":
-            fields[j] = draw(_ODD_FIELDS)
-        elif kind == "drop_field":
-            del fields[j]
-        else:
-            fields.insert(j, draw(_ODD_FIELDS))
-        lines[i] = ",".join(fields)
+        fields.insert(j, draw(_ODD_FIELDS))
+    lines[i] = ",".join(fields)
     return "\n".join(lines) + "\n"
 
 
-def _records_text() -> str:
+def _records_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "records.csv"
-        sim.write_records_csv(_RECORDS, path)
-        return path.read_text()
+        path = Path(tmp) / "records.npz"
+        sim.write_records(_RECORDS, path)
+        return path.read_bytes()
 
 
+def _npy(array: np.ndarray, shape: tuple | None = None) -> bytes:
+    """``array`` as .npy bytes (a pickle for an object array), or its data
+    after a header that declares ``shape`` in place of its own."""
+    data = io.BytesIO()
+    if shape is None:
+        np.lib.format.write_array(data, array, allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(data, {
+            "descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+            "shape": shape})
+        data.write(array.tobytes())
+    return data.getvalue()
+
+
+def _zip(members: dict) -> bytes:
+    """An uncompressed zip of ``members``, name -> bytes, as np.savez lays one out."""
+    data = io.BytesIO()
+    with zipfile.ZipFile(data, "w", zipfile.ZIP_STORED) as archive:
+        for name, content in members.items():
+            archive.writestr(zipfile.ZipInfo(name), content)
+    return data.getvalue()
+
+
+# arrays a mutated member may hold: other dtypes and lengths, text, codes out
+# of range
+_ODD_ARRAYS = st.one_of(
+    st.sampled_from([np.int8, np.int16, np.int64, np.uint64, ">i8", np.float64, np.bool_])
+    .flatmap(lambda dtype: st.lists(st.integers(-3, 12), max_size=7)
+             .map(lambda values: np.array(values).astype(dtype))),
+    st.lists(st.sampled_from(["write", "read", "signal", "dark", "leakage", "x"]), max_size=4)
+    .map(lambda values: np.array(values, dtype=str)),
+    st.integers(-3, 12).map(np.int64),
+)
+_MEMBER_NAMES = ["n_sequences", "header", "labels", "sequence_index", "pulse_label",
+                 "click_time_fs", "origins", "origin"]
+# shapes a forged .npy header may declare: far more data than the file holds
+# (np.load would allocate them first), or a few elements more or fewer
+_FORGED_SHAPES = st.one_of(st.sampled_from([(2**40,), (10**8,), (2**62,), (2**31, 2**31)]),
+                           st.integers(0, 12).map(lambda n: (n,)), st.just(()))
+
+
+def _mutated_records(kind: str, draw) -> bytes:
+    """The record file of ``_RECORDS`` (a field is one .npz member) truncated
+    at a byte, with a byte flipped, or with a member dropped, added, renamed,
+    replaced by another array, holding a code out of range, pickled, or with
+    its .npy header forging its shape; or n_sequences dropped or set below
+    the largest sequence index."""
+    data = _records_bytes()
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "flip_byte":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    members = {f"{name}.npy": _npy(array) for name, array in arrays.items()}
+    name = draw(st.sampled_from(sorted(arrays)))
+    if kind == "drop_field":
+        del members[f"{name}.npy"]
+    elif kind == "drop_n_sequences":
+        del members["n_sequences.npy"]
+    elif kind == "add_field":
+        new = draw(st.sampled_from(["extra", "pulse_index", "origin2", name.upper()]))
+        members[f"{new}.npy"] = _npy(draw(_ODD_ARRAYS))
+    elif kind == "rename_field":
+        new = draw(st.sampled_from([n for n in [*_MEMBER_NAMES, "extra"] if n != name]))
+        members[draw(st.sampled_from([new, f"{new}.npy"]))] = members.pop(f"{name}.npy")
+    elif kind == "n_sequences_below_index":
+        members["n_sequences.npy"] = _npy(np.int64(draw(st.integers(-2, 9))))
+    elif kind == "replace":
+        members[f"{name}.npy"] = _npy(draw(_ODD_ARRAYS))
+    elif kind == "codes_out_of_range":
+        codes, size = draw(st.sampled_from([("pulse_label", 2), ("origin", 3)]))
+        values = arrays[codes].copy()
+        values[draw(st.integers(0, values.size - 1))] = draw(st.one_of(
+            st.integers(-128, -1), st.integers(size, 127)))
+        members[f"{codes}.npy"] = _npy(values)
+    elif kind == "pickled_member":
+        target = draw(st.sampled_from([name, "extra"]))
+        members[f"{target}.npy"] = _npy(np.array([{"clicks": 1}, "read"], dtype=object))
+    else:  # forged_shape
+        shape = draw(_FORGED_SHAPES.filter(lambda shape: shape != arrays[name].shape))
+        members[f"{name}.npy"] = _npy(arrays[name], shape)
+    return _zip(members)
+
+
+# each kind but these never reads back: the flipped byte may be one no
+# reader looks at, and a replaced member may hold what it held
 _RECORD_KINDS = ["replace", "drop_field", "add_field", "drop_n_sequences",
-                 "n_sequences_below_index"]
+                 "n_sequences_below_index", "truncate", "flip_byte", "rename_field",
+                 "codes_out_of_range", "pickled_member", "forged_shape"]
+_MAY_READ = ("replace", "flip_byte")
 
 
 @pytest.mark.parametrize("kind", _RECORD_KINDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_records_read_or_raise_config_error(kind, data):
-    text = _mutated_table(kind, _records_text(), data.draw)
+    mutated = _mutated_records(kind, data.draw)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "records.csv"
-        path.write_text(text)
+        path = Path(tmp) / "records.npz"
+        path.write_bytes(mutated)
         try:
-            batch = sim.read_records_csv(path)
-        except ConfigError:
+            batch = sim.read_records(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
             return
-    assert kind == "replace"  # a dropped or added field or a bad n_sequences never reads
+    assert kind in _MAY_READ
     assert isinstance(batch, sim.RecordBatch)
-    assert batch.click_time.dtype == np.int64
+    if kind == "flip_byte":  # a byte no reader looks at: the records are intact
+        assert batch.n_sequences == _RECORDS.n_sequences
+        for name in ("sequence_index", "pulse_label", "click_time", "origin"):
+            assert np.array_equal(getattr(batch, name), getattr(_RECORDS, name)), name
+    columns = (batch.sequence_index, batch.pulse_label, batch.click_time, batch.origin)
+    assert [c.dtype for c in columns] == [np.int64, np.int8, np.int64, np.int8]
+    assert {c.shape for c in columns} == {(len(batch),)}
     assert np.all((batch.sequence_index >= 0) & (batch.sequence_index < batch.n_sequences))
+    assert np.all((batch.pulse_label >= 0) & (batch.pulse_label < len(LABELS)))
+    assert np.all((batch.origin >= 0) & (batch.origin < len(sim.ORIGINS)))
 
 
 @pytest.mark.parametrize("command, kind", [
@@ -901,13 +1020,29 @@ def test_mutated_records_read_or_raise_config_error(kind, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_mutated_table_exit_code(command, kind, data):
-    text = _records_text() if command == "g2" else _FIT_TABLE
+    # a g2 --records file that does not read exits 2 with one line that names
+    # it; one that reads gives its estimates (0) or none (3)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        path.write_text(_mutated_table(kind, text, data.draw))
-        argv = ["g2", "--records", path] if command == "g2" else \
-            ["fit", "--model", "linear", "--data", path]
-        assert run(*argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+        if command == "fit":
+            path = Path(tmp) / "table.csv"
+            path.write_text(_mutated_table(kind, _FIT_TABLE, data.draw))
+            assert run("fit", "--model", "linear", "--data", path) in (
+                cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+            return
+        path = Path(tmp) / "records.npz"
+        path.write_bytes(_mutated_records(kind, data.draw))
+        try:
+            sim.read_records(path)
+            expected = (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+        except ConfigError:
+            expected = (cli.EXIT_CONFIG,)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("g2", "--records", path)
+    assert code in expected
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith(f"omclab: configuration error: {path}: ")
+        assert err.getvalue().count("\n") == 1
 
 
 # flag values: small integers, integers past int64 or far too many sequences
@@ -963,8 +1098,8 @@ def test_fuzzed_flags_exit_code(device_config_path, command, data):
     # every flag line ends in 0, 2 (configuration, argparse included) or 3,
     # never in a traceback
     with tempfile.TemporaryDirectory() as tmp:
-        records, fit_table = Path(tmp) / "records.csv", Path(tmp) / "fit.csv"
-        records.write_text(_records_text())
+        records, fit_table = Path(tmp) / "records.npz", Path(tmp) / "fit.csv"
+        records.write_bytes(_records_bytes())
         fit_table.write_text(_FIT_TABLE)
         files = {"config": [str(device_config_path), str(records)],
                  "records": [str(records), str(device_config_path)],

@@ -1,9 +1,12 @@
 """One operation of each record-handling benchmark workload, with its checks.
 
 ``perfbench/workload.py`` calls omclab by name: the ``RecordBatch`` fields,
-the record CSV functions, ``assign_pulse_indices``, ``g2_crosscorr`` and the
-CLI.  Here each workload runs one op on a copy of its config and must pass
-every check, so a change that breaks the benchmark fails a test.
+the record file functions under their 0.5.0 names ``write_records_csv`` and
+``read_records_csv`` (aliases of ``write_records`` and ``read_records``; its
+file is still called ``records.csv``, and the .npz writer uses the path as
+given), ``assign_pulse_indices``, ``g2_crosscorr`` and the CLI.  Here each
+workload runs one op on a copy of its config and must pass every check, so a
+change that breaks the benchmark fails a test.
 """
 
 import importlib

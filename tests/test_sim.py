@@ -2,9 +2,13 @@ import dataclasses
 import itertools
 import math
 import re
+import time
+import tracemalloc
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
+import csv_records
 import numpy as np
 import pytest
 from scipy.stats import chi2, poisson
@@ -326,9 +330,9 @@ def test_records_csv_round_trip(tmp_path, device_config):
     config = _pair_config(device_config, 0.03, 0.08, 0.3, 20000,
                           eta_rest=0.4, dark_rate=2.0)
     batch, _ = sim.simulate(config, 14)
-    path = tmp_path / "records.csv"
-    sim.write_records_csv(batch, path, header_lines=["omclab test"])
-    again = sim.read_records_csv(path)
+    path = tmp_path / "records.npz"
+    sim.write_records(batch, path, header_lines=["omclab test"])
+    again = sim.read_records(path)
     assert again.n_sequences == batch.n_sequences
     assert np.array_equal(again.sequence_index, batch.sequence_index)
     assert np.array_equal(again.pulse_label, batch.pulse_label)
@@ -360,9 +364,9 @@ def test_click_times_are_whole_fs_inside_their_pulse(tmp_path, device_config_pat
             times = batch.click_time[clicks & (batch.pulse_index == i)]
             assert np.all((start <= times) & (times < start + sim._fs(span))), (i, span)
         assert np.count_nonzero(dark & (batch.pulse_index == i)) > 100
-    path = tmp_path / "records.csv"
-    sim.write_records_csv(batch, path)
-    again = sim.assign_pulse_indices(sim.read_records_csv(path), config.sequence)
+    path = tmp_path / "records.npz"
+    sim.write_records(batch, path)
+    again = sim.assign_pulse_indices(sim.read_records(path), config.sequence)
     assert np.array_equal(again.pulse_index, batch.pulse_index)
 
 
@@ -377,9 +381,9 @@ def test_a_click_in_the_last_femtosecond_of_a_pulse_round_trips(tmp_path):
                             pulse_index=np.zeros(3, dtype=np.int16),
                             pulse_label=np.zeros(3, dtype=np.int8),
                             click_time=np.array(times), origin=np.zeros(3, dtype=np.int8))
-    path = tmp_path / "records.csv"
-    sim.write_records_csv(batch, path)
-    again = sim.read_records_csv(path)
+    path = tmp_path / "records.npz"
+    sim.write_records(batch, path)
+    again = sim.read_records(path)
     assert again.click_time.tolist() == times
     assert sim.assign_pulse_indices(again, sequence).pulse_index.tolist() == [0, 0, 0]
     late = dataclasses.replace(batch, click_time=np.array([0, end // 2, end]))
@@ -497,62 +501,121 @@ _GOLDEN_BATCH = sim.RecordBatch(
     origin=np.array([0, 1, 0, 2, 1], dtype=np.int8),  # signal, dark, signal, leakage, dark
 )
 
-_GOLDEN_RECORDS = """\
-# omclab 0.2.0 config=abc seed=7
-# n_sequences=12
-sequence_index,pulse_label,click_time_fs,origin
-0,write,20000000,signal
-3,write,25123457,dark
-3,read,200250000,signal
-7,read,210000000,leakage
-11,write,5000000000,dark
-"""
-
-_GOLDEN_BLIND = """\
-# n_sequences=12
-sequence_index,pulse_label,click_time_fs
-0,write,20000000
-3,write,25123457
-3,read,200250000
-7,read,210000000
-11,write,5000000000
-"""
+# what np.load reads back from _GOLDEN_BATCH's record file, member by member
+_GOLDEN_MEMBERS = {
+    "n_sequences": 12,
+    "header": ["omclab 0.6.0 config=abc seed=7"],
+    "labels": ["write", "read"],
+    "sequence_index": [0, 3, 3, 7, 11],
+    "pulse_label": [0, 0, 1, 1, 0],
+    "click_time_fs": [20_000_000, 25_123_457, 200_250_000, 210_000_000, 5_000_000_000],
+    "origins": ["signal", "dark", "leakage"],
+    "origin": [0, 1, 0, 2, 1],
+}
+_GOLDEN_DTYPES = {"n_sequences": "int64", "sequence_index": "int64", "pulse_label": "int8",
+                  "click_time_fs": "int64", "origin": "int8"}
 
 
-def test_records_csv_golden_bytes(tmp_path):
-    path = tmp_path / "records.csv"
-    sim.write_records_csv(_GOLDEN_BATCH, path, header_lines=["omclab 0.2.0 config=abc seed=7"])
-    assert path.read_bytes() == _GOLDEN_RECORDS.encode()
-    sim.write_records_csv(dataclasses.replace(_GOLDEN_BATCH, origin=None), path)
-    assert path.read_bytes() == _GOLDEN_BLIND.encode()
+def test_records_golden_arrays(tmp_path):
+    path = tmp_path / "records.csv"  # the path is used as given
+    sim.write_records(_GOLDEN_BATCH, path, header_lines=["omclab 0.6.0 config=abc seed=7"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == list(_GOLDEN_MEMBERS)
+        assert {name: npz[name].tolist() for name in npz.files} == _GOLDEN_MEMBERS
+        for name in npz.files:
+            assert npz[name].dtype.kind == "U" if name not in _GOLDEN_DTYPES \
+                else npz[name].dtype == _GOLDEN_DTYPES[name], name
+    sim.write_records(dataclasses.replace(_GOLDEN_BATCH, origin=None), path)
+    with np.load(path, allow_pickle=False) as npz:
+        blind = {name: npz[name].tolist() for name in npz.files}
+    assert blind == {**{name: value for name, value in _GOLDEN_MEMBERS.items()
+                        if name not in ("origins", "origin")}, "header": []}
+
+
+def test_records_are_byte_identical(tmp_path, monkeypatch):
+    # no clock reading enters the file: writes a day apart give the same bytes
+    paths = []
+    for clock in (1.6e9, 1.6e9 + 86400):
+        monkeypatch.setattr(time, "time", lambda: clock)
+        paths.append(tmp_path / f"{clock:.0f}.npz")
+        sim.write_records(_GOLDEN_BATCH, paths[-1], header_lines=["omclab test"])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("batch", [_GOLDEN_BATCH,
                                    dataclasses.replace(_GOLDEN_BATCH, origin=None)])
 def test_records_csv_round_trip_keeps_dtypes(tmp_path, batch):
-    path = tmp_path / "records.csv"
-    sim.write_records_csv(batch, path)
-    again = sim.read_records_csv(path)
+    path = tmp_path / "records.npz"
+    sim.write_records(batch, path)
+    again = sim.read_records(path)
     for name in ("sequence_index", "pulse_label", "click_time", "origin"):
         column, back = getattr(batch, name), getattr(again, name)
         assert (back is None) if column is None else back.dtype == column.dtype, name
 
 
-@pytest.mark.parametrize("time", [_GOLDEN_BATCH.click_time / 1e15,
-                                  _GOLDEN_BATCH.click_time.astype(np.float64),
-                                  _GOLDEN_BATCH.click_time.astype(np.uint64)],
+@pytest.mark.parametrize("click_time", [_GOLDEN_BATCH.click_time / 1e15,
+                                        _GOLDEN_BATCH.click_time.astype(np.float64),
+                                        _GOLDEN_BATCH.click_time.astype(np.uint64)],
                          ids=["seconds", "float_fs", "uint64_fs"])
-def test_write_records_csv_refuses_a_click_time_that_is_not_int64_fs(tmp_path, time):
+def test_write_records_csv_refuses_a_click_time_that_is_not_int64_fs(tmp_path, click_time):
     # the file is not opened
-    batch = dataclasses.replace(_GOLDEN_BATCH, click_time=time)
-    path = tmp_path / "records.csv"
+    batch = dataclasses.replace(_GOLDEN_BATCH, click_time=click_time)
+    path = tmp_path / "records.npz"
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: click_time must be int64 fs, got {time.dtype}")):
-        sim.write_records_csv(batch, path)
+            f"{path}: click_time_fs is {click_time.dtype}, not int64")):
+        sim.write_records(batch, path)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change, fault", [
+    ({"n_sequences": -1}, "n_sequences=-1 is negative"),
+    ({"n_sequences": 11}, "sequence_index outside [0, 11)"),
+    ({"pulse_label": np.array([0, 0, 2, 1, 0], dtype=np.int8)},
+     "pulse_label holds a code outside [0, 2)"),
+    ({"origin": np.array([0, -1, 0, 2, 1], dtype=np.int8)},
+     "origin holds a code outside [0, 3)"),
+    ({"origin": np.zeros(5, dtype=np.int16)}, "origin is int16, not int8"),
+    ({"sequence_index": np.array([0, 3, 3, 7])}, "pulse_label has shape (5,), not (4,)"),
+])
+def test_write_records_refuses_what_would_not_read_back(tmp_path, change, fault):
+    path = tmp_path / "records.npz"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
+        sim.write_records(dataclasses.replace(_GOLDEN_BATCH, **change), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(2**40,), (10**8,)])
+def test_read_records_refuses_a_forged_shape_before_allocating(tmp_path, shape):
+    # sequence_index's .npy header declares far more clicks than its entry
+    # holds; np.load alone would allocate them (or raise MemoryError) first
+    path = tmp_path / "records.npz"
+    sim.write_records(_GOLDEN_BATCH, path)
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    data = members["sequence_index.npy"]
+    start = data.index(b"'shape': (5,)")  # into the header's padding, so its length holds
+    end = data.index(b"\n", start)
+    members["sequence_index.npy"] = (data[:start] + f"'shape': {shape}, }}".encode()
+                                     .ljust(end - start) + data[end:])
+    with zipfile.ZipFile(path, "w") as archive:  # stored, with the forged entry's CRC
+        for name, data in members.items():
+            archive.writestr(name, data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: not a readable record file: sequence_index declares int64 "
+                f"of shape {shape}, {8 * shape[0]} bytes, but its zip entry holds 40")):
+            sim.read_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
+    # a 0.5.0 record CSV is no record file, but the README's conversion reads
+    # it as read_table reads any table
     path = tmp_path / "records.csv"
     path.write_text("# n_sequences=12\n"
                     " sequence_index , pulse_label,click_time_fs,origin\n"
@@ -561,7 +624,10 @@ def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
                     "\n"
                     "  \t\n"
                     "  11,read,  200250000  ,dark \n")
-    batch = sim.read_records_csv(path)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not an .npz record file")):
+        sim.read_records(path)
+    csv_records.convert(path, tmp_path / "records.npz")
+    batch = sim.read_records(tmp_path / "records.npz")
     assert batch.n_sequences == 12
     assert batch.sequence_index.tolist() == [0, 11]
     assert batch.pulse_label.tolist() == [LABELS.index("write"), LABELS.index("read")]
@@ -569,7 +635,7 @@ def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
     assert batch.origin.tolist() == [sim.ORIGINS.index("signal"), sim.ORIGINS.index("dark")]
     path.write_text(path.read_text() + "7,read\n")
     with pytest.raises(ConfigError, match=re.escape("row '7,read' has 2 fields for 4 columns")):
-        sim.read_records_csv(path)
+        csv_records.convert(path, tmp_path / "records.npz")
 
 
 def test_occupations_include_heating(device_config):
