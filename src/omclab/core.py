@@ -18,7 +18,6 @@ required key (see ``parse_config``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import types
 import typing
@@ -454,15 +453,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 # --- comma tables ----------------------------------------------------------------
 #
-# Every CSV omclab reads or writes (records, user inputs, artifacts): `#` comment
-# lines first, where `# <name>=<value>` is metadata; then one line of column
-# names; then rows of one field per column.  Both directions move numpy columns
-# one block of about _BLOCK_CHARS characters of rows at a time, with no Python
-# code per field.  Text is only ever a column of a few fixed values (a click's
-# label or origin, a counts file's side), moved as codes into them; the writer
-# folds the values into the row format, so `%` fills in only the numbers.
-
-_BLOCK_CHARS = 2**18
+# Every CSV omclab reads or writes (user inputs and artifacts, at most a few
+# thousand rows each): `#` comment lines first, where `# <name>=<value>` is
+# metadata; then one line of column names; then rows of one field per column.
+# Text is only ever a column of a few fixed values (a counts file's side),
+# moved as codes into them.
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str], columns) -> None:
@@ -470,10 +465,10 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     then one line per row of the equal-length ``columns``, one per name: a
     numeric numpy array, or a ``(values, codes)`` pair of text values and int
     codes into them.  A float column is written ``%.10g``, a bool one as 1 or
-    0, any other number as its ``str``; each block of rows is one ``%`` call.
-    A text array is a ``ValueError``, and so is a column named twice, a coded
-    value that would not read back as itself or a float that would not read
-    back as a finite one; each is raised before the file is opened."""
+    0, any other number as its ``str``.  A text array is a ``ValueError``,
+    and so is a column named twice, a coded value that would not read back
+    as itself or a float that would not read back as a finite one; each is
+    raised before the file is opened."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -485,11 +480,7 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     n_rows = len(pairs[0][1]) if names else 0
     if any(len(codes) != n_rows for _, codes in pairs):
         raise ValueError(f"{path}: columns differ in length")
-    # per column, its choices of text in a row format: a coded column's values
-    # (each '%' doubled), else one cell for `%`; row i's format is
-    # formats[code[i]], and the cells come from the number columns
-    choices, free = [], []
-    code = np.zeros(n_rows, dtype=np.intp)
+    cells = []  # per column, the text of each of its cells
     for j, (name, (values, column)) in enumerate(zip(names, pairs)):
         if values is None:
             if column.dtype.kind in "USO":
@@ -498,8 +489,8 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
                 peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
                 if not math.isfinite(float("%.10g" % peak)):
                     raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
-            choices.append([{"f": "%.10g", "b": "%d"}.get(column.dtype.kind, "%s")])
-            free.append(column)
+            form = {"f": "%.10g", "b": "%d"}.get(column.dtype.kind, "%s")
+            cells.append([form % value for value in column.tolist()])
             continue
         for k, value in enumerate(values):
             # read_table splits a row at a comma or a line break, skips a line
@@ -509,22 +500,10 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
                     or "\x00" in value or j == 0 and value.startswith("#")
                     or len(names) == 1 and not value or values.index(value) < k):
                 raise ValueError(f"{path}: column {name!r}: {value!r} would not read back")
-        choices.append([value.replace("%", "%%") for value in values])
-        code = code * len(values) + column
-    formats = np.array([",".join(row) + "\n" for row in itertools.product(*choices)],
-                       dtype=object)
+        cells.append([values[code] for code in column.tolist()])
     with open(path, "w", encoding="utf-8") as out:
-        out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n")
-        start, step = 0, 1  # one row, then as many as fit a block at the last one's width
-        while start < n_rows:
-            stop = min(n_rows, start + step)
-            cells = [None] * ((stop - start) * len(free))
-            for j, column in enumerate(free):
-                cells[j::len(free)] = column[start:stop].tolist()
-            text = "".join(formats[code[start:stop]].tolist()) % tuple(cells)
-            out.write(text)
-            step = max(1, _BLOCK_CHARS * (stop - start) // len(text))
-            start = stop
+        out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
+                  + "".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def read_table(path: str | Path,
@@ -546,115 +525,64 @@ def read_table(path: str | Path,
     import numpy as np  # only the table reader needs numpy; config parsing does not
 
     text = read_text(path)
-    if "\x00" in text:  # a coded field's trailing NULs would be dropped before its lookup
+    if "\x00" in text:
         raise ConfigError(f"{path}: contains a NUL character")
-    dtypes = dtypes or {}
-    coded = {name: kind for name, kind in dtypes.items() if isinstance(kind, tuple)}
     metadata: dict[str, str] = {}
-    names = None
-    parts = []  # per column, its array from each block
-    parse_fault = finite_fault = None  # the first of each kind, as its message
+    lines = []  # the column line, then the rows
+    for line in text.splitlines():
+        if line.startswith("#"):
+            name, eq, value = line[1:].partition("=")
+            if eq and name.strip().isidentifier():
+                metadata[name.strip()] = value.strip()
+        elif line.strip():
+            lines.append(line)
+    if not lines:
+        raise ConfigError(f"{path}: no column names line")
+    names = [name.strip() for name in lines[0].split(",")]
+    if repeated := [name for name in names if names.count(name) > 1]:
+        raise ConfigError(f"{path}: column {repeated[0]!r} is named more than once")
+    rows = lines[1:]
+    fields = [row.split(",") for row in rows]
+    for row, cells in zip(rows, fields):
+        if len(cells) != len(names):
+            raise ConfigError(f"{path}: row {row!r} has {len(cells)} fields "
+                              f"for {len(names)} columns; it does not match the header")
 
-    def parse(rows, kinds):
-        """The rows as one structured array, or None if a field does not parse."""
-        dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    def parse(column, kind):
+        """The fields as one array of ``kind``, or None if one does not parse."""
         try:
-            return (np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-                    if rows else np.empty(0, dtype))
+            return (np.loadtxt(column, kind, delimiter=",", comments=None, ndmin=1)
+                    if column else np.empty(0, kind))
         except ValueError:
             return None
 
-    start = 0
-    while start < len(text):
-        # cut just after a line feed, so that no line is split
-        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        lines = text[start:stop].splitlines()
-        start = stop
-        data = "\n".join([*lines, ""]).encode()
-        # one scan of the lines' UTF-8 bytes: the separators give each line's field
-        # count and each field's length in bytes, never fewer than its characters
-        # (loadtxt cuts a text field longer than its column's width)
-        scan = np.frombuffer(data, np.uint8)
-        ends = np.flatnonzero((scan == ord(",")) | (scan == ord("\n")))
-        line_ends = np.flatnonzero(scan[ends] == ord("\n"))
-        fields = np.diff(line_ends, prepend=-1)
-        comment = scan[np.concatenate(([0], ends[line_ends] + 1))[:-1]] == ord("#")
-        for i in np.flatnonzero(comment).tolist():
-            name, eq, value = lines[i][1:].partition("=")
-            if eq and name.strip().isidentifier():
-                metadata[name.strip()] = value.strip()
-        # only a line without a comma can be blank; str.isspace is str.strip's test
-        kept = ~comment
-        kept[[i for i in np.flatnonzero(kept & (fields == 1)).tolist()
-              if not lines[i] or lines[i].isspace()]] = False
-        at = np.flatnonzero(kept)  # each row's line
-        if names is None:
-            if not at.size:
-                continue
-            names = list(map(str.strip, lines[at[0]].split(",")))
-            if repeated := [name for name in names if names.count(name) > 1]:
-                raise ConfigError(f"{path}: column {repeated[0]!r} is named more than once")
-            parts = [[] for _ in names]
-            kept[at[0]] = False  # from here on, kept marks the rows
-            at = at[1:]
-        # a record file's rows after its header are one run of lines: a slice
-        rows = (lines[at[0]:at[-1] + 1] if at.size and at[-1] - at[0] == at.size - 1
-                else [lines[i] for i in at.tolist()])
-        bad = np.flatnonzero(fields[at] != len(names))
-        if bad.size:
-            raise ConfigError(f"{path}: row {rows[bad[0]]!r} has {fields[at[bad[0]]]} fields "
-                              f"for {len(names)} columns; it does not match the header")
-        if parse_fault:
-            continue  # only a field count can still change the error
-        lengths = np.diff(ends, prepend=-1)[np.repeat(kept, fields)] - 1
-        widths = lengths.reshape(len(rows), len(names)).max(axis=0, initial=1)
-        as_text = [f"U{width}" for width in widths]
-        kinds = [as_text[j] if name in coded else dtypes.get(name, np.float64)
-                 for j, name in enumerate(names)]
-        # loadtxt's integer parser reads a C table out of bounds (a crash) on a
-        # character above U+00FF: it gets integer fields stripped, '?' if not ASCII
-        ints = [j for j, kind in enumerate(kinds) if np.dtype(kind).kind in "iub"]
-        safe = rows if not ints or scan.max(initial=0) < 0x80 else [",".join(
-            f if j not in ints else f.strip() if f.strip().isascii() else "?"
-            for j, f in enumerate(row.split(","))) for row in rows]
-        table = parse(safe, kinds)
-        faults = []  # (row, column) of each field that does not parse
-        if table is None:
-            # halve the rows until the first bad one is left (about one more
-            # parse in all), then type its columns one at a time
-            lo, hi = 0, len(rows)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if parse(safe[lo:mid], kinds) is None else (mid, hi)
-            faults = [(lo, j) for j in range(len(names))
-                      if parse(safe[lo:hi], [*as_text[:j], kinds[j], *as_text[j + 1:]]) is None]
-            table = parse(safe[:hi], as_text)  # the text a tuple can miss on before it
-        codes = {}  # per coded column, each field's index into its tuple, else -1
-        for j in [j for j, name in enumerate(names) if name in coded]:
-            stripped, codes[j] = np.char.strip(table[f"f{j}"]), np.full(len(table), -1, np.int8)
-            for k, value in enumerate(coded[names[j]]):
-                codes[j][stripped == value] = k
-        faults += [(int(np.argmax(code < 0)), j) for j, code in codes.items() if (code < 0).any()]
-        if not faults and finite_fault:
-            continue  # only a field that does not parse can still change the error
-        non_finite = [] if faults else [(int(np.argmin(finite)), j) for j in range(len(names))
-                                        if table.dtype[j].kind == "f"
-                                        and not (finite := np.isfinite(table[f"f{j}"])).all()]
-        if faults or non_finite:
-            i, j = min(faults or non_finite)
-            kind = np.dtype(kinds[j])
-            must = (f"one of {', '.join(coded[names[j]])}" if j in codes else
-                    f"{'finite ' if kind.kind == 'f' else ''}{kind.name}")
-            message = (f"{path}: row {rows[i]!r}: {names[j]} must be {must}, "
-                       f"got {rows[i].split(',')[j].strip()!r}")
-            # a parse fault outranks any non-finite float, found before it or after
-            parse_fault, finite_fault = (message, None) if faults else (None, message)
+    kinds = [(dtypes or {}).get(name, np.float64) for name in names]
+    columns, faults = [], []  # faults: (row, column) of each column's first bad field
+    for j, kind in enumerate(kinds):
+        column = [cells[j].strip() for cells in fields]
+        if isinstance(kind, tuple):
+            index = {value: k for k, value in enumerate(kind)}
+            codes = [index.get(field, -1) for field in column]
+            if -1 in codes:
+                faults.append((codes.index(-1), j))
+            columns.append(np.array(codes, dtype=np.int8))
             continue
-        for j in range(len(names)):
-            parts[j].append(codes[j] if j in codes else np.ascontiguousarray(table[f"f{j}"]))
-    if names is None:
-        raise ConfigError(f"{path}: no column names line")
-    if parse_fault or finite_fault:
-        raise ConfigError(parse_fault or finite_fault)
-    del text  # join the columns one at a time, each freeing its blocks
-    return metadata, names, [np.concatenate(parts.pop(0)) for _ in names]
+        # loadtxt skips an empty line, and its integer parser reads a C table
+        # out of bounds (a crash) on a character above U+00FF, so an empty or
+        # non-ASCII field goes in as '?', which no number dtype parses
+        column = [field if field.isascii() and field else "?" for field in column]
+        columns.append(parse(column, kind))
+        if columns[-1] is None:
+            faults.append((next(i for i, field in enumerate(column)
+                                if parse([field], kind) is None), j))
+    # a field that does not parse outranks any float that is not finite
+    faults = faults or [(int(np.argmin(finite)), j) for j, array in enumerate(columns)
+                        if array.dtype.kind == "f" and not (finite := np.isfinite(array)).all()]
+    if faults:
+        i, j = min(faults)
+        kind = kinds[j]
+        must = (f"one of {', '.join(kind)}" if isinstance(kind, tuple) else
+                f"{'finite ' if np.dtype(kind).kind == 'f' else ''}{np.dtype(kind).name}")
+        raise ConfigError(f"{path}: row {rows[i]!r}: {names[j]} must be {must}, "
+                          f"got {fields[i][j].strip()!r}")
+    return metadata, names, columns
