@@ -334,6 +334,11 @@ def _scalar_fields(cls) -> tuple[tuple[str, type, object], ...]:
 def _convert(key: str, raw: str, kind: type, default):
     if kind is str:
         return raw
+    if kind is int:
+        try:
+            return int(raw)  # exact, where float would round past 2**53
+        except ValueError:
+            pass  # a form such as 1e6, checked as a float below
     try:
         value = float(raw)
     except ValueError:
@@ -456,19 +461,18 @@ def serialize_config(config: ExperimentConfig) -> str:
 # Every CSV omclab reads or writes (user inputs and artifacts, at most a few
 # thousand rows each): `#` comment lines first, where `# <name>=<value>` is
 # metadata; then one line of column names; then rows of one field per column.
-# Text is only ever a column of a few fixed values (a counts file's side),
-# moved as codes into them.
+# The writer takes float columns only (every artifact is one); the reader
+# also takes integer columns and coded text, a column of a few fixed values
+# (a counts file's side) moved as codes into them.
 
 
 def write_table(path: str | Path, comment_lines: list[str], names: list[str], columns) -> None:
     """Write a comma table: ``# <line>`` per comment line, the column names,
-    then one line per row of the equal-length ``columns``, one per name: a
-    numeric numpy array, or a ``(values, codes)`` pair of text values and int
-    codes into them.  A float column is written ``%.10g``, a bool one as 1 or
-    0, any other number as its ``str``.  A text array is a ``ValueError``,
-    and so is a column named twice, a coded value that would not read back
-    as itself or a float that would not read back as a finite one; each is
-    raised before the file is opened."""
+    then one line per row of the equal-length ``columns``, one float numpy
+    array per name, each value written ``%.10g``.  A column that is not a
+    float array is a ``ValueError``, and so is a column named twice or a
+    value that would not read back as a finite float; each is raised before
+    the file is opened."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -476,31 +480,17 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     stripped = [name.strip() for name in names]  # as read_table reads the column line
     if repeated := [name for name in stripped if stripped.count(name) > 1]:
         raise ValueError(f"{path}: column {repeated[0]!r} is named more than once")
-    pairs = [column if isinstance(column, tuple) else (None, column) for column in columns]
-    n_rows = len(pairs[0][1]) if names else 0
-    if any(len(codes) != n_rows for _, codes in pairs):
+    for name, column in zip(names, columns):
+        if not (isinstance(column, np.ndarray) and column.dtype.kind == "f"):
+            raise ValueError(f"{path}: column {name!r} is not a float array")
+    if len({len(column) for column in columns}) > 1:
         raise ValueError(f"{path}: columns differ in length")
-    cells = []  # per column, the text of each of its cells
-    for j, (name, (values, column)) in enumerate(zip(names, pairs)):
-        if values is None:
-            if column.dtype.kind in "USO":
-                raise ValueError(f"{path}: column {name!r} is text; pass it as (values, codes)")
-            if column.dtype.kind == "f" and column.size:
-                peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
-                if not math.isfinite(float("%.10g" % peak)):
-                    raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
-            form = {"f": "%.10g", "b": "%d"}.get(column.dtype.kind, "%s")
-            cells.append([form % value for value in column.tolist()])
-            continue
-        for k, value in enumerate(values):
-            # read_table splits a row at a comma or a line break, skips a line
-            # starting '#' or blank, strips each field, refuses a NUL and reads
-            # a repeated value as one code
-            if ("," in value or "".join(value.splitlines()) != value or value != value.strip()
-                    or "\x00" in value or j == 0 and value.startswith("#")
-                    or len(names) == 1 and not value or values.index(value) < k):
-                raise ValueError(f"{path}: column {name!r}: {value!r} would not read back")
-        cells.append([values[code] for code in column.tolist()])
+    for name, column in zip(names, columns):
+        if column.size:
+            peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
+            if not math.isfinite(float("%.10g" % peak)):
+                raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
+    cells = [["%.10g" % value for value in column.tolist()] for column in columns]
     with open(path, "w", encoding="utf-8") as out:
         out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
                   + "".join(",".join(row) + "\n" for row in zip(*cells)))
@@ -511,8 +501,9 @@ def read_table(path: str | Path,
     """Read a comma table: (metadata, column names, one numpy array per column).
 
     Every column is float64 unless ``dtypes`` names it: a tuple of text
-    values means each stripped field's int8 index into it; a numpy number
-    dtype means that dtype.  Lines that start with ``#`` and blank lines are
+    values means each stripped field's int8 index into it (as ``tuple.index``
+    gives it: a repeated value reads as its first); a numpy number dtype
+    means that dtype.  Lines that start with ``#`` and blank lines are
     skipped wherever they are; a ``#`` inside a row is text.  A file that
     does not decode, one holding a NUL character, one without a column line
     or naming a column twice in it, a row whose field count differs from it,
@@ -561,7 +552,7 @@ def read_table(path: str | Path,
     for j, kind in enumerate(kinds):
         column = [cells[j].strip() for cells in fields]
         if isinstance(kind, tuple):
-            index = {value: k for k, value in enumerate(kind)}
+            index = {value: kind.index(value) for value in kind}
             codes = [index.get(field, -1) for field in column]
             if -1 in codes:
                 faults.append((codes.index(-1), j))
