@@ -57,8 +57,10 @@ class RecordBatch:
     """Column-oriented click stream; the common currency of the estimators.
 
     Its arrays are made read-only, so what the estimators derive from them
-    once (``_clicked``: label -> sorted distinct clicked sequence indices)
-    cannot go stale.
+    once cannot go stale. ``_clicked`` holds that: label -> sorted distinct
+    clicked sequence indices, and ``"read mask"`` -> a bool per sequence,
+    True where a read click is, on a batch whose ``n_sequences`` is at most
+    the bytes of its ``sequence_index``, ``pulse_label`` and ``click_time``.
     """
 
     n_sequences: int
@@ -260,20 +262,27 @@ def _sample_unit(rng: np.random.Generator, n: int,
 
 
 def _click_order(seq_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``np.lexsort((times, seq_idx))``, ties included, at the cost of a merge.
+    """``np.lexsort((times, seq_idx))``, ties included, from a stable argsort and a few passes.
 
     ``seq_idx`` is a few sorted per-pulse runs back to back, which a stable
-    argsort merges; only the clicks that share their sequence with another
-    click then need ordering by time.
+    argsort merges. The clicks of one sequence then sit side by side, at
+    most one per pulse, so odd-even transposition passes order them by time:
+    a pass swaps each pair of neighbours of one sequence whose later click
+    has a strictly smaller time, and passes repeat until one swaps nothing.
+    Equal times never swap, so ties keep the merged order, as in lexsort.
     """
     order = np.argsort(seq_idx, kind="stable")
     ordered = seq_idx[order]
-    shared = np.zeros(ordered.size, dtype=bool)
-    repeat = np.flatnonzero(ordered[1:] == ordered[:-1])
-    shared[repeat] = shared[repeat + 1] = True
-    pos = np.flatnonzero(shared)
-    sub = order[pos]
-    order[pos] = sub[np.lexsort((times[sub], seq_idx[sub]))]
+    pairs = np.flatnonzero(ordered[1:] == ordered[:-1])  # neighbours k, k + 1
+    phases = (pairs[pairs % 2 == 0], pairs[pairs % 2 == 1])  # disjoint pairs each
+    swapped = True
+    while swapped:
+        swapped = False
+        for k in phases:
+            k = k[times[order[k + 1]] < times[order[k]]]
+            if k.size:
+                order[k], order[k + 1] = order[k + 1], order[k]
+                swapped = True
     return order
 
 

@@ -100,6 +100,24 @@ def _clicked_sequences(batch, label: str) -> np.ndarray:
     return memo[label]
 
 
+def _read_mask(batch) -> np.ndarray | None:
+    """A bool per sequence, True where it holds a read click, built once per
+    batch; None when ``n_sequences`` exceeds the bytes of the batch's
+    ``sequence_index``, ``pulse_label`` and ``click_time``, so a mask never
+    outgrows the columns it is built from."""
+    memo = batch._clicked
+    n_seq = int(batch.n_sequences)
+    if "read mask" not in memo:
+        if n_seq > (batch.sequence_index.nbytes + batch.pulse_label.nbytes
+                    + batch.click_time.nbytes):
+            return None
+        mask = np.zeros(n_seq, dtype=bool)
+        mask[_within(_clicked_sequences(batch, "read"), 0, n_seq)] = True
+        mask.flags.writeable = False
+        memo["read mask"] = mask
+    return memo["read mask"]
+
+
 def _within(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The part of sorted ``idx`` inside [lo, hi); ``hi`` may exceed int64."""
     start = np.searchsorted(idx, lo)
@@ -113,8 +131,13 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
     value = P(write in sequence i and read in sequence i + delta_n) divided
     by the product of the marginal click probabilities, all estimated over
     the usable sequence pairs.  Counts come from the sorted clicked-sequence
-    indices, found once per batch for every offset, so the cost scales with
-    the clicks, not with ``n_sequences``.
+    indices, found once per batch for every offset.  When ``n_sequences`` is
+    at most the bytes of the batch's ``sequence_index``, ``pulse_label`` and
+    ``click_time``, the coincidences are a lookup of the shifted write
+    indices in a bool mask of the read clicked sequences, also built once
+    per batch; otherwise they come from a merge of the two index arrays.
+    Either way time and memory scale with the clicks, not with
+    ``n_sequences`` alone.
     The confidence interval comes from ``coincidence_ci``.
     """
     n_seq = int(batch.n_sequences)
@@ -131,7 +154,8 @@ def g2_crosscorr(batch, delta_n: int, level: float = 0.68) -> G2Estimate:
         raise UndefinedEstimateError(
             f"g2(dn={delta_n:+d}) undefined: {n_w} usable write clicks, {n_r} usable read clicks"
         )
-    n_c = _n_common(w + delta_n, r)
+    mask = _read_mask(batch)
+    n_c = _n_common(w + delta_n, r) if mask is None else int(np.count_nonzero(mask[w + delta_n]))
     value = (n_c / n_pairs) / ((n_w / n_pairs) * (n_r / n_pairs))
     lo, hi = coincidence_ci(n_c, n_w, n_r, n_pairs, level=level)
     return G2Estimate(delta_n=delta_n, value=value, ci_low=lo, ci_high=hi,

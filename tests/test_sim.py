@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -455,7 +456,7 @@ def test_memoised_g2_counts_match_a_fresh_batch(device_config):
     config = _pair_config(device_config, 0.05, 0.3, 0.3, 20_000, eta_rest=0.5, dark_rate=5e3)
     batch, _ = sim.simulate(config, 5)
     memoised = [stats.g2_crosscorr(batch, dn).counts for dn in range(-4, 5)]
-    assert set(batch._clicked) == {"write", "read"}
+    assert set(batch._clicked) == {"write", "read", "read mask"}
     for dn, counts in zip(range(-4, 5), memoised):
         fresh = dataclasses.replace(batch)
         assert fresh._clicked == {}
@@ -482,14 +483,64 @@ def test_records_come_in_sequence_then_time_order(blind):
             assert np.array_equal(column, column[order])
 
 
+def _pulse_runs(n_seq, n_pulses, clicks_per_pulse, seed):
+    """Sequence indices as simulate concatenates them: one sorted run per pulse."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.sort(rng.integers(0, n_seq, clicks_per_pulse))
+                           for _ in range(n_pulses)])
+
+
 def test_click_order_is_lexsort_order_with_ties():
-    # a few sorted runs of sequence indices, as simulate concatenates them,
-    # with coarse click times so that (sequence, time) ties occur
-    rng = np.random.default_rng(12)
-    seq_idx = np.concatenate([np.sort(rng.integers(0, 300, 400)) for _ in range(3)])
-    times = rng.integers(0, 4, seq_idx.size)
-    order = sim._click_order(seq_idx, times)
-    assert np.array_equal(order, np.lexsort((times, seq_idx)))
+    cases = [
+        # coarse click times, so that (sequence, time) ties occur
+        (_pulse_runs(300, 3, 400, 12), np.random.default_rng(13).integers(0, 4, 1200)),
+        # each of 50 sequences clicks in all 5 pulses, later pulses earlier in
+        # time: every sequence's clicks come reversed and take several passes
+        (np.tile(np.arange(50), 5), np.repeat(np.arange(5)[::-1], 50) * 1000
+         + np.random.default_rng(14).integers(0, 3, 250)),
+        # 3 to 6 clicks per sequence, all at one time: nothing may move
+        (_pulse_runs(40, 6, 200, 15), np.zeros(1200, dtype=np.int64)),
+    ]
+    for seq_idx, times in cases:
+        order = sim._click_order(seq_idx, times)
+        assert np.array_equal(order, np.lexsort((times, seq_idx)))
+
+
+# sha256 of each record column's bytes, recorded while simulate ordered its
+# clicks with np.lexsort: the click order may not move a byte
+_SIMULATE_SHA256 = {
+    "dense": {
+        "sequence_index": "430cabeaa3e354ad84e178366abfd8bc4878aed0d3ca5944d64f248e2e8db435",
+        "pulse_index": "a15b40723157e37a76176784949e3c8318742bccbafde050be9e45ca17b98ab7",
+        "pulse_label": "e1aea6761a5fc9dcdcdb1e9f25f1fc65c531c76d4ec9080aa44cb19ebf1ed6d4",
+        "click_time": "840ea975f629516e45ba9b324fee42a6b463793d106acd827a5a4c981f0d045c",
+        "origin": "2524c01331e7d065cb5383bb5631c4bbd5f60e1109abaf9ef73f4fc41dd371ad",
+    },
+    "three pulses": {
+        "sequence_index": "bea33db19900d8cf5283f0b1c3b1052e795b1ac385c77a6d361897d572d017b3",
+        "pulse_index": "b2fde97dfbeca612c42ffa7f7bb64136067a53c86b1c70d586c823b314d6c7a6",
+        "pulse_label": "85670d19ded0ccff6d039ebe572f0fc2e7eb51ecdfb42f8d43f531d02976b2eb",
+        "click_time": "ac39d974a167e44d89e9bbe5b2442fb3211ec60b51f7d2c6fa2afd74d18b2c99",
+        "origin": "653a785e89bb980576626cee7e286c1c014c1fff5eca5964a612c1dba226e60f",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SIMULATE_SHA256))
+def test_simulate_records_are_pinned_byte_for_byte(variant):
+    config = load_config(DENSE_CONFIG)
+    sequence = dataclasses.replace(config.sequence, n_sequences=200_000)
+    if variant == "three pulses":
+        # a third, unpaired pulse is a second sampling unit, so simulate
+        # merges two units' runs, and its window overlaps the others'
+        sequence = dataclasses.replace(sequence, pulses=sequence.pulses + (
+            Pulse(side="red", duration=40e-9, peak_power=1e-5, start=400e-9, window=20e-6),))
+    batch, _ = sim.simulate(dataclasses.replace(config, sequence=sequence), 8)
+    _, per_sequence = np.unique(batch.sequence_index, return_counts=True)
+    assert per_sequence.max() == len(sequence.pulses)
+    digests = {name: hashlib.sha256(getattr(batch, name).tobytes()).hexdigest()
+               for name in _SIMULATE_SHA256[variant]}
+    assert digests == _SIMULATE_SHA256[variant]
 
 
 _GOLDEN_BATCH = sim.RecordBatch(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,21 @@ from omclab import sim, stats
 from omclab.sim import RecordBatch
 
 
-def _records_from_masks(write, read):
-    w, r = np.flatnonzero(write), np.flatnonzero(read)
+def _records(n, w, r):
+    """A blind batch of n sequences: write clicks in sequences w, then read clicks in r."""
+    w, r = np.asarray(w, dtype=np.int64), np.asarray(r, dtype=np.int64)
     return RecordBatch(
-        n_sequences=write.size,
+        n_sequences=n,
         sequence_index=np.concatenate([w, r]),
         pulse_index=np.repeat(np.array([0, 1], dtype=np.int16), [w.size, r.size]),
         pulse_label=np.repeat(np.array([0, 1], dtype=np.int8), [w.size, r.size]),
         click_time=np.repeat([20e-9, 210e-9], [w.size, r.size]),
         origin=None,
     )
+
+
+def _records_from_masks(write, read):
+    return _records(write.size, np.flatnonzero(write), np.flatnonzero(read))
 
 
 def test_g2_independent_streams_consistent_with_one():
@@ -78,6 +84,62 @@ def test_g2_unsorted_duplicate_clicks_count_as_sorted_distinct():
         expected = (int((w & r).sum()), int(w.sum()), int(r.sum()), w.size)
         assert stats.g2_crosscorr(clean, dn).counts == expected
         assert stats.g2_crosscorr(messy, dn).counts == expected
+
+
+def _merged_coincidences(batch, dn):
+    """The coincidences at dn by ``_n_common``'s merge, whatever the batch's size."""
+    n = batch.n_sequences
+    w_lo, w_hi = max(0, -dn), n - max(0, dn)
+    w = stats._within(stats._clicked_sequences(batch, "write"), w_lo, w_hi)
+    r = stats._within(stats._clicked_sequences(batch, "read"), w_lo + dn, w_hi + dn)
+    return stats._n_common(w + dn, r)
+
+
+@pytest.mark.parametrize("n, p, dense", [(3000, 0.2, True), (2_000_000, 5e-5, False)])
+def test_g2_mask_and_merge_count_the_same_coincidences(n, p, dense):
+    # the mask is built when n_sequences is at most the bytes of the batch's
+    # sequence_index, pulse_label and click_time (17 B per click here)
+    rng = np.random.default_rng(47)
+    write, read = rng.random(n) < p, rng.random(n) < p
+    for clicked in (write, read):  # shifted indices reach 0 and n - 1
+        clicked[:5] = clicked[-5:] = True
+    blind = _records_from_masks(write, read)
+    labelled = RecordBatch(n_sequences=n, sequence_index=blind.sequence_index,
+                           pulse_index=blind.pulse_index, pulse_label=blind.pulse_label,
+                           click_time=blind.click_time,
+                           origin=np.zeros(len(blind), dtype=np.int8))
+    rows = rng.permutation(np.concatenate([np.arange(len(blind)), rng.choice(len(blind), 40)]))
+    messy = RecordBatch(n_sequences=n, sequence_index=blind.sequence_index[rows],
+                        pulse_index=blind.pulse_index[rows], pulse_label=blind.pulse_label[rows],
+                        click_time=blind.click_time[rows], origin=None)
+    for batch in (blind, labelled, messy):
+        for dn in range(-4, 5):
+            w = write[max(0, -dn):n - max(0, dn)]
+            r = read[max(0, dn):n - max(0, -dn)]
+            expected = (int((w & r).sum()), int(w.sum()), int(r.sum()), w.size)
+            assert stats.g2_crosscorr(batch, dn).counts == expected
+            assert _merged_coincidences(batch, dn) == expected[0]
+        assert ("read mask" in batch._clicked) == dense
+
+
+def test_g2_on_a_sparse_huge_batch_builds_no_mask():
+    # scipy.optimize, which coincidence_ci imports, is loaded with this module
+    n = 10**12
+    writes, reads = [0, 1, 5, n - 3, n - 1], [0, 2, 5, n - 4, n - 1]
+    batch = _records(n, writes, reads)
+    tracemalloc.start()
+    try:
+        counts = [stats.g2_crosscorr(batch, dn).counts for dn in range(-4, 5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert "read mask" not in batch._clicked
+    for dn, got in zip(range(-4, 5), counts):
+        w = [i for i in writes if max(0, -dn) <= i < n - max(0, dn)]
+        r = [j for j in reads if max(0, dn) <= j < n - max(0, -dn)]
+        n_c = len({i + dn for i in w} & set(r))
+        assert got == (n_c, len(w), len(r), n - abs(dn))
 
 
 def test_g2_requires_clicks():
