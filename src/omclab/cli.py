@@ -28,6 +28,7 @@ from .core import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    open_new,
     read_table,
     serialize_config,
     write_table,
@@ -58,8 +59,9 @@ def _header(config_hash: str, seed: int | None) -> str:
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
-    path.write_text(f"# {header}\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = f"# {header}\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open_new(path) as out:
+        out.write(text)
 
 
 def read_artifact_json(path: str | Path) -> dict:

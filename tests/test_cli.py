@@ -413,6 +413,26 @@ def test_reproduce_all_artifacts_are_golden(tmp_path, device_config_path, capsys
         f"reproduce {target}: artifacts in {tmp_path}" for target in cli._REPRODUCE]
 
 
+def test_reproduce_all_replaces_the_artifacts_in_an_existing_out(tmp_path, device_config_path):
+    # each artifact is already there, longer than its new bytes, and one is a
+    # symlink: the run writes the golden bytes as regular files and leaves
+    # the link's target as it was
+    out, target = tmp_path / "out", tmp_path / "target"
+    out.mkdir()
+    for name in _REPRODUCE_ALL_SHA256:
+        (out / name).write_text("stale\n" * 10_000, encoding="utf-8")
+    target.write_text("kept\n", encoding="utf-8")
+    (out / "budget.json").unlink()
+    (out / "budget.json").symlink_to(target)
+    assert run("reproduce", "all", "--config", device_config_path, "--seed", 0,
+               "--out", out) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert digests == _REPRODUCE_ALL_SHA256
+    assert not any(path.is_symlink() for path in out.iterdir())
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_reproduce_fig3a_keeps_a_heating_curves_file(tmp_path, device_config_path):
     assert run("heating", "--config", device_config_path, "--out", tmp_path,
                "--ps", 0.01) == 0

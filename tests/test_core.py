@@ -275,6 +275,31 @@ def test_write_table_refuses_a_repeated_column(tmp_path, names):
     assert not path.exists()
 
 
+def test_write_table_replaces_an_existing_file(tmp_path):
+    # a write over a longer file gives a fresh write's bytes, and one over a
+    # symlink writes a regular file and leaves the link's target as it was
+    columns = [np.array([1.5, 2.5])]
+    fresh, path, target = tmp_path / "fresh.csv", tmp_path / "table.csv", tmp_path / "target"
+    core.write_table(fresh, ["n=1"], ["x"], columns)
+    path.write_text("# old\nx\n" + "9\n" * 1000, encoding="utf-8")
+    core.write_table(path, ["n=1"], ["x"], columns)
+    assert path.read_bytes() == fresh.read_bytes()
+    target.write_text("kept\n", encoding="utf-8")
+    path.unlink()
+    path.symlink_to(target)
+    core.write_table(path, ["n=1"], ["x"], columns)
+    assert not path.is_symlink() and path.read_bytes() == fresh.read_bytes()
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_refused_write_table_leaves_the_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# old\nx\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="would not read back"):
+        core.write_table(path, [], ["x"], [np.array([np.nan])])
+    assert path.read_text(encoding="utf-8") == "# old\nx\n1\n"
+
+
 def test_coded_column_reads_each_field_as_its_index(tmp_path):
     # padded fields, a value that another value starts with, and no rows
     path = tmp_path / "table.csv"

@@ -483,6 +483,38 @@ def test_records_come_in_sequence_then_time_order(blind):
             assert np.array_equal(column, column[order])
 
 
+def _cell_tables(device_config):
+    """(name, table): the 4-cell table of a single red pulse and the 16-cell
+    pair table of the device config, then each shape with empty cells inside
+    and at its end, so that their cumulative sums repeat edges."""
+    single = sim.sequence_model(sim.single_pulse_config(device_config, "red", 0.02, 1))
+    pair = sim.sequence_model(device_config)
+    holes = np.array([0.5, 0.0, 0.125, 0.0, 0.0, 0.0625, 0.0, 0.25,
+                      0.0, 0.0, 0.0625, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return [("single pulse", single.outcomes[0][1]), ("pair", dict(pair.outcomes)[pair.pair]),
+            ("single, empty cells", np.array([0.75, 0.0, 0.25, 0.0])),
+            ("pair, empty cells", holes.reshape(4, 4))]
+
+
+def test_cell_pick_is_one_plus_searchsorted(device_config):
+    rng = np.random.default_rng(23)
+    for name, table in _cell_tables(device_config):
+        cum = np.cumsum(table.ravel()[1:])
+        x = np.concatenate([
+            cum,  # exactly on each edge, and at cum[-1], as a product rounded up would be
+            np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+            [0.0, np.nextafter(1.0, 0.0) * cum[-1]],  # the smallest and largest uniform's
+            rng.random(1000) * cum[-1],
+        ])
+        cell = sim._pick_cells(cum, x)
+        assert cell.dtype == np.uint8, name
+        assert np.array_equal(cell, 1 + np.searchsorted(cum[:-1], x, side="right")), name
+        assert sim._pick_cells(cum, np.empty(0)).tolist() == [], name
+    # the empty-cell tables repeat edges, the last of them at cum[-1]
+    cum = np.cumsum(_cell_tables(device_config)[3][1].ravel()[1:])
+    assert np.unique(cum[:-1]).size < cum.size - 1 and cum[-2] == cum[-1]
+
+
 def _pulse_runs(n_seq, n_pulses, clicks_per_pulse, seed):
     """Sequence indices as simulate concatenates them: one sorted run per pulse."""
     rng = np.random.default_rng(seed)
@@ -634,6 +666,19 @@ def test_write_records_refuses_what_would_not_read_back(tmp_path, change, fault)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
         sim.write_records(dataclasses.replace(_GOLDEN_BATCH, **change), path)
     assert not path.exists()
+
+
+def test_write_records_replaces_an_existing_file(tmp_path):
+    # a write over a longer file gives a fresh write's bytes; a refused write
+    # leaves the file as it was
+    fresh, path = tmp_path / "fresh.npz", tmp_path / "records.npz"
+    sim.write_records(_GOLDEN_BATCH, fresh)
+    path.write_bytes(b"old" * 10_000)
+    sim.write_records(_GOLDEN_BATCH, path)
+    assert path.read_bytes() == fresh.read_bytes()
+    with pytest.raises(ValueError, match="n_sequences=-1 is negative"):
+        sim.write_records(dataclasses.replace(_GOLDEN_BATCH, n_sequences=-1), path)
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("shape", [(2**40,), (10**8,)])

@@ -86,6 +86,19 @@ def test_g2_unsorted_duplicate_clicks_count_as_sorted_distinct():
         assert stats.g2_crosscorr(messy, dn).counts == expected
 
 
+def test_clicked_sequences_are_sorted_and_distinct():
+    # each label's rows come unsorted and repeated, so _sorted_distinct sorts
+    batch = RecordBatch(n_sequences=10, sequence_index=np.array([5, 9, 2, 5, 0, 2, 7, 9]),
+                        pulse_index=np.zeros(8, dtype=np.int16),
+                        pulse_label=np.array([0, 1, 0, 0, 1, 0, 1, 1], dtype=np.int8),
+                        click_time=np.zeros(8, dtype=np.int64), origin=None)
+    write = stats._clicked_sequences(batch, "write")
+    read = stats._clicked_sequences(batch, "read")
+    assert write.tolist() == [2, 5] and read.tolist() == [0, 7, 9]
+    assert write.dtype == read.dtype == np.int64
+    assert not write.flags.writeable and stats._clicked_sequences(batch, "write") is write
+
+
 def _merged_coincidences(batch, dn):
     """The coincidences at dn by ``_n_common``'s merge, whatever the batch's size."""
     n = batch.n_sequences
