@@ -17,8 +17,11 @@ required key (see ``parse_config``).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import stat
 import types
 import typing
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -467,12 +470,20 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def open_new(path: str | Path, mode: str = "w"):
-    """``open(path, mode)`` on a file created anew: a file already at ``path``
-    is removed first, so it is replaced, not rewritten in place, and a
-    symlink there becomes a regular file.  On an ext4 root, rewriting an
-    existing file in place took 35-80 ms; removing it and creating a new
-    one, 0.02 ms."""
-    Path(path).unlink(missing_ok=True)
+    """``open(path, mode)``, with a regular file already at ``path`` removed
+    first, so it is replaced, not rewritten in place (another hard link to it
+    keeps the old bytes).  Anything else there, a symlink, a FIFO or a device
+    such as ``os.devnull``, is opened as it is.
+
+    On ext4 (default ``auto_da_alloc``), truncating a file to zero starts its
+    writeback at close; removing a file whose blocks are allocated, or being
+    written back, then took 25-80 ms, and one created anew and not yet
+    written back, 0.01 ms.  A file created anew gets no such writeback:
+    like any fresh file, it reaches the disk when the kernel's dirty data
+    expires (30 s here), so a crash before that can leave it empty."""
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import re
+import stat
 import tempfile
 import zipfile
 from pathlib import Path
@@ -415,13 +417,12 @@ def test_reproduce_all_artifacts_are_golden(tmp_path, device_config_path, capsys
 
 def test_reproduce_all_replaces_the_artifacts_in_an_existing_out(tmp_path, device_config_path):
     # each artifact is already there, longer than its new bytes, and one is a
-    # symlink: the run writes the golden bytes as regular files and leaves
-    # the link's target as it was
+    # symlink: the run writes the golden bytes, through the link for that one
     out, target = tmp_path / "out", tmp_path / "target"
     out.mkdir()
     for name in _REPRODUCE_ALL_SHA256:
         (out / name).write_text("stale\n" * 10_000, encoding="utf-8")
-    target.write_text("kept\n", encoding="utf-8")
+    target.write_text("stale\n" * 10_000, encoding="utf-8")
     (out / "budget.json").unlink()
     (out / "budget.json").symlink_to(target)
     assert run("reproduce", "all", "--config", device_config_path, "--seed", 0,
@@ -429,8 +430,24 @@ def test_reproduce_all_replaces_the_artifacts_in_an_existing_out(tmp_path, devic
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
     assert digests == _REPRODUCE_ALL_SHA256
-    assert not any(path.is_symlink() for path in out.iterdir())
-    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert [path.name for path in out.iterdir() if path.is_symlink()] == ["budget.json"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _REPRODUCE_ALL_SHA256["budget.json"]
+
+
+def test_g2_out_writes_through_a_fifo(tmp_path, device_config_path):
+    # an --out that is not a regular file (a FIFO; a device such as
+    # /dev/stdout or os.devnull) is written as it is, not removed
+    fifo, regular = tmp_path / "g2.json", tmp_path / "regular.json"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the artifact fits the pipe's buffer
+    try:
+        assert run("g2", "--oracle", "--config", device_config_path, "--out", fifo) == 0
+        received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert run("g2", "--oracle", "--config", device_config_path, "--out", regular) == 0
+    assert received == regular.read_bytes()
 
 
 def test_reproduce_fig3a_keeps_a_heating_curves_file(tmp_path, device_config_path):

@@ -276,20 +276,23 @@ def test_write_table_refuses_a_repeated_column(tmp_path, names):
 
 
 def test_write_table_replaces_an_existing_file(tmp_path):
-    # a write over a longer file gives a fresh write's bytes, and one over a
-    # symlink writes a regular file and leaves the link's target as it was
+    # a write over a longer file gives a fresh write's bytes in a new file,
+    # so a hard link to the old one keeps its bytes, and a write over a
+    # symlink writes through it to the link's target
     columns = [np.array([1.5, 2.5])]
     fresh, path, target = tmp_path / "fresh.csv", tmp_path / "table.csv", tmp_path / "target"
     core.write_table(fresh, ["n=1"], ["x"], columns)
-    path.write_text("# old\nx\n" + "9\n" * 1000, encoding="utf-8")
+    old = "# old\nx\n" + "9\n" * 1000
+    path.write_text(old, encoding="utf-8")
+    (tmp_path / "old.csv").hardlink_to(path)
     core.write_table(path, ["n=1"], ["x"], columns)
     assert path.read_bytes() == fresh.read_bytes()
-    target.write_text("kept\n", encoding="utf-8")
+    assert (tmp_path / "old.csv").read_text(encoding="utf-8") == old
+    target.write_text(old, encoding="utf-8")
     path.unlink()
     path.symlink_to(target)
     core.write_table(path, ["n=1"], ["x"], columns)
-    assert not path.is_symlink() and path.read_bytes() == fresh.read_bytes()
-    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert path.is_symlink() and target.read_bytes() == fresh.read_bytes()
 
 
 def test_a_refused_write_table_leaves_the_old_file(tmp_path):
