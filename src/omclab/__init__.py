@@ -14,7 +14,7 @@ Modules:
 * ``cli``         the ``omclab`` command-line entry point
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .core import (
     ConfigError,

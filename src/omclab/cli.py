@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,9 @@ def read_artifact_json(path: str | Path) -> dict:
 def _pmap(fn, items, threads: int):
     if threads <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures brings logging, which --threads 1 never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -15,11 +15,11 @@ O((eta p)^2 Delta n): adding Delta n to the pair's click table instead moves
 ``predicted_g2`` on configs/gap_omc.cfg from 5.51204 to 5.51183.
 
 ``simulate`` samples each unit by one rule: the sequences in which it clicks
-at all, drawn as a binomial number of distinct uniform sequence indices (so
-the cost scales with the clicks), then one uniform per sequence picks its cell
-of the table.  One Philox stream (Salmon et al., SC'11) keyed by the seed feeds
-the units in pulse order, so a given (config, seed) yields identical records
-and distinct seeds give independent streams.
+at all, drawn in order by skip sampling (one geometric gap per clicked
+sequence, so the cost scales with the clicks), then one uniform per sequence
+picks its cell of the table.  One Philox stream (Salmon et al., SC'11) keyed
+by the seed feeds the units in pulse order, so a given (config, seed, omclab
+version) yields identical records and distinct seeds give independent streams.
 """
 
 from __future__ import annotations
@@ -246,9 +246,56 @@ def g2_model(config: ExperimentConfig) -> SequenceModel | None:
     return model
 
 
+def _gap_batch(mean: float) -> int:
+    """Uniforms to draw for the gaps of ``_bernoulli`` when ``mean`` successes
+    are expected: 6 standard deviations and 16 over, so that a batch falls
+    short of the end in about one call in 1e9."""
+    return int(mean + 6 * math.sqrt(mean) + 16)
+
+
 def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """Sorted indices of the successes among n independent Bernoulli(p) trials."""
-    return np.sort(rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False))
+    """Sorted int64 indices of the successes among n independent Bernoulli(p) trials.
+
+    Skip sampling (Devroye, Non-Uniform Random Variate Generation, 1986): the
+    gaps between successes are geometric, G = 1 + floor(log1p(-u) /
+    log1p(-p)) by inversion of one uniform u each, and the successes are the
+    running sum of the gaps, so the result comes sorted and distinct at
+    O(clicks) cost, with no n-long array.
+    One batch of ``_gap_batch(np)`` uniforms nearly always reaches n; a
+    further batch is drawn only when the sum has not reached n.  Exact in
+    distribution up to float64 rounding of ``log1p`` and u's 2^-53 grid
+    (below p = 2^-53 that grid leaves some gap lengths out).
+
+    The gaps are summed as float64, which cannot overflow, and a batch
+    decides at most 2^52 trials, so every sum below its end is an exact
+    whole number; only those are cast to int64.  No p and no n < 2^63 makes
+    a warning, and a batch too large to hold fails at once with MemoryError.
+    """
+    if n == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    # below 1e-300 every nonzero uniform on the 2^-53 grid gives a gap past
+    # 2^63 either way; a finite scale makes u = 0 a gap of 1, not 0 * inf
+    scale = 1.0 / min(math.log1p(-p), -1e-300)
+    runs, start = [], 0  # start: the first trial not yet decided
+    while start < n:
+        rest = min(n - start, 2**52)
+        x = rng.random(_gap_batch(rest * p))
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        x *= scale
+        np.floor(x, out=x)  # the failures before each success
+        x += 1
+        x[0] -= 1
+        np.cumsum(x, out=x)  # each success's index from start
+        k = int(x.searchsorted(rest))
+        successes = x[:k].astype(np.int64)
+        if start:
+            successes += start
+        runs.append(successes)
+        start = start + rest if k < x.size else int(successes[-1]) + 1
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def _pick_cells(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -351,12 +398,16 @@ def simulate(config: ExperimentConfig, seed: int,
     for pulses, table in model.outcomes:
         for i, (idx, code) in zip(pulses, _sample_unit(rng, n_total, table)):
             pulse = seq.pulses[i]
+            # each origin's span: a dark count falls anywhere in the detector window
+            duration, window = _fs(pulse.duration), _fs(pulse.window_length)
+            spans = np.array([window if origin == "dark" else duration for origin in ORIGINS],
+                             dtype=float)
             times = rng.random(idx.size)  # u * span truncates to whole fs in [0, span)
-            times *= np.where(code == ORIGINS.index("dark"), _fs(pulse.window_length),
-                              _fs(pulse.duration))
+            times *= spans.take(code)
             columns.append((idx, np.full(idx.size, i, dtype=np.int16),
                             times.astype(np.int64) + _fs(pulse.start), code))
-            totals[i] = dict(zip(ORIGINS, np.bincount(code, minlength=len(ORIGINS)).tolist()))
+            totals[i] = {origin: int(np.count_nonzero(code == k))
+                         for k, origin in enumerate(ORIGINS)}
 
     # the per-pulse pieces go once concatenated, and each column once reordered,
     # so that at the peak one column is held twice, not all four

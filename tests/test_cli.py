@@ -375,32 +375,35 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why.
-# Made at omclab 0.6.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
+# Made at omclab 0.7.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
 # versions constraints.txt pins); the version is in every artifact's header
-# line, and all eleven differ from 0.5.0's, 0.4.0's and 0.3.0's in that line
-# only (0.4.0 changed the record CSV, which no artifact holds; 0.5.0 draws
-# click times on the fs grid, which no artifact holds either, since fig2 and
-# fig3b count clicks per sequence, not their times; 0.6.0 replaced the record
-# CSV with the .npz record file, which no artifact is).  0.3.0's random stream (one
-# draw per unit from its outcome table) moved the sampled values of
-# fig2_thermometry.csv and fig3b_g2.json; the other nine differ from 0.2.0's
-# in the header line only.  fig3b_g2.json's oracle_g2 and predicted_g2 then
-# moved in their last digits (19.789251142005924 -> 19.789251141881135,
-# 5.512039935135834 -> 5.512039935159948), nearer their exact values, when
-# fock.oracle_g2 wrote each marginal as p + q (1 - p) and predicted_g2 became
-# the g2 of the pair's outcome table
+# line.  0.7.0's random stream (the clicked sequences by skip sampling, not
+# Generator.choice) moved the sampled values of fig2_thermometry.csv and
+# fig3b_g2.json; the other nine differ from 0.6.0's in the header line only.
+# All eleven differ from 0.5.0's, 0.4.0's and 0.3.0's in that line only (0.4.0
+# changed the record CSV, which no artifact holds; 0.5.0 draws click times on
+# the fs grid, which no artifact holds either, since fig2 and fig3b count
+# clicks per sequence, not their times; 0.6.0 replaced the record CSV with the
+# .npz record file, which no artifact is).  0.3.0's random stream (one draw per
+# unit from its outcome table) moved the sampled values of fig2_thermometry.csv
+# and fig3b_g2.json; the other nine differ from 0.2.0's in the header line
+# only.  fig3b_g2.json's oracle_g2 and predicted_g2 then moved in their last
+# digits (19.789251142005924 -> 19.789251141881135, 5.512039935135834 ->
+# 5.512039935159948), nearer their exact values, when fock.oracle_g2 wrote each
+# marginal as p + q (1 - p) and predicted_g2 became the g2 of the pair's
+# outcome table
 _REPRODUCE_ALL_SHA256 = {
-    "budget.json": "a95d610d6e881151e6090078ebb45c943ca6878cb4626fef3039d968d3063765",
-    "fig1b_fit.json": "657460be5ac2477e389c3352a6a2294175f32ded76999e9318915bf76dd3668c",
-    "fig1b_reflection.csv": "5d36d8c6498e00af3d37b498f7807922a3632dcde349577f68b210c3e10b8e65",
-    "fig1c_fit.json": "8770572956c87142f30d99cd2aba87b2f3972ee68ba64ef5111c9b38b48ef8ff",
-    "fig1c_psd.csv": "f0034549167b05aaf43d00a399d7e041ef9044cdc2b1e039f79cbc288416c4c4",
-    "fig2_thermometry.csv": "4af409e8846279c90f7a570dbb4976c838b32b4091dfd46a1a64b7a4fcc77b63",
-    "fig3a_heating.csv": "ba4fc2977c51f8a2584582192606c34f925e6376cb9f2a702cd9f34dbe640f5c",
-    "fig3b_g2.json": "86b20d1318126e94bb9e375a97bc816057447f98a66b51a35821ebcd6aad548d",
-    "figs1_calibration.csv": "4607889babfcf07e807cd113b4e63b7ae2acb2b82dd831f5f7de237baf41a231",
-    "figs1_fit.json": "0070923390adee77b632f511a3a20dd03cbf530601b5e5f7990703f057c02d53",
-    "noise_vs_q.csv": "5a117a0902bbbb888f1871afe5fb9b7bad5b8c6b128f6c5775f341d18686afdf",
+    "budget.json": "1c9cadfcdd31fdcee8bd5827a2e1ff29229799bc72e5503f1bbb5cf7e3d00acd",
+    "fig1b_fit.json": "b6b3491065c5d73d644f4eff87750d613c0a4f9486de3e0804d1cdb1c105df53",
+    "fig1b_reflection.csv": "bbbc9272802192f599198f75332276839232bb826187a9b4da27c2ad526da411",
+    "fig1c_fit.json": "b6d0f329dbdd41553beb7b681b1166d7402e5bc232a7a312572ef0f25499be7d",
+    "fig1c_psd.csv": "a9e3be4dbcf6af0ec0d8ee9d461c5322a1a70cba77edcc36112337bdc01f2d17",
+    "fig2_thermometry.csv": "271449f0eb3c783deb203c486330df61d4843149a984e478e2c9292192f25855",
+    "fig3a_heating.csv": "bb995db3f510cb9260817482231a711528d8ffc71e05a65affc5413a4782b244",
+    "fig3b_g2.json": "6c2ca80ce70535ca699160284a4309078d901c2e59cde4f0718bbfeb45db08b5",
+    "figs1_calibration.csv": "32c5f961ee9121b0e2c05eec7f3506711365a1a6bf6b4c1aa77d49a38404775e",
+    "figs1_fit.json": "51283dc13ecddacf2c82d0b664f93f13373b1c84dfa1304f435b9a2ba18adeb0",
+    "noise_vs_q.csv": "e8fd2ec909c71dd840fcc3fe5c7756a60623076c98e97e4b5ff2ef643532a4bb",
 }
 
 

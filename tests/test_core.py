@@ -44,10 +44,11 @@ g0 = 845e3
 
 
 def test_cli_import_list_leaves_out_scipy_stats_and_constants():
+    # concurrent.futures is needed only for --threads above 1
     package_root = Path(omclab.__file__).resolve().parents[1]
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, omclab.cli; "
-         "print(*(m for m in ('scipy.stats', 'scipy.constants') if m in sys.modules))"],
+        [sys.executable, "-c", "import sys, omclab.cli; print(*(m for m in "
+         "('scipy.stats', 'scipy.constants', 'concurrent.futures') if m in sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(package_root)},
         capture_output=True, text=True, check=True).stdout.split()
     assert loaded == []

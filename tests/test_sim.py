@@ -515,6 +515,176 @@ def test_cell_pick_is_one_plus_searchsorted(device_config):
     assert np.unique(cum[:-1]).size < cum.size - 1 and cum[-2] == cum[-1]
 
 
+class _CountingRng:
+    """The one Generator method ``sim._bernoulli`` calls, counting its batches."""
+
+    def __init__(self, seed):
+        self.rng, self.batches = np.random.Generator(np.random.Philox(key=seed)), 0
+
+    def random(self, size):
+        self.batches += 1
+        return self.rng.random(size)
+
+
+def _bernoulli_runs(n, p, draws, seed):
+    """``draws`` calls of ``sim._bernoulli(rng, n, p)`` on one stream, each
+    checked to be sorted, distinct int64 indices inside [0, n), and the
+    number of batches drawn."""
+    rng = _CountingRng(seed)
+    runs = [sim._bernoulli(rng, n, p) for _ in range(draws)]
+    for idx in runs:
+        assert idx.dtype == np.int64 and idx.ndim == 1
+        assert np.all(idx[1:] > idx[:-1])
+        assert idx.size == 0 or (0 <= idx[0] and idx[-1] < n)
+    return runs, rng.batches
+
+
+def _assert_binomial_count(runs, n, p):
+    # the sample mean and variance of the count, each within 5 standard errors
+    # of binomial(n, p)'s; kurtosis is the binomial's fourth standardised moment
+    counts, draws = np.array([idx.size for idx in runs]), len(runs)
+    mean, var = n * p, n * p * (1 - p)
+    kurtosis = 3 + (1 - 6 * p * (1 - p)) / var
+    assert abs(counts.mean() - mean) < 5 * math.sqrt(var / draws)
+    se_var = var * math.sqrt((kurtosis - (draws - 3) / (draws - 1)) / draws)
+    assert abs(counts.var(ddof=1) - var) < 5 * se_var
+
+
+# n and p for the sampler: n = 1, where a gap of n + 1 must give no success;
+# the dense unit's rate; a rare unit; 1e12 trials at 1e-12; 2^52 + 3 trials,
+# which a batch of at most 2^52 trials decides in two
+_BERNOULLI_CASES = [(1, 0.5), (3, 0.3), (40, 0.3), (2000, 0.22), (2000, 0.97),
+                    (100_000, 0.003), (10**6, 1e-5), (10**12, 1e-12), (2**52 + 3, 1e-12)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, p", _BERNOULLI_CASES)
+def test_bernoulli_count_is_binomial(n, p):
+    draws = 200 if n > 2**52 else 4000
+    runs, batches = _bernoulli_runs(n, p, draws, seed=31)
+    _assert_binomial_count(runs, n, p)
+    if n < 2**52:  # one batch reaches n
+        assert batches == draws
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, p, bins", [(40, 0.3, 40), (1000, 0.22, 50), (10**6, 1e-4, 50)])
+def test_bernoulli_indices_are_uniform(n, p, bins):
+    # n // bins indices per bin; over the draws a bin's hits are binomial and
+    # independent of the other bins', so the sum below is chi-square with bins dof
+    runs, _ = _bernoulli_runs(n, p, 3000, seed=32)
+    hits = sum(np.bincount(idx // (n // bins), minlength=bins) for idx in runs)
+    expected = len(runs) * (n // bins) * p
+    assert hits.size == bins
+    assert float(((hits - expected) ** 2 / (expected * (1 - p))).sum()) < chi2.ppf(0.999, bins)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [0.03, 0.22, 0.6])
+def test_bernoulli_gaps_are_geometric(p):
+    # a gap of d between neighbouring successes of one draw: d - 1 failures
+    # after a success at any of the first n - d indices, so its expected
+    # count is draws (n - d) p^2 (1 - p)^(d - 1); chi-square over d, the
+    # cells expecting fewer than 5 pooled
+    n, draws = 2000, 300
+    runs, _ = _bernoulli_runs(n, p, draws, seed=33)
+    d = np.arange(1, n)
+    expected = draws * (n - d) * p**2 * (1 - p) ** (d - 1)
+    observed = np.bincount(np.concatenate([np.diff(idx) for idx in runs]), minlength=n)[1:]
+    small = expected < 5
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert stat < chi2.ppf(0.999, expected.size - 1)
+
+
+class _RecordingRng(_CountingRng):
+    """Also keeps a copy of each batch of uniforms, as drawn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def random(self, size):
+        x = super().random(size)
+        self.drawn.append(x.copy())
+        return x
+
+
+def _gap_rule(batches, n, p):
+    """The successes the uniforms of ``batches`` give, one at a time: success
+    k is at G_1 + ... + G_k - 1 with G = 1 + floor(log1p(-u) / log1p(-p)), up
+    to the first that passes n, which must come in the last batch."""
+    successes, last = [], -1
+    for i, batch in enumerate(batches):
+        for u in batch.tolist():
+            last += 1 + math.floor(math.log1p(-u) / math.log1p(-p))
+            if last >= n:
+                assert i == len(batches) - 1  # no batch drawn past the end
+                return successes
+            successes.append(last)
+    assert last == n - 1  # the batches ran out exactly at the last trial
+    return successes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("batch", [None, 2])
+@pytest.mark.parametrize("n, p", [(1, 0.5), (200, 0.03), (200, 0.22), (200, 0.97),
+                                  (10**9, 1e-7)])
+def test_bernoulli_follows_the_gap_rule(monkeypatch, n, p, batch):
+    # batches of 2 make nearly every call draw further batches, so the
+    # running sum crosses many seams between them
+    if batch:
+        monkeypatch.setattr(sim, "_gap_batch", lambda mean: batch)
+    rng = _RecordingRng(37)
+    for _ in range(50):
+        rng.drawn.clear()
+        assert sim._bernoulli(rng, n, p).tolist() == _gap_rule(rng.drawn, n, p)
+    if batch and n > 1:
+        assert rng.batches > 50 * 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, p, expected", [
+    (10, 0.0, []), (0, 0.5, []), (0, 1.0, []), (5, 1.0, [0, 1, 2, 3, 4]),
+    # the first gap passes n: p below 2^-53, 1e-300, subnormal; n up to 2^63 - 1
+    (10**12, 1e-20, []), (10, 1e-300, []), (2**63 - 1, 1e-300, []), (2**63 - 1, 5e-324, []),
+])
+def test_bernoulli_edge_cases(n, p, expected):
+    idx = sim._bernoulli(np.random.Generator(np.random.Philox(key=35)), n, p)
+    assert idx.dtype == np.int64 and idx.tolist() == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_bernoulli_indices_past_2_to_the_53_are_whole():
+    # 2^60 trials take 256 batches of 2^52; a sum of gaps in float64 would put
+    # every success on a multiple of 256 there, so the low bits would not be uniform
+    n, p = 2**60, 1e-15
+    runs, batches = _bernoulli_runs(n, p, 10, seed=36)
+    assert batches >= 10 * 256
+    _assert_binomial_count(runs, n, p)
+    low = np.bincount(np.concatenate(runs) % 64, minlength=64)
+    expected = low.sum() / 64
+    assert float(((low - expected) ** 2 / expected).sum()) < chi2.ppf(0.999, 63)
+
+
+class _ConstantRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-12, 0.5])
+def test_bernoulli_takes_the_extreme_uniforms(p):
+    # u = 0 is a gap of 1, so every trial succeeds, also where 1 / log1p(-p)
+    # would be infinite; the largest uniform is a gap past n
+    assert sim._bernoulli(_ConstantRng(0.0), 10, p).tolist() == list(range(10))
+    assert sim._bernoulli(_ConstantRng(np.nextafter(1.0, 0.0)), 10, p).tolist() == []
+
+
 def _pulse_runs(n_seq, n_pulses, clicks_per_pulse, seed):
     """Sequence indices as simulate concatenates them: one sorted run per pulse."""
     rng = np.random.default_rng(seed)
@@ -538,22 +708,23 @@ def test_click_order_is_lexsort_order_with_ties():
         assert np.array_equal(order, np.lexsort((times, seq_idx)))
 
 
-# sha256 of each record column's bytes, recorded while simulate ordered its
-# clicks with np.lexsort: the click order may not move a byte
+# sha256 of each record column's bytes, recorded at omclab 0.7.0 (the skip
+# sampler's stream) with simulate's click order replaced by np.lexsort((times,
+# sequence_index)): the click order may not move a byte
 _SIMULATE_SHA256 = {
     "dense": {
-        "sequence_index": "430cabeaa3e354ad84e178366abfd8bc4878aed0d3ca5944d64f248e2e8db435",
-        "pulse_index": "a15b40723157e37a76176784949e3c8318742bccbafde050be9e45ca17b98ab7",
-        "pulse_label": "e1aea6761a5fc9dcdcdb1e9f25f1fc65c531c76d4ec9080aa44cb19ebf1ed6d4",
-        "click_time": "840ea975f629516e45ba9b324fee42a6b463793d106acd827a5a4c981f0d045c",
-        "origin": "2524c01331e7d065cb5383bb5631c4bbd5f60e1109abaf9ef73f4fc41dd371ad",
+        "sequence_index": "425639bee76ebf900ae58df53eeb7e737029937fe9df22ee42289cc2a997db7e",
+        "pulse_index": "4efa98f7ff5ec6e8ffa9e966b74e100355a72907ac31cb2c86a7f45d3dbbdcb6",
+        "pulse_label": "9bafdef6a88c8df0f1b416b4f5d863a336859d85fdfab0a37adbe1a61c484453",
+        "click_time": "2c17c0feabe1604de70648967ef31adbf17b36924c13fd2bd63d9b8625006470",
+        "origin": "de072355f4a209138e9d9bcb01dbf852fd0b59ed83b81f94619897826dca5209",
     },
     "three pulses": {
-        "sequence_index": "bea33db19900d8cf5283f0b1c3b1052e795b1ac385c77a6d361897d572d017b3",
-        "pulse_index": "b2fde97dfbeca612c42ffa7f7bb64136067a53c86b1c70d586c823b314d6c7a6",
-        "pulse_label": "85670d19ded0ccff6d039ebe572f0fc2e7eb51ecdfb42f8d43f531d02976b2eb",
-        "click_time": "ac39d974a167e44d89e9bbe5b2442fb3211ec60b51f7d2c6fa2afd74d18b2c99",
-        "origin": "653a785e89bb980576626cee7e286c1c014c1fff5eca5964a612c1dba226e60f",
+        "sequence_index": "2e21a0de306923106efbfc299d42374b250c6b5f37dd5c51ad21b35187d3dbd1",
+        "pulse_index": "5c9291e66963b5d823a85f7315c6c42d4d17705f8fc3fde8cdaf7f3d20cfec13",
+        "pulse_label": "a22110380ad49b1009dde58fc873633ba7acfb081a0c7991f80c42d6b42eadea",
+        "click_time": "51fb236bd2d2da417a9d54e0c14d59a232a6e37e8ec9169f941a11a421d686ac",
+        "origin": "04be905473bd6227406865010f0f3d64c50f137bf9d47e19641240ef2d5709aa",
     },
 }
 
