@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -434,11 +435,12 @@ def _flag_type(expected: str, parse, valid):
     """argparse type: ``parse(text)`` if it parses and the value is ``valid``;
     otherwise the flag's error reads "expected <expected>, got <text>"."""
     def checked(text: str):
-        try:
+        try:  # OverflowError: len() of a range longer than 2**63 - 1
             value = parse(text)
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
+            ok = valid(value)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return checked
@@ -460,7 +462,11 @@ _P_S_LIST = _flag_type(
     lambda values: all(0 <= p <= optomech.P_S_VALIDITY_CEILING for p in values))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``omclab`` argument parser, built at its first call and reused by
+    every later one in the process (``parse_args`` keeps no state on it).
+    Each command's ``func`` is the name of its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(prog="omclab",
                                      description="pulsed optomechanics toolkit")
     parser.add_argument("--threads", type=int, default=1,
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     p = add("cavity-probe", cmd_cavity_probe, help="reflection spectrum and coupling report")
@@ -530,8 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # by name, at each call: the cached parser would otherwise keep a cmd_*
+    # function rebound since (perfbench's tracer wraps them for each traced op)
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"omclab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -493,7 +493,11 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     array per name, each value written ``%.10g``.  A column that is not a
     float array is a ``ValueError``, and so is a column named twice or a
     value that would not read back as a finite float; each is raised before
-    the file is opened.  A file already at ``path`` is replaced (``open_new``)."""
+    the file is opened.  ``columns`` may also be a 2-D float array, one
+    column per row of it.  The rows are formatted in one ``%`` operation:
+    the row format repeated once per row, fed every value as a Python float
+    (a float32 value as its float64), row by row.  A file already at
+    ``path`` is replaced (``open_new``)."""
     import numpy as np
 
     if len(columns) != len(names):
@@ -511,10 +515,12 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
             peak = float(column[np.argmax(np.abs(column))])  # a nan, else the largest
             if not math.isfinite(float("%.10g" % peak)):
                 raise ValueError(f"{path}: column {name!r}: {peak!r} would not read back")
-    cells = [["%.10g" % value for value in column.tolist()] for column in columns]
+    n_rows = len(columns[0]) if len(columns) else 0
+    row_format = ",".join(["%.10g"] * len(columns)) + "\n"
+    rows = row_format * n_rows % tuple(np.column_stack(columns).ravel().tolist()) if n_rows else ""
     with open_new(path) as out:
         out.write("".join(f"# {line}\n" for line in comment_lines) + ",".join(names) + "\n"
-                  + "".join(",".join(row) + "\n" for row in zip(*cells)))
+                  + rows)
 
 
 def read_table(path: str | Path,

@@ -453,6 +453,33 @@ def test_g2_out_writes_through_a_fifo(tmp_path, device_config_path):
     assert received == regular.read_bytes()
 
 
+def test_main_calls_in_one_process_share_a_parser_but_no_flags(tmp_path, device_config,
+                                                              device_config_path, capsys):
+    # the parser is built once per process; no flag of one call reaches the next
+    assert cli.build_parser() is cli.build_parser()
+    fig3b = tmp_path / "fig3b_g2.json"
+    assert run("reproduce", "fig3b", "--config", device_config_path, "--out", tmp_path,
+               "--sequences", 7) == 0
+    assert read_artifact_json(fig3b)["n_sequences"] == 7
+    assert run("reproduce", "fig3b", "--config", device_config_path, "--out", tmp_path) == 0
+    assert read_artifact_json(fig3b)["n_sequences"] == device_config.sequence.n_sequences
+    assert run("g2", "--oracle", "--config", device_config_path, "--dn-range", "0..1") == 0
+    with pytest.raises(SystemExit) as exc:
+        run("g2", "--records", fig3b, "--oracle")
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["g2", "--oracle", "--config", str(device_config_path)])
+    assert args.dn_range == range(-4, 5)
+
+
+def test_main_calls_a_command_rebound_after_the_parser_was_built(monkeypatch):
+    # a tracer rebinds cli.cmd_* between calls; the cached parser must not
+    # keep calling the function it was built with
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_fit", lambda args: 42)
+    assert run("fit", "--model", "linear", "--data", "unread.csv") == 42
+
+
 def test_reproduce_fig3a_keeps_a_heating_curves_file(tmp_path, device_config_path):
     assert run("heating", "--config", device_config_path, "--out", tmp_path,
                "--ps", 0.01) == 0
@@ -826,6 +853,9 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
     ("g2", "--dn-range", "3"),
     ("g2", "--dn-range", "1..x"),
     ("g2", "--dn-range", "4..1"),
+    # ranges longer than 2**63 - 1, whose len() overflows
+    ("g2", "--dn-range", "-9999999999999999999..9999999999999999999"),
+    ("g2", "--dn-range", "0..9223372036854775807"),
     ("heating", "--ps", "a,b"),
     ("heating", "--ps", "0.01,nan"),
     ("heating", "--ps", "2"),
@@ -835,9 +865,11 @@ def test_seed_outside_63_bits_is_a_config_error(tmp_path, monkeypatch, device_co
 def test_bad_grid_flag_is_a_usage_error(tmp_path, device_config_path, capsys,
                                         command, flag, value):
     # a grid numpy rejects (or fills with nan), a dn range or a p_s list that
-    # is not one, is refused as its flag is parsed
+    # is not one, is refused as its flag is parsed; "--flag=value", since
+    # argparse takes a separate "-9..9" for a flag
     with pytest.raises(SystemExit) as exc:
-        run(*command.split(), "--config", device_config_path, "--out", tmp_path, flag, value)
+        run(*command.split(), "--config", device_config_path, "--out", tmp_path,
+            f"{flag}={value}")
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}: expected" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # nothing written, not even part of a run
@@ -1089,7 +1121,8 @@ def test_mutated_table_exit_code(command, kind, data):
 # for memory (both fail before any work), ranges, and short arbitrary text
 _FLAG_VALUES = st.one_of(
     st.sampled_from([str(2**62), str(2**63 - 1), str(2**63), str(10**30), "-4..4", "4..-4",
-                     "0..9", "1e5", "nan", "", "linear", "biexp", "lorentzian"]),
+                     "0..9", f"0..{10**30}", "1e5", "nan", "", "linear", "biexp",
+                     "lorentzian"]),
     st.integers(-10**4, 10**4).map(str),
     st.text(st.characters(codec="ascii"), max_size=8),
 )

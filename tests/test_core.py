@@ -208,6 +208,10 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     assert [c.tolist() for c in read_columns] == expected
 
 
+# signed values from about 1e-300 to 1e300, with more digits than %.10g keeps
+_WIDE_RANGE = np.random.default_rng(7).standard_normal(1000) * np.logspace(-300, 300, 1000)
+
+
 @pytest.mark.parametrize("columns, rows", [
     # one column: a whole number without a point, a fraction, a negative zero
     ([np.array([3.0, 0.1, -0.0, 2.5])], ["3", "0.1", "-0", "2.5"]),
@@ -221,6 +225,14 @@ def test_table_round_trip_gives_each_field_text(tmp_path_factory, data):
     ([np.array([0.1, 4.0], dtype=np.float32)], ["0.1000000015", "4"]),
     # no rows
     ([np.array([]), np.array([])], []),
+    # a 2-D array, one column per row of it, as cavity-probe passes spectrum.T
+    (np.array([[1.5, -0.0], [1 / 3, 1e16], [5e-324, -2.5e-7]]),
+     ["1.5,0.3333333333,4.940656458e-324", "-0,1e+16,-2.5e-07"]),
+    # a float32 column beside a float64 one: each value as its own float64
+    ([np.array([0.1, 4.0], dtype=np.float32), np.array([0.1, 2 / 3])],
+     ["0.1000000015,0.1", "4,0.6666666667"]),
+    # one column of 1000 rows, against the per-value join
+    ([_WIDE_RANGE], ["%.10g" % value for value in _WIDE_RANGE.tolist()]),
 ])
 def test_write_table_writes_each_value_as_10g(tmp_path, columns, rows):
     # the comment lines, the names, then each row's values %.10g and joined
