@@ -22,12 +22,10 @@ from .core import (
     ExperimentConfig,
     HeatingParams,
     MechanicalMode,
-    ModelValidityError,
     OpticalCavity,
     PiezoInterface,
     Pulse,
     PulseSequence,
-    ValidationError,
     load_config,
     parse_config,
     serialize_config,
@@ -42,12 +40,10 @@ __all__ = [
     "ExperimentConfig",
     "HeatingParams",
     "MechanicalMode",
-    "ModelValidityError",
     "OpticalCavity",
     "PiezoInterface",
     "Pulse",
     "PulseSequence",
-    "ValidationError",
     "conversion_budget",
     "load_config",
     "parse_config",

@@ -27,6 +27,7 @@ from .core import (
     SIDES,
     ConfigError,
     ExperimentConfig,
+    UndefinedEstimateError,
     load_config,
     open_new,
     read_table,
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+DEFAULT_DN_RANGE = range(-4, 5)  # fig3b's offsets, and g2 --records' without --dn-range
+MAX_DN_OFFSETS = 1000  # g2 --dn-range refuses a longer range as it is parsed
 
 
 def _config_hash(text: str) -> str:
@@ -179,7 +183,7 @@ def _write_heating(config: ExperimentConfig, path: Path, header: str, ps_values:
 def cmd_heating(args) -> int:
     config, chash = _load(args)
     out = _out_dir(args)
-    ps_values = args.ps or [row[0] for row in config.mode.heating.calibration]
+    ps_values = args.ps or [row.p_s for row in config.mode.heating.calibration]
     _write_heating(config, out / "heating_curves.csv", _header(chash, None), ps_values,
                    np.geomspace(args.tmin, args.tmax, args.points))
     print(f"heating: {len(ps_values)} curves -> {out / 'heating_curves.csv'}")
@@ -207,7 +211,7 @@ def _dn_estimates(batch: sim.RecordBatch, dns) -> list[stats.G2Estimate]:
     for dn in dns:
         try:
             estimates.append(stats.g2_crosscorr(batch, dn))
-        except stats.UndefinedEstimateError as exc:
+        except UndefinedEstimateError as exc:
             print(exc)
     return estimates
 
@@ -222,6 +226,8 @@ def _estimate_json(estimate: stats.G2Estimate) -> dict:
 def cmd_g2(args) -> int:
     if bool(args.config) != args.oracle:
         raise ConfigError("g2 --oracle needs --config, and g2 --records takes none")
+    if args.oracle and args.dn_range:
+        raise ConfigError("g2 --dn-range goes with --records, not --oracle")
     if args.oracle:
         config, chash = _load(args)
         model = sim.g2_model(config)
@@ -238,11 +244,10 @@ def cmd_g2(args) -> int:
         print(f"g2 full model (dark counts, pump leakage, heating): {model.predicted_g2:.3f}")
         return EXIT_OK
 
-    batch = sim.read_records(args.records)
-    estimates = _dn_estimates(batch, args.dn_range)
+    dns = args.dn_range or DEFAULT_DN_RANGE
+    estimates = _dn_estimates(sim.read_records(args.records), dns)
     if not estimates:
-        raise stats.UndefinedEstimateError(f"g2 undefined at every dn in "
-                                           f"{args.dn_range[0]}..{args.dn_range[-1]}")
+        raise UndefinedEstimateError(f"g2 undefined at every dn in {dns[0]}..{dns[-1]}")
     if args.out:
         _write_json(Path(args.out), _header(_file_hash(args.records), None),
                     {"estimates": [_estimate_json(e) for e in estimates]})
@@ -268,7 +273,7 @@ def cmd_fit(args) -> int:
         _write_json(Path(args.out), _header(_file_hash(args.data), None), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not result.converged:
-        raise stats.UndefinedEstimateError(f"{args.model} fit did not converge")
+        raise UndefinedEstimateError(f"{args.model} fit did not converge")
     return EXIT_OK
 
 
@@ -364,7 +369,7 @@ def _reproduce_fig2(config, chash, out, args):
 
 def _reproduce_fig3a(config, chash, out, args):
     _write_heating(config, out / "fig3a_heating.csv", _header(chash, None),
-                   [row[0] for row in config.mode.heating.calibration],
+                   [row.p_s for row in config.mode.heating.calibration],
                    np.geomspace(2e-8, 1e-4, 240))
 
 
@@ -375,7 +380,7 @@ def _reproduce_fig3b(config, chash, out, args):
         config.sequence, n_sequences=n_seq))
     model = sim.g2_model(run_cfg)
     batch, _ = sim.simulate(run_cfg, args.seed)
-    estimates = [_estimate_json(e) for e in _dn_estimates(batch, range(-4, 5))]
+    estimates = [_estimate_json(e) for e in _dn_estimates(batch, DEFAULT_DN_RANGE)]
     _write_json(out / "fig3b_g2.json", header,
                 {"estimates": estimates,
                  "oracle_g2": None if model is None else model.oracle_g2,
@@ -455,7 +460,8 @@ _POSITIVE = _flag_type("a finite number > 0", float, lambda x: 0 < x < math.inf)
 _COUNT = _flag_type("an integer >= 0", int, lambda n: n >= 0)
 _AT_LEAST_ONE = _flag_type("an integer >= 1", int, lambda n: n >= 1)
 _SEED = _flag_type("a non-negative 63-bit integer", int, lambda n: 0 <= n < 2**63)
-_DN_RANGE = _flag_type("LO..HI with integers LO <= HI", _dn_range, len)
+_DN_RANGE = _flag_type(f"LO..HI with integers LO <= HI, at most {MAX_DN_OFFSETS} offsets",
+                       _dn_range, lambda dns: 0 < len(dns) <= MAX_DN_OFFSETS)
 _P_S_LIST = _flag_type(
     f"comma-separated scattering probabilities in [0, {optomech.P_S_VALIDITY_CEILING}]",
     lambda text: [float(x) for x in text.split(",")],
@@ -508,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--records", default=None)
     mode.add_argument("--oracle", action="store_true")
-    p.add_argument("--dn-range", type=_DN_RANGE, default="-4..4")
+    p.add_argument("--dn-range", type=_DN_RANGE, help="LO..HI, --records only (default -4..4)")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
 

@@ -24,9 +24,11 @@ import os
 import stat
 import types
 import typing
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Literal
+
+import numpy as np
 
 Frequency = float  # ordinary frequency in Hz (f, not omega)
 
@@ -40,15 +42,13 @@ HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
 class ConfigError(ValueError):
-    """Configuration file cannot be parsed or refers to unknown keys."""
+    """Any invalid config value or file; the message names the key, invariant
+    or file at fault."""
 
 
-class ValidationError(ConfigError):
-    """A domain-type invariant is violated; the message names the invariant."""
-
-
-class ModelValidityError(ValueError):
-    """Inputs are outside the validity range of the physical model."""
+class UndefinedEstimateError(ValueError):
+    """No estimate from these inputs: a g2 without usable clicks or with a
+    zero marginal click probability, or a fit that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,22 @@ class OpticalCavity:
 
     def __post_init__(self):
         if self.f_c <= 0:
-            raise ValidationError("cavity: f_c must be positive")
+            raise ConfigError("cavity: f_c must be positive")
         if not (0 < self.kappa_i <= self.kappa):
-            raise ValidationError("cavity: 0 < kappa_i <= kappa required")
+            raise ConfigError("cavity: 0 < kappa_i <= kappa required")
 
     @property
     def kappa_e(self) -> Frequency:
         return self.kappa - self.kappa_i
+
+
+@dataclass(frozen=True)
+class CalibrationPoint:
+    """One row of the heating calibration table (``heating.calib.N``)."""
+
+    p_s: float
+    amplitude: float
+    n_instant: float
 
 
 @dataclass(frozen=True)
@@ -88,39 +97,39 @@ class HeatingParams:
 
     tau_rise: float = 165e-9
     tau_decay: float = 22e-6
-    # rows of (p_s, amplitude, n_instant), the fields of CalibrationPoint,
-    # sorted by p_s
-    calibration: tuple[tuple[float, float, float], ...] = ()
+    calibration: tuple[CalibrationPoint, ...] = ()  # sorted by p_s
 
     def __post_init__(self):
         if not (self.tau_rise > 0 and self.tau_decay > 0):
-            raise ValidationError("heating: tau_rise and tau_decay must be positive")
+            raise ConfigError("heating: tau_rise and tau_decay must be positive")
         if self.tau_decay <= self.tau_rise:
-            raise ValidationError("heating: tau_decay > tau_rise required")
-        ps = [row[0] for row in self.calibration]
+            raise ConfigError("heating: tau_decay > tau_rise required")
+        ps = [row.p_s for row in self.calibration]
         if ps != sorted(ps) or len(set(ps)) != len(ps):
-            raise ValidationError("heating: calibration p_s values must be strictly increasing")
+            raise ConfigError("heating: calibration p_s values must be strictly increasing")
 
-    def _lookup(self, p_s: float, column: int) -> float:
+    def _lookup(self, p_s: float, name: str) -> float:
+        """The calibration field ``name`` at ``p_s``."""
         table = self.calibration
         if len(table) < 2:
-            return max(0.0, table[0][column]) if table else 0.0
+            return max(0.0, getattr(table[0], name)) if table else 0.0
         # piecewise linear on the segment [lo, hi] holding p_s, with linear
         # extrapolation from the end segments
         i = 1
-        while i < len(table) - 1 and table[i][0] <= p_s:
+        while i < len(table) - 1 and table[i].p_s <= p_s:
             i += 1
         lo, hi = table[i - 1], table[i]
-        slope = (hi[column] - lo[column]) / (hi[0] - lo[0])
-        return max(0.0, lo[column] + slope * (p_s - lo[0]))
+        y_lo = getattr(lo, name)
+        slope = (getattr(hi, name) - y_lo) / (hi.p_s - lo.p_s)
+        return max(0.0, y_lo + slope * (p_s - lo.p_s))
 
     def amplitude(self, p_s: float) -> float:
         """Delayed-heating amplitude A for a pulse of scattering probability p_s."""
-        return self._lookup(p_s, 1)
+        return self._lookup(p_s, "amplitude")
 
     def instant_occupation(self, p_s: float) -> float:
         """Quasi-instantaneous occupation added by the pulse itself."""
-        return self._lookup(p_s, 2)
+        return self._lookup(p_s, "n_instant")
 
 
 @dataclass(frozen=True)
@@ -134,11 +143,11 @@ class MechanicalMode:
 
     def __post_init__(self):
         if self.gamma_m <= 0:
-            raise ValidationError("mode: gamma_m must be positive")
+            raise ConfigError("mode: gamma_m must be positive")
         if self.f_m <= self.gamma_m:
-            raise ValidationError("mode: f_m > gamma_m required (resolved resonance)")
+            raise ConfigError("mode: f_m > gamma_m required (resolved resonance)")
         if self.n_baseline < 0:
-            raise ValidationError("mode: n_baseline must be non-negative")
+            raise ConfigError("mode: n_baseline must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -161,11 +170,11 @@ class DetectionChain:
         for name in ("eta_dev", "eta_fc", "eta_rest"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"detection: {name} must lie in [0, 1]")
+                raise ConfigError(f"detection: {name} must lie in [0, 1]")
         if not (0.0 < self.eta_det <= 1.0):
-            raise ValidationError("detection: eta_dev*eta_fc*eta_rest must lie in (0, 1]")
+            raise ConfigError("detection: eta_dev*eta_fc*eta_rest must lie in (0, 1]")
         if self.dark_rate < 0:
-            raise ValidationError("detection: dark_rate must be non-negative")
+            raise ConfigError("detection: dark_rate must be non-negative")
 
     @property
     def eta_det(self) -> float:
@@ -190,15 +199,15 @@ class Pulse:
 
     def __post_init__(self):
         if self.side not in SIDES:
-            raise ValidationError("pulse: side must be 'red' or 'blue'")
+            raise ConfigError("pulse: side must be 'red' or 'blue'")
         if self.duration <= 0:
-            raise ValidationError("pulse: duration must be positive")
+            raise ConfigError("pulse: duration must be positive")
         if self.peak_power < 0:
-            raise ValidationError("pulse: peak_power must be non-negative")
+            raise ConfigError("pulse: peak_power must be non-negative")
         if self.start < 0:
-            raise ValidationError("pulse: start must be non-negative")
+            raise ConfigError("pulse: start must be non-negative")
         if self.window is not None and self.window < self.duration:
-            raise ValidationError("pulse: window must cover the pulse duration")
+            raise ConfigError("pulse: window must cover the pulse duration")
 
     @property
     def end(self) -> float:
@@ -223,19 +232,19 @@ class PulseSequence:
 
     def __post_init__(self):
         if self.repetition_rate <= 0:
-            raise ValidationError("sequence: repetition_rate must be positive")
+            raise ConfigError("sequence: repetition_rate must be positive")
         if not 0 <= self.n_sequences < 2**63:  # sequence indices are int64
-            raise ValidationError("sequence: n_sequences must lie in [0, 2**63)")
+            raise ConfigError("sequence: n_sequences must lie in [0, 2**63)")
         ordered = sorted(self.pulses, key=lambda p: p.start)
         if tuple(ordered) != self.pulses:
-            raise ValidationError("sequence: pulses must be listed in time order")
+            raise ConfigError("sequence: pulses must be listed in time order")
         for a, b in zip(self.pulses, self.pulses[1:]):
             if b.start < a.end:
-                raise ValidationError("sequence: pulses must not overlap in time")
+                raise ConfigError("sequence: pulses must not overlap in time")
         if self.pulses and self.pulses[-1].end >= self.period:
-            raise ValidationError("sequence: period 1/repetition_rate must exceed last pulse end")
+            raise ConfigError("sequence: period 1/repetition_rate must exceed last pulse end")
         if any(p.start + p.window_length > self.period for p in self.pulses):
-            raise ValidationError("sequence: detection window extends past the period")
+            raise ConfigError("sequence: detection window extends past the period")
 
     @property
     def period(self) -> float:
@@ -262,17 +271,17 @@ class PiezoInterface:
 
     def __post_init__(self):
         if not (0 < self.k_eff2 < 1):
-            raise ValidationError("piezo: coupling k_eff2 must lie in (0, 1)")
+            raise ConfigError("piezo: coupling k_eff2 must lie in (0, 1)")
         if not (self.c_piezo > 0 and self.c_parasitic >= 0):
-            raise ValidationError("piezo: c_piezo > 0 and c_parasitic >= 0 required")
+            raise ConfigError("piezo: c_piezo > 0 and c_parasitic >= 0 required")
         if not (self.f_m > 0 and self.gamma_m > 0):
-            raise ValidationError("piezo: f_m and gamma_m must be positive")
+            raise ConfigError("piezo: f_m and gamma_m must be positive")
         if self.q_uw is not None and self.q_uw <= 0:
-            raise ValidationError("piezo: q_uw must be positive")
+            raise ConfigError("piezo: q_uw must be positive")
         if self.n_m is not None and self.n_m < 0:
-            raise ValidationError("piezo: n_m must be non-negative")
+            raise ConfigError("piezo: n_m must be non-negative")
         if not (0 < self.eta_e <= 1):
-            raise ValidationError("piezo: eta_e must lie in (0, 1]")
+            raise ConfigError("piezo: eta_e must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.g0 <= 0:
-            raise ValidationError("g0 must be positive")
+            raise ConfigError("g0 must be positive")
 
 
 # --- flat key = value configuration files ------------------------------------
@@ -303,15 +312,6 @@ class ExperimentConfig:
 # own default (`detection.filter_suppression_db = inf`: no filter line).
 # Indexed sections (`heating.calib.N`, `pulse.N`) repeat one dataclass per
 # index.  No key list is kept anywhere else.
-
-
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """One row of the heating calibration table (``heating.calib.N``)."""
-
-    p_s: float
-    amplitude: float
-    n_instant: float
 
 
 @functools.cache
@@ -413,7 +413,7 @@ def _parse_flat(text: str) -> dict[str, str]:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key = value configuration string."""
     entries = _parse_flat(text)
-    calibration = tuple(astuple(_read(CalibrationPoint, entries, f"heating.calib.{i}"))
+    calibration = tuple(_read(CalibrationPoint, entries, f"heating.calib.{i}")
                         for i in _indices(entries, "heating.calib"))
     heating = _read(HeatingParams, entries, "heating", calibration=calibration)
     pulses = tuple(_read(Pulse, entries, f"pulse.{i}") for i in _indices(entries, "pulse"))
@@ -449,8 +449,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     heating = config.mode.heating
     sections = [(config.cavity, "cavity"), (config.mode, "mode"), (config, ""),
                 (heating, "heating")]
-    sections += [(CalibrationPoint(*row), f"heating.calib.{i}")
-                 for i, row in enumerate(heating.calibration)]
+    sections += [(row, f"heating.calib.{i}") for i, row in enumerate(heating.calibration)]
     sections.append((config.detection, "detection"))
     sections += [(pulse, f"pulse.{i}") for i, pulse in enumerate(config.sequence.pulses)]
     sections.append((config.sequence, "sequence"))
@@ -498,8 +497,6 @@ def write_table(path: str | Path, comment_lines: list[str], names: list[str], co
     the row format repeated once per row, fed every value as a Python float
     (a float32 value as its float64), row by row.  A file already at
     ``path`` is replaced (``open_new``)."""
-    import numpy as np
-
     if len(columns) != len(names):
         raise ValueError(f"{path}: {len(columns)} columns for {len(names)} names")
     stripped = [name.strip() for name in names]  # as read_table reads the column line
@@ -540,8 +537,6 @@ def read_table(path: str | Path,
     with a wrong field count is named; failing that, the first that does not
     parse; failing that, the first non-finite float.
     """
-    import numpy as np  # only the table reader needs numpy; config parsing does not
-
     text = read_text(path)
     if "\x00" in text:
         raise ConfigError(f"{path}: contains a NUL character")

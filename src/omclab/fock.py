@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class HeraldingError(ValueError):
-    """Conditioning on a zero-probability detection outcome."""
+from .core import UndefinedEstimateError
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def oracle_g2(n_th: float, p_write: float, p_read: float, eta_det: float,
     p_w = s_w + q_w * (1.0 - s_w)
     p_r = s_r + q_r * (1.0 - s_r)
     if p_w == 0.0 or p_r == 0.0:
-        raise HeraldingError("g2 undefined: a marginal click probability is zero")
+        raise UndefinedEstimateError("g2 undefined: a marginal click probability is zero")
     p_wr = (table.p11
             + table.p10 * q_r
             + table.p01 * q_w

@@ -21,7 +21,6 @@ from .core import (
     HBAR,
     Frequency,
     MechanicalMode,
-    ModelValidityError,
     OpticalCavity,
     Side,
 )
@@ -54,7 +53,7 @@ def scattering_probability(side: Side, pulse_energy_at_device: float, g0: Freque
     """Per-pulse scattering probability for a red or blue sideband drive.
 
     red: 1 - exp(-x); blue: exp(x) - 1, with x from ``scattering_exponent``.
-    Raises ``ModelValidityError`` above p_s = 0.5, where the undepleted-drive
+    Raises ``ValueError`` above p_s = 0.5, where the undepleted-drive
     assumption behind both forms has broken down.
     """
     x = scattering_exponent(pulse_energy_at_device, g0, cavity, mode)
@@ -65,7 +64,7 @@ def scattering_probability(side: Side, pulse_energy_at_device: float, g0: Freque
     else:
         raise ValueError(f"scattering: unknown side {side!r}")
     if p > P_S_VALIDITY_CEILING:
-        raise ModelValidityError(
+        raise ValueError(
             f"scattering: p_s={p:.3g} exceeds the validity ceiling {P_S_VALIDITY_CEILING}"
         )
     return p

@@ -40,6 +40,7 @@ from .core import (
     ExperimentConfig,
     Pulse,
     PulseSequence,
+    UndefinedEstimateError,
     open_new,
 )
 
@@ -178,7 +179,7 @@ class SequenceModel:
         t = dict(self.outcomes)[self.pair]  # axes (write, read)
         p_w, p_r = t[1:].sum(), t[:, 1:].sum()
         if p_w == 0.0 or p_r == 0.0:
-            raise fock.HeraldingError("g2 undefined: a marginal click probability is zero")
+            raise UndefinedEstimateError("g2 undefined: a marginal click probability is zero")
         return float(t[1:, 1:].sum() / (p_w * p_r))
 
 

@@ -15,17 +15,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LABELS
+from .core import LABELS, UndefinedEstimateError
 
 # scipy.optimize is imported in the functions that call it: after
 # `import omclab.cli` it takes 0.17-0.20 s to load (2-vCPU VM, Python 3.11,
 # scipy 1.17.1), about two thirds of a fresh `reproduce all` (about 0.3 s),
 # which every command that never fits or solves for an interval would
 # otherwise pay at start-up.
-
-
-class UndefinedEstimateError(ValueError):
-    """The estimator is undefined for these counts (e.g. no clicks at all)."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from omclab.fock import HeraldingError
+from omclab.core import UndefinedEstimateError
 
 
 class TruncationError(ValueError):
@@ -234,11 +234,11 @@ def heralded_state(state: TwoModeState, eta: float) -> np.ndarray:
     """Mechanical reduced state conditioned on a detected optical click.
 
     Returns the normalized d x d mechanical density matrix; raises
-    ``HeraldingError`` when the click probability vanishes.
+    ``UndefinedEstimateError`` when the click probability vanishes.
     """
     p_click = click_probability(state, eta)
     if p_click <= 0.0:
-        raise HeraldingError("cannot herald on a zero-probability click")
+        raise UndefinedEstimateError("cannot herald on a zero-probability click")
     clicked = np.einsum("m,mjmk->jk", _click_weights(eta, state.d), state._rho4())
     return clicked / p_click
 

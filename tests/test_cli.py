@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import shlex
 import stat
 import tempfile
 import zipfile
@@ -24,11 +25,13 @@ from omclab.core import (
     PiezoInterface,
     Pulse,
     PulseSequence,
-    ValidationError,
     parse_config,
     read_table,
     serialize_config,
 )
+
+
+DENSE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "dense_analysis.cfg"
 
 
 def run(*argv):
@@ -150,6 +153,41 @@ def test_g2_records_refuses_a_config(tmp_path, capsys):
                "--out", tmp_path / "g2.json") == cli.EXIT_CONFIG
     assert "g2 --records takes none" in _config_error_line(capsys)
     assert not (tmp_path / "g2.json").exists()
+
+
+def test_g2_oracle_refuses_a_dn_range(tmp_path, device_config_path, capsys):
+    # --oracle has no offsets: a --dn-range with it is refused, not ignored
+    assert run("g2", "--oracle", "--config", device_config_path, "--dn-range=0..3",
+               "--out", tmp_path / "g2.json") == cli.EXIT_CONFIG
+    assert "g2 --dn-range goes with --records, not --oracle" in _config_error_line(capsys)
+    assert not (tmp_path / "g2.json").exists()
+
+
+def test_g2_dn_range_is_capped(tmp_path, capsys):
+    # every offset of these ranges is defined on 1000 sequences; one offset
+    # more than the cap is refused as the flag is parsed, the cap itself runs
+    records = tmp_path / "records.npz"
+    assert run("simulate", "--config", DENSE_CONFIG, "--sequences", 1000, "--seed", 1,
+               "--out", records) == 0
+    half = cli.MAX_DN_OFFSETS // 2
+    with pytest.raises(SystemExit) as exc:
+        run("g2", "--records", records, f"--dn-range={-half}..{half}")
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"at most {cli.MAX_DN_OFFSETS} offsets" in capsys.readouterr().err
+    out_json = tmp_path / "g2.json"
+    assert run("g2", "--records", records, f"--dn-range={-half}..{half - 1}",
+               "--out", out_json) == 0
+    assert len(read_artifact_json(out_json)["estimates"]) == cli.MAX_DN_OFFSETS
+
+
+def test_readme_command_lines_parse():
+    # a flag renamed or removed cannot stay in the README's command block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("omclab ")]
+    assert len(lines) == len(block.strip().splitlines()) >= 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_g2_oracle_mode(tmp_path, device_config_path, capsys):
@@ -463,13 +501,14 @@ def test_main_calls_in_one_process_share_a_parser_but_no_flags(tmp_path, device_
     assert read_artifact_json(fig3b)["n_sequences"] == 7
     assert run("reproduce", "fig3b", "--config", device_config_path, "--out", tmp_path) == 0
     assert read_artifact_json(fig3b)["n_sequences"] == device_config.sequence.n_sequences
-    assert run("g2", "--oracle", "--config", device_config_path, "--dn-range", "0..1") == 0
+    assert run("g2", "--oracle", "--config", device_config_path,
+               "--dn-range", "0..1") == cli.EXIT_CONFIG
     with pytest.raises(SystemExit) as exc:
         run("g2", "--records", fig3b, "--oracle")
     assert exc.value.code == cli.EXIT_CONFIG
     assert "not allowed with argument" in capsys.readouterr().err
     args = cli.build_parser().parse_args(["g2", "--oracle", "--config", str(device_config_path)])
-    assert args.dn_range == range(-4, 5)
+    assert args.dn_range is None
 
 
 def test_main_calls_a_command_rebound_after_the_parser_was_built(monkeypatch):
@@ -813,7 +852,7 @@ def test_detection_window_past_the_period_is_a_config_error(tmp_path, device_con
     text = device_config_path.read_text()
     assert "pulse.1.window = 20e-6" in text
     bad = text.replace("pulse.1.window = 20e-6", "pulse.1.window = 60e-6")
-    with pytest.raises(ValidationError, match="window extends past the period"):
+    with pytest.raises(ConfigError, match="window extends past the period"):
         parse_config(bad)
     cfg = tmp_path / "window.cfg"
     cfg.write_text(bad)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import omclab
 from omclab import core
 from omclab.core import (
+    CalibrationPoint,
     ConfigError,
     DetectionChain,
     HeatingParams,
@@ -22,7 +23,6 @@ from omclab.core import (
     OpticalCavity,
     Pulse,
     PulseSequence,
-    ValidationError,
     parse_config,
     serialize_config,
 )
@@ -638,7 +638,7 @@ def test_external_coupling_is_derived():
 
 
 def test_kappa_i_larger_than_kappa_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         OpticalCavity(f_c=194.8e12, kappa=1.0e9, kappa_i=2.0e9)
 
 
@@ -678,34 +678,36 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_mode_invariants():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         MechanicalMode(f_m=1e3, gamma_m=2e3)  # not resolved
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         MechanicalMode(f_m=1e9, gamma_m=0.0)
 
 
 def test_heating_params_invariants():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         HeatingParams(tau_rise=1e-6, tau_decay=1e-7)
-    with pytest.raises(ValidationError):
-        HeatingParams(calibration=((0.02, 1.0, 0.1), (0.01, 0.5, 0.05)))
+    with pytest.raises(ConfigError):
+        HeatingParams(calibration=(CalibrationPoint(0.02, 1.0, 0.1),
+                                   CalibrationPoint(0.01, 0.5, 0.05)))
 
 
 def test_heating_interpolation_and_extrapolation():
-    params = HeatingParams(calibration=((0.01, 1.0, 0.1), (0.03, 3.0, 0.3)))
+    params = HeatingParams(calibration=(CalibrationPoint(0.01, 1.0, 0.1),
+                                     CalibrationPoint(0.03, 3.0, 0.3)))
     assert params.amplitude(0.02) == pytest.approx(2.0)
     assert params.instant_occupation(0.02) == pytest.approx(0.2)
     # linear extrapolation, clamped at zero
     assert params.amplitude(0.05) == pytest.approx(5.0)
     assert params.amplitude(0.0) == 0.0
-    single = HeatingParams(calibration=((0.01, 1.5, 0.2),))
+    single = HeatingParams(calibration=(CalibrationPoint(0.01, 1.5, 0.2),))
     assert single.amplitude(0.5) == 1.5
 
 
 def test_detection_chain_invariants():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         DetectionChain(eta_dev=1.2, eta_fc=0.5, eta_rest=0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         DetectionChain(eta_dev=0.0, eta_fc=0.5, eta_rest=0.5)  # product must be > 0
     chain = DetectionChain(eta_dev=0.745, eta_fc=0.55, eta_rest=0.05614)
     assert chain.eta_det == pytest.approx(0.745 * 0.55 * 0.05614)
@@ -714,19 +716,19 @@ def test_detection_chain_invariants():
 def test_pulse_sequence_invariants():
     a = Pulse("blue", 40e-9, 25e-9, 0.0)
     b = Pulse("red", 40e-9, 750e-9, 20e-9)  # overlaps a
-    with pytest.raises(ValidationError, match="overlap"):
+    with pytest.raises(ConfigError, match="overlap"):
         PulseSequence((a, b), 25e3, 10)
     c = Pulse("red", 40e-9, 750e-9, 190e-9)
     seq = PulseSequence((a, c), 25e3, 10)
     assert seq.period == pytest.approx(40e-6)
-    with pytest.raises(ValidationError, match="period"):
+    with pytest.raises(ConfigError, match="period"):
         PulseSequence((Pulse("red", 40e-9, 0.0, 39.99e-6),), 25e3, 10)
-    with pytest.raises(ValidationError, match="order"):
+    with pytest.raises(ConfigError, match="order"):
         PulseSequence((c, a), 25e3, 10)
 
 
 def test_pulse_window_must_cover_duration():
-    with pytest.raises(ValidationError, match="window"):
+    with pytest.raises(ConfigError, match="window"):
         Pulse("red", 40e-9, 1e-9, 0.0, window=10e-9)
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from omclab import dynamics
-from omclab.core import HeatingParams, MechanicalMode, Pulse, PulseSequence
+from omclab.core import CalibrationPoint, HeatingParams, MechanicalMode, Pulse, PulseSequence
 
 PARAMS = HeatingParams(tau_rise=165e-9, tau_decay=22e-6,
-                       calibration=((0.0, 0.0, 0.0), (0.05, 2.0, 0.35)))
+                       calibration=(CalibrationPoint(0.0, 0.0, 0.0),
+                                    CalibrationPoint(0.05, 2.0, 0.35)))
 MODE = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
 
 
@@ -15,7 +16,7 @@ def _calibrated(amplitude, n_instant):
     """``PARAMS`` time constants with one calibration row: a lone row gives its
     (amplitude, n_instant) at every p_s."""
     return HeatingParams(tau_rise=PARAMS.tau_rise, tau_decay=PARAMS.tau_decay,
-                         calibration=((0.02, amplitude, n_instant),))
+                         calibration=(CalibrationPoint(0.02, amplitude, n_instant),))
 
 
 def _heating_peak_delay(params):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omclab import fock
+from omclab.core import UndefinedEstimateError
 
 import fock_reference as ref
 
@@ -107,8 +108,8 @@ def test_heralded_state_near_single_phonon():
     assert np.trace(mech).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_heralding_error_on_vacuum():
-    with pytest.raises(fock.HeraldingError):
+def test_heralding_on_vacuum_is_undefined():
+    with pytest.raises(UndefinedEstimateError):
         ref.heralded_state(ref.thermal_state(0.0, 6), 1.0)
 
 
@@ -203,5 +204,5 @@ def test_oracle_g2_read_off_gives_independence():
 
 
 def test_oracle_g2_undefined_without_read_channel():
-    with pytest.raises(fock.HeraldingError):
+    with pytest.raises(UndefinedEstimateError):
         fock.oracle_g2(0.1, 1e-3, 0.0, 0.023, (1e-6, 0.0))

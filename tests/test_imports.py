@@ -11,11 +11,14 @@ a field of an ``omclab`` dataclass must be read as an attribute by some
 ``omclab`` module or ``perfbench`` script, unless its class is written out
 whole.  A setting
 comes from a flag or a config key only, so no module may touch ``os.environ``
-or ``os.getenv``.
-Only the standard library's ``ast`` is used.
+or ``os.getenv``.  The package's only exception classes are ``ConfigError``
+and ``UndefinedEstimateError`` in ``core``, and it raises nothing else but
+builtin exceptions and argparse's ``ArgumentTypeError``.
+Only the standard library's ``ast`` and ``builtins`` are used.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -139,8 +142,8 @@ def unread_fields(modules: dict[str, str], readers: list[str],
 _SERIALISED_WHOLE = {
     "FitResult": "`fit` prints and writes it through dataclasses.asdict",
     "SimReport": "`simulate` writes it as its report JSON through dataclasses.asdict",
-    "CalibrationPoint": "parse_config turns each heating.calib.N row into a tuple "
-                        "through dataclasses.astuple; its fields name the config keys",
+    "CalibrationPoint": "serialize_config writes each heating.calib.N row whole, and "
+                        "HeatingParams._lookup reads amplitude and n_instant through getattr",
 }
 
 
@@ -163,6 +166,66 @@ def test_every_dataclass_field_is_read():
     modules = {path.stem: path.read_text() for path in SOURCES}
     readers = [path.read_text() for path in PERFBENCH]
     assert unread_fields(modules, readers, _SERIALISED_WHOLE) == []
+
+
+# the package's own exception classes, each in core: exit 2 and exit 3 of the CLI
+_EXCEPTIONS = {"ConfigError": "core", "UndefinedEstimateError": "core"}
+# argparse reports the message of this one as the flag's error
+_STDLIB_RAISES = {"ArgumentTypeError"}
+
+
+def _exception_name(node: ast.expr) -> str | None:
+    """The class name ``raise`` names in ``X``, ``X(...)``, ``m.X`` or ``m.X(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def exception_faults(modules: dict[str, str]) -> list[str]:
+    """``module.name`` for each exception class of ``modules`` (module name ->
+    source) other than ``_EXCEPTIONS`` in its module, and for each ``raise``
+    of a class that is neither one of those nor a builtin exception (nor in
+    ``_STDLIB_RAISES``).  A bare ``raise`` re-raises and is not counted."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    classes = [(module, node) for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = set(builtin)
+    while new := {node.name for _, node in classes if node.name not in exceptions
+                  and any(_exception_name(base) in exceptions for base in node.bases)}:
+        exceptions |= new  # a subclass of an exception class found so far
+    faults = [f"{module}.{node.name}" for module, node in classes
+              if node.name in exceptions - builtin and _EXCEPTIONS.get(node.name) != module]
+    faults += [f"{module}.raise {name}" for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+               and (name := _exception_name(node.exc)) not in
+               builtin | _EXCEPTIONS.keys() | _STDLIB_RAISES]
+    return sorted(faults)
+
+
+def test_detector_flags_a_new_exception_class():
+    modules = {
+        "core": ("class ConfigError(ValueError):\n    pass\n\n"
+                 "class UndefinedEstimateError(ValueError):\n    pass\n\n"
+                 "class Narrower(ConfigError):\n    pass\n\n"
+                 "def f(x):\n    if x:\n        raise ConfigError('a')\n"
+                 "    raise KeyError\n"),
+        "fock": ("import argparse\nfrom .core import UndefinedEstimateError\n\n"
+                 "class HeraldingError(ArithmeticError):\n    pass\n\n"
+                 "class ConfigError(Exception):\n    pass\n\n"
+                 "class Plain:\n    pass\n\n"
+                 "def g():\n    try:\n        raise core.UndefinedEstimateError('b')\n"
+                 "    except ValueError:\n        raise\n"
+                 "    raise argparse.ArgumentTypeError('c')\n\n"
+                 "def h(exc):\n    raise stats.Undefined('d') from exc\n"),
+    }
+    assert exception_faults(modules) == [
+        "core.Narrower", "fock.ConfigError", "fock.HeraldingError", "fock.raise Undefined"]
+
+
+def test_the_package_defines_two_exception_classes():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    assert exception_faults(modules) == []
 
 
 def environment_reads(source: str) -> list[str]:

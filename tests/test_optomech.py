@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omclab import optomech
-from omclab.core import MechanicalMode, ModelValidityError, OpticalCavity
+from omclab.core import MechanicalMode, OpticalCavity
 
 CAVITY = OpticalCavity(f_c=194.8e12, kappa=5.14e9, kappa_i=1.31e9)
 MODE = MechanicalMode(f_m=2.905e9, gamma_m=13.8e3)
@@ -39,7 +39,7 @@ def test_exponential_forms_at_x_002():
 def test_validity_ceiling_rejected():
     scale = optomech.scattering_exponent(1.0, G0, CAVITY, MODE)
     energy = 1.2 / scale  # p_blue = e^1.2 - 1 > 0.5
-    with pytest.raises(ModelValidityError):
+    with pytest.raises(ValueError, match="validity ceiling"):
         optomech.scattering_probability("blue", energy, G0, CAVITY, MODE)
 
 

@@ -17,12 +17,14 @@ from scipy.stats import chi2, poisson
 from omclab import fock, load_config, sim, stats
 from omclab.core import (
     LABELS,
+    CalibrationPoint,
     ConfigError,
     DetectionChain,
     HeatingParams,
     MechanicalMode,
     Pulse,
     PulseSequence,
+    UndefinedEstimateError,
 )
 
 
@@ -68,7 +70,7 @@ def test_simulate_runs_a_pair_whose_g2_is_undefined(device_config):
     assert not np.any(batch.pulse_label == LABELS.index("read"))
     model = sim.g2_model(config)
     for name in ("oracle_g2", "predicted_g2"):
-        with pytest.raises(fock.HeraldingError):
+        with pytest.raises(UndefinedEstimateError):
             getattr(model, name)
 
 
@@ -158,7 +160,8 @@ def _three_pulse_config(device_config, n_sequences):
     """A high-rate write/read pair and a lone blue pulse after it, with dark
     counts, pump leakage and pulse heating each making a sizable share of the
     clicks."""
-    heating = HeatingParams(calibration=((0.0, 0.0, 0.0), (0.5, 1.0, 0.05)))
+    heating = HeatingParams(calibration=(CalibrationPoint(0.0, 0.0, 0.0),
+                                       CalibrationPoint(0.5, 1.0, 0.05)))
     config = _pair_config(device_config, 0.05, 0.38, 0.041, n_sequences, eta_rest=0.41,
                           dark_rate=1e7, suppression=70.0, heating=heating)
     lone = dataclasses.replace(
@@ -906,7 +909,8 @@ def test_records_csv_reads_comments_blanks_and_spaces(tmp_path):
 
 
 def test_occupations_include_heating(device_config):
-    heating = HeatingParams(calibration=((0.0, 0.0, 0.0), (0.05, 2.0, 0.3)))
+    heating = HeatingParams(calibration=(CalibrationPoint(0.0, 0.0, 0.0),
+                                       CalibrationPoint(0.05, 2.0, 0.3)))
     config = _pair_config(device_config, 0.01, 0.05, 0.1, 100,
                           heating=heating, eta_rest=0.5)
     _, report = sim.simulate(config, 15)

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 
 import biexp_reference
 from omclab import sim, stats
+from omclab.core import UndefinedEstimateError
 from omclab.sim import RecordBatch
 
 
@@ -159,13 +160,13 @@ def test_g2_requires_clicks():
     n = 100
     write = np.zeros(n, dtype=bool)
     write[3] = True
-    with pytest.raises(stats.UndefinedEstimateError):
+    with pytest.raises(UndefinedEstimateError):
         stats.g2_crosscorr(_records_from_masks(write, np.zeros(n, dtype=bool)), 0)
 
 
 def test_g2_offset_beyond_the_run_is_undefined():
     clicks = np.ones(3, dtype=bool)
-    with pytest.raises(stats.UndefinedEstimateError,
+    with pytest.raises(UndefinedEstimateError,
                        match=r"g2\(dn=-3\) undefined: 3 sequences have no pair 3 apart"):
         stats.g2_crosscorr(_records_from_masks(clicks, clicks.copy()), -3)
 
@@ -204,7 +205,7 @@ def test_coincidence_ci_zero_count_one_sided():
 def test_coincidence_ci_validates_counts():
     with pytest.raises(ValueError):
         stats.coincidence_ci(10, 5, 50, 1000)
-    with pytest.raises(stats.UndefinedEstimateError):
+    with pytest.raises(UndefinedEstimateError):
         stats.coincidence_ci(0, 0, 50, 1000)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from omclab import ConfigError, ValidationError, transducer
+from omclab import ConfigError, transducer
 from omclab.transducer import PiezoInterface
 
 
@@ -102,7 +102,7 @@ def test_piezo_interface_invariants():
         dict(eta_e=0.0),                       # the added noise would diverge
         dict(eta_e=1.5),
     ):
-        with pytest.raises(ValidationError, match="piezo"):
+        with pytest.raises(ConfigError, match="piezo"):
             _paper_piezo(**overrides)
     # the optional fields may stay unset; n_m may be zero
     assert _paper_piezo(q_uw=None, n_m=None).q_uw is None
