@@ -12,16 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import LABELS, UndefinedEstimateError
-
-# scipy.optimize is imported in the functions that call it: after
-# `import omclab.cli` it takes 0.17-0.20 s to load (2-vCPU VM, Python 3.11,
-# scipy 1.17.1), about two thirds of a fresh `reproduce all` (about 0.3 s),
-# which every command that never fits or solves for an interval would
-# otherwise pay at start-up.
 
 
 @dataclass(frozen=True)
@@ -181,41 +176,145 @@ def coincidence_ci(n_coinc: int, n_w: int, n_r: int, n_seq: int,
     delta = NormalDist().inv_cdf((1 + level) / 2) ** 2 / 2.0
     n = n_seq
     k = n_coinc
-
-    def log_lik(p: float) -> float:
-        if p <= 0.0:
-            return 0.0 if k == 0 else -math.inf
-        if p >= 1.0:
-            return 0.0 if k == n else -math.inf
-        return k * math.log(p) + (n - k) * math.log1p(-p)
-
-    p_hat = k / n
-    l_max = log_lik(p_hat)
-    target = l_max - delta
-
     if k == 0:
         p_lo = 0.0
         p_hi = -math.expm1(-delta / n)  # exact root of n*log(1-p) = -delta
+    elif k == n:
+        p_lo = math.exp(-delta / n)  # exact root of n*log(p) = -delta
+        p_hi = 1.0
     else:
-        from scipy import optimize
-
-        tiny = min(p_hat, 1.0 / n) * 1e-12
-        xtol = p_hat * 1e-16  # relative: an absolute one swallows a tiny interval
-        p_lo = optimize.brentq(lambda p: log_lik(p) - target, tiny, p_hat,
-                               xtol=xtol, rtol=1e-13)
-        if k == n:
-            p_hi = 1.0
-        else:
-            p_hi = optimize.brentq(lambda p: log_lik(p) - target, p_hat, 1.0 - 1e-15,
-                                   xtol=xtol, rtol=1e-13)
+        p_hat = k / n
+        p_lo = p_hat * math.exp(_interval_end(k, n, delta, -1))
+        p_hi = min(p_hat * math.exp(_interval_end(k, n, delta, +1)), 1.0)
 
     scale = (n_w / n) * (n_r / n)
     return p_lo / scale, p_hi / scale
 
 
+def _log_share(a: int, n: int) -> float:
+    """log(a / n) for integers 0 < a <= n, accurate also where a / n rounds to 1."""
+    return math.log(a / n) if 2 * a <= n else math.log1p(-(n - a) / n)
+
+
+def _interval_end(k: int, n: int, delta: float, side: int) -> float:
+    """v = log(p / p_hat) at the lower (side -1) or upper (side +1) end of the
+    likelihood interval of k successes in n trials, 0 < k < n.
+
+    The end is a root of drop(v) = k v + (n - k) log(1 - r (e^v - 1)) + delta,
+    r = k / (n - k): the binomial log likelihood at p = p_hat e^v less its
+    maximum, plus delta.  drop is concave, rising below v = 0 and falling
+    above it, so a Newton step lands on the outer side of the root, from where
+    the steps close in monotonically; a step that leaves the bracket is
+    replaced by bisection.  Written in v, not log p, drop keeps its precision
+    at large k: its two terms, each about k v, cancel, so a rounding of log p
+    at the scale of log p_hat would come back multiplied by k.
+    """
+    r = k / (n - k)
+    if side < 0:  # drop(outer) <= -k, since log(1 - r (e^v - 1)) <= -log(1 - p_hat)
+        inner, outer = 0.0, -(delta - (n - k) * _log_share(n - k, n)) / k - 1.0
+    else:  # drop falls to -inf at p = 1
+        inner, outer = 0.0, -_log_share(k, n)
+    v = side * math.sqrt(2.0 * delta * (n - k) / (n * k))  # the Gaussian width
+    for _ in range(200):
+        lo, hi = min(inner, outer), max(inner, outer)
+        if not lo < v < hi:
+            v = 0.5 * (inner + outer)
+        x = -r * math.expm1(v)
+        if x <= -1.0:  # p rounds to 1 or above
+            outer, new = v, 0.5 * (inner + v)
+        else:
+            drop = k * v + (n - k) * math.log1p(x) + delta
+            if drop == 0.0:
+                return v
+            if drop > 0.0:
+                inner = v
+            else:
+                outer = v
+            slope = k * (1.0 - math.exp(v) / (1.0 + x))
+            new = v - drop / slope if slope else math.nan  # nan: bisect
+        if abs(new - v) <= 1e-14 * max(1.0, abs(v)):
+            return new
+        v = new
+    return v
+
+
 # --- least-squares fitting -----------------------------------------------------
 
-_LSQ_OPTS = dict(method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
+_LSQ_TOL = 1e-15
+_LSQ_MAX_NFEV = 2000
+
+
+class _LsqResult(NamedTuple):
+    """What ``_finish_fit`` reads of a least-squares solve."""
+
+    x: np.ndarray
+    fun: np.ndarray  # residuals at x
+    jac: np.ndarray  # their jacobian at x
+    status: int  # 0: evaluations spent; 1: gradient, 2: cost change, 3: step, 4: 2 and 3
+
+
+def _least_squares(residual, jac, x0, x_scale) -> _LsqResult:
+    """Least squares by Levenberg-Marquardt (More 1978) in the variables
+    x / x_scale, with Nielsen's (1999) damping update.
+
+    The first step is undamped (Gauss-Newton).  A trial step is taken only when
+    its cost is finite and lower; otherwise the damping grows and the step
+    shrinks.  Each jacobian's normal matrix is diagonalised once, so that a
+    retry costs one residual evaluation.  Stops when the gradient's largest
+    component falls below 1e-15 (status 1), when a step that gains more than a
+    quarter of its predicted reduction lowers the cost by less than 1e-15 of
+    it (2), when a trial step is shorter than 1e-15 of x (3; 4 with 2), or
+    after 2000 residual evaluations (0).
+    """
+    x = np.array(x0, dtype=float)
+    f = residual(x)
+    cost = 0.5 * float(f @ f)
+    jac_x = jac(x)
+    nfev, damping, growth, status = 1, 0.0, 2.0, 0
+    while True:
+        jac_t = jac_x.T.copy()  # C-ordered rows: BLAS's fast case for both products
+        grad = jac_t @ f
+        if np.abs(grad).max() < _LSQ_TOL:
+            status = 1
+        if status or nfev >= _LSQ_MAX_NFEV:
+            break
+        # scaled normal matrix V diag(w) V^T and scaled gradient V c
+        w, v = np.linalg.eigh((jac_t @ jac_x) * np.outer(x_scale, x_scale))
+        w = np.maximum(w, 0.0)
+        c = (grad * x_scale) @ v
+        reduction = 0.0
+        while reduction <= 0.0 and nfev < _LSQ_MAX_NFEV:
+            denom = w + damping
+            b = -c / np.where(denom > 0.0, denom, np.inf)  # 0 along a null direction
+            step = x_scale * (v @ b)
+            x_new = x + step
+            f_new = residual(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(f_new @ f_new)
+            if not math.isfinite(cost_new):
+                reduction = 0.0
+            else:
+                reduction = cost - cost_new
+                predicted = -float(b @ (c + 0.5 * w * b))
+                ratio = reduction / predicted if predicted > 0.0 else 0.0
+                small_cost = reduction < _LSQ_TOL * cost and ratio > 0.25
+                small_step = (math.sqrt(step @ step)
+                              < _LSQ_TOL * (_LSQ_TOL + math.sqrt(x @ x)))
+                status = (4 if small_step else 2) if small_cost else 3 if small_step else 0
+                if status:
+                    break
+            if reduction > 0.0:
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+            elif damping == 0.0:
+                damping = 1e-3 * float(w[-1])
+            else:
+                damping *= growth
+                growth *= 2.0
+        if reduction > 0.0:
+            x, f, cost = x_new, f_new, cost_new
+            jac_x = jac(x)
+    return _LsqResult(x, f, jac_x, status)
 
 
 def _finish_fit(model: str, names, res, n_points: int,
@@ -294,8 +393,6 @@ def fit_lorentzian_with_offset(points) -> FitResult:
     extremum against the edge-estimated background and its half-maximum
     crossings.  Flat data yields a flagged (converged=False) result.
     """
-    from scipy import optimize
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 6 or pts.shape[1] != 2:
         raise ValueError("lorentzian fit: need at least six (x, y) points")
@@ -339,7 +436,7 @@ def fit_lorentzian_with_offset(points) -> FitResult:
     p0 = np.array([center0, fwhm0, height0, slope0, icpt0])
     y_scale = max(np.ptp(y), abs(height0), 1e-30)
     x_scale = np.array([fwhm0, fwhm0, y_scale, y_scale / span, y_scale])
-    res = optimize.least_squares(residual, p0, jac=jac, x_scale=x_scale, **_LSQ_OPTS)
+    res = _least_squares(residual, jac, p0, x_scale)
     names = ("center", "fwhm", "height", "offset_slope", "offset_intercept")
     out = _finish_fit("lorentzian", names, res, len(x), x_scale=x_scale)
     # normalize the sign convention: fwhm reported positive
@@ -350,8 +447,8 @@ def fit_lorentzian_with_offset(points) -> FitResult:
 
 def _biexp_unpack(p):
     """(amplitude, n_i, tau_rise, tau_decay); a time constant past the float64
-    range makes both nan, so ``least_squares`` sees non-finite residuals for
-    that trial step and shrinks it."""
+    range makes both nan, so a trial step that reaches it gives non-finite
+    residuals, and ``_least_squares`` rejects it and shrinks the step."""
     amp, base, log_tr, log_dq = p
     with np.errstate(over="ignore"):
         tau_r = np.exp(log_tr)
@@ -366,8 +463,7 @@ def _biexp_residual(p, t, y):
     return amp * np.exp(-t / tau_d) * (-np.expm1(-t / tau_r)) + base - y
 
 
-def _biexp_jac(p, t, _y):
-    # _y: least_squares passes the jacobian the residual's arguments
+def _biexp_jac(p, t):
     amp, base, tau_r, tau_d = _biexp_unpack(p)
     delta_q = tau_d - tau_r
     e_d = np.exp(-t / tau_d)
@@ -415,8 +511,6 @@ def fit_biexponential(points) -> FitResult:
     Zero-amplitude data leaves the time constants unidentifiable and is
     flagged via converged=False.
     """
-    from scipy import optimize
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 8 or pts.shape[1] != 2:
         raise ValueError("biexponential fit: need at least eight (t, y) points")
@@ -425,8 +519,8 @@ def fit_biexponential(points) -> FitResult:
     order = np.argsort(pts[:, 0])
     t, y = pts[order, 0], pts[order, 1]
 
-    res = optimize.least_squares(_biexp_residual, _biexp_start(t, y), jac=_biexp_jac,
-                                 args=(t, y), **_LSQ_OPTS)
+    res = _least_squares(lambda p: _biexp_residual(p, t, y), lambda p: _biexp_jac(p, t),
+                         _biexp_start(t, y), np.ones(4))
     names = ("amplitude", "n_i", "tau_rise", "tau_decay")
 
     def transform(p, cov):

@@ -1,9 +1,14 @@
-"""Multi-start reference for ``omclab.stats.fit_biexponential``.
+"""scipy ``least_squares`` references for the fits in ``omclab.stats``.
 
-The biexponential fit as it ran before its closed-form start: twelve full
-least-squares solves from a fixed grid of starts (four rise times in
-geomspace(t_min, t_max / 3) by decay/rise ratios 3, 30 and 300), keeping the
-lowest cost.  Kept beside the tests as an independent check that the single
+``trf_fit`` runs a fit with scipy's trust-region reflective solver in place
+of ``stats._least_squares``: the same model, start and scales, with the
+options the fits used when they called scipy.  The optimum it reaches is the
+bound the package's own solver is held to.
+
+``fit_biexponential_multistart`` is the biexponential fit as it ran before
+its closed-form start: twelve full solves from a fixed grid of starts (four
+rise times in geomspace(t_min, t_max / 3) by decay/rise ratios 3, 30 and
+300), keeping the lowest cost.  It is an independent check that the single
 solve reaches the same optimum.  Its parameters are unpacked with
 ``math.exp``, as they were, so a wild trial step can raise ``OverflowError``.
 """
@@ -11,11 +16,24 @@ solve reaches the same optimum.  Its parameters are unpacked with
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from scipy import optimize
 
-from omclab.stats import _LSQ_OPTS
+from omclab import stats
+
+_LSQ_OPTS = dict(method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
+
+
+def _trf(residual, jac, x0, x_scale) -> optimize.OptimizeResult:
+    return optimize.least_squares(residual, x0, jac=jac, x_scale=x_scale, **_LSQ_OPTS)
+
+
+def trf_fit(fit, points) -> stats.FitResult:
+    """``fit(points)`` (a ``stats`` fit function) solved by scipy's trf."""
+    with mock.patch.object(stats, "_least_squares", _trf):
+        return fit(points)
 
 
 def fit_biexponential_multistart(points) -> optimize.OptimizeResult:

@@ -413,7 +413,7 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 
 # sha256 of each artifact of `reproduce all --config configs/gap_omc.cfg --seed 0`;
 # a change that moves any of these bytes says which output changes, and why.
-# Made at omclab 0.7.0 with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 (the
+# Made at omclab 0.7.0 with Python 3.11.7 and numpy 2.4.6 (the
 # versions constraints.txt pins); the version is in every artifact's header
 # line.  0.7.0's random stream (the clicked sequences by skip sampling, not
 # Generator.choice) moved the sampled values of fig2_thermometry.csv and
@@ -429,12 +429,16 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # digits (19.789251142005924 -> 19.789251141881135, 5.512039935135834 ->
 # 5.512039935159948), nearer their exact values, when fock.oracle_g2 wrote each
 # marginal as p + q (1 - p) and predicted_g2 became the g2 of the pair's
-# outcome table
+# outcome table.  fig1c_fit.json's gamma_m_fit_hz moved from 13799.999999999998
+# to 13800.000000000002 (+2.6e-16 relative; the true 13800 lies between) and its
+# q_factor from 210507.2463768116 to 210507.24637681156 (-1.9e-16) when the
+# fits' scipy trf solver gave way to stats._least_squares; fig1b_fit.json kept
+# its bytes
 _REPRODUCE_ALL_SHA256 = {
     "budget.json": "1c9cadfcdd31fdcee8bd5827a2e1ff29229799bc72e5503f1bbb5cf7e3d00acd",
     "fig1b_fit.json": "b6b3491065c5d73d644f4eff87750d613c0a4f9486de3e0804d1cdb1c105df53",
     "fig1b_reflection.csv": "bbbc9272802192f599198f75332276839232bb826187a9b4da27c2ad526da411",
-    "fig1c_fit.json": "b6d0f329dbdd41553beb7b681b1166d7402e5bc232a7a312572ef0f25499be7d",
+    "fig1c_fit.json": "5b6937d2e6738b27a830e86b84d715b320d38768ea7872d4d2e26aa171aca521",
     "fig1c_psd.csv": "a9e3be4dbcf6af0ec0d8ee9d461c5322a1a70cba77edcc36112337bdc01f2d17",
     "fig2_thermometry.csv": "271449f0eb3c783deb203c486330df61d4843149a984e478e2c9292192f25855",
     "fig3a_heating.csv": "bb995db3f510cb9260817482231a711528d8ffc71e05a65affc5413a4782b244",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import omclab
 from omclab import core
+from omclab.cli import read_artifact_json
 from omclab.core import (
     CalibrationPoint,
     ConfigError,
@@ -43,15 +45,54 @@ g0 = 845e3
 """
 
 
-def test_cli_import_list_leaves_out_scipy_stats_and_constants():
-    # concurrent.futures is needed only for --threads above 1
+# each command's argv and the scipy modules loaded after it, in one process
+_COMMANDS_SCRIPT = """
+import json, sys
+from omclab import cli
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+report = [[None, 0, scipy_loaded() + ["concurrent.futures"] * ("concurrent.futures" in sys.modules)]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv, cli.main(argv), scipy_loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_list_leaves_out_scipy_stats_and_constants(tmp_path):
+    # importing the CLI loads neither scipy nor concurrent.futures (needed only
+    # for --threads above 1); the paper's analysis commands, each of which fits
+    # or solves a likelihood interval, load no scipy module either
     package_root = Path(omclab.__file__).resolve().parents[1]
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, omclab.cli; print(*(m for m in "
-         "('scipy.stats', 'scipy.constants', 'concurrent.futures') if m in sys.modules))"],
+    dense = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "dense_analysis.cfg"
+    tau = np.geomspace(2e-8, 1e-4, 60)
+    heating = 0.39 + 2.1 * np.exp(-tau / 22e-6) * -np.expm1(-tau / 165e-9)
+    (tmp_path / "heating.csv").write_text(
+        "tau_s,n_th\n" + "".join(f"{t!r},{n!r}\n" for t, n in zip(tau.tolist(), heating.tolist())))
+    records, g2_json = tmp_path / "records.npz", tmp_path / "g2.json"
+    commands = [
+        ["reproduce", "all", "--config", DEVICE_CONFIG, "--seed", "0", "--out", tmp_path / "all"],
+        ["reproduce", "fig3b", "--config", DEVICE_CONFIG, "--sequences", "10000000000",
+         "--out", tmp_path / "fig3b"],
+        ["fit", "--model", "biexp", "--data", tmp_path / "heating.csv"],
+        ["fit", "--model", "lorentzian", "--data", tmp_path / "all" / "fig1b_reflection.csv"],
+        ["simulate", "--config", dense, "--sequences", "20000", "--seed", "1", "--out", records],
+        ["g2", "--records", records, "--out", g2_json],
+    ]
+    report = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_SCRIPT,
+         json.dumps([[str(arg) for arg in argv] for argv in commands])],
         env={**os.environ, "PYTHONPATH": str(package_root)},
-        capture_output=True, text=True, check=True).stdout.split()
-    assert loaded == []
+        capture_output=True, text=True, check=True).stdout.splitlines()[-1]
+    assert json.loads(report) == [[None, 0, []]] + [
+        [[str(arg) for arg in argv], 0, []] for argv in commands]
+    # the g2 and fig3b commands each solved an interval about a coincidence count
+    assert any(e["counts"][0] > 0 for e in read_artifact_json(g2_json)["estimates"])
+    fig3b = read_artifact_json(tmp_path / "fig3b" / "fig3b_g2.json")["estimates"]
+    assert any(e["counts"][0] > 0 for e in fig3b)
     assert core.HBAR == scipy.constants.hbar
 
 

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-import biexp_reference
-from omclab import sim, stats
+import fit_reference
+from omclab import cavity, dynamics, sim, stats
 from omclab.core import UndefinedEstimateError
 from omclab.sim import RecordBatch
 
@@ -137,7 +137,7 @@ def test_g2_mask_and_merge_count_the_same_coincidences(n, p, dense):
 
 
 def test_g2_on_a_sparse_huge_batch_builds_no_mask():
-    # scipy.optimize, which coincidence_ci imports, is loaded with this module
+    # the interval solves import nothing, so the traced peak is the counting's own
     n = 10**12
     writes, reads = [0, 1, 5, n - 3, n - 1], [0, 2, 5, n - 4, n - 1]
     batch = _records(n, writes, reads)
@@ -226,26 +226,53 @@ def test_coincidence_ci_matches_gaussian_at_large_counts():
     assert (hi - lo) == pytest.approx(width_gauss, rel=0.05)
 
 
+def _ci_reference(k, n, level):
+    """(p_lo, p_hi) of the likelihood interval at 0 < k <= n, by brentq in t = log p.
+
+    drop(t) is the log likelihood at p = e^t less its maximum, plus delta.  Its
+    (1 - p) term is written as log((1 - p) / (1 - p_hat)), and log p_hat and
+    log(1 - p_hat) from the integers, so that no large term is rounded away
+    when k or n - k is large or p_hat rounds to 1.
+    """
+    delta = chi2.ppf(level, 1) / 2
+
+    def log_share(a):  # log(a / n)
+        return math.log(a / n) if 2 * a <= n else math.log1p(-(n - a) / n)
+
+    t_hat = log_share(k)
+
+    def drop(t):
+        if k == n:
+            return n * t + delta
+        x = -k / (n - k) * math.expm1(t - t_hat)
+        return k * (t - t_hat) + (n - k) * math.log1p(x) + delta if x > -1 else -math.inf
+
+    # drop(t_low) <= -k: log((1 - p) / (1 - p_hat)) <= -log(1 - p_hat) below t_hat
+    t_low = t_hat - (delta - (n - k) * (log_share(n - k) if k < n else 0.0)) / k - 1
+    p_lo = math.exp(brentq(drop, t_low, t_hat, xtol=1e-300, rtol=1e-15))
+    if k == n:
+        return p_lo, 1.0
+    # at t = 1e-12 t_hat, 1 - p is about 1e-12 |t_hat| and drop is far below 0
+    p_hi = math.exp(brentq(drop, t_hat, 1e-12 * t_hat, xtol=1e-300, rtol=1e-15))
+    return p_lo, p_hi
+
+
 def test_coincidence_ci_relative_accuracy_at_1e10_sequences():
-    # counts of a 1e10-sequence run at the published point, where k/n ~ 9e-9
-    k, n_w, n_r, n = 86, 162666, 852363, 10**10
-    p_hat = k / n
-    scale = (n_w / n) * (n_r / n)
-    for level in (0.68, 0.997):
-        delta = chi2.ppf(level, 1) / 2
-
-        def drop(t):
-            # log likelihood at p = e^t relative to its maximum, plus delta
-            return (k * (t - math.log(p_hat))
-                    + (n - k) * (math.log1p(-math.exp(t)) - math.log1p(-p_hat)) + delta)
-
-        # a tighter solve, in log p, so its tolerance is relative
-        t_hat = math.log(p_hat)
-        p_lo = math.exp(brentq(drop, t_hat - 10, t_hat, xtol=1e-15, rtol=1e-15))
-        p_hi = math.exp(brentq(drop, t_hat, t_hat + 5, xtol=1e-15, rtol=1e-15))
-        lo, hi = stats.coincidence_ci(k, n_w, n_r, n, level=level)
-        assert lo == pytest.approx(p_lo / scale, rel=1e-12)
-        assert hi == pytest.approx(p_hi / scale, rel=1e-12)
+    # counts of a 1e10-sequence run at the published point, where k/n ~ 9e-9,
+    # then k from 1 to n at n from 10 to 2**63 - 1, where p_hat rounds to 1 at
+    # k = n - 1 and the two terms of the log likelihood are each ~k at k ~ n/2
+    published = [(86, 162666, 852363, 10**10)]
+    grid = [(k, n, n, n)
+            for n in (10, 1000, 10**6, 10**10, 2**53 + 1, 2**63 - 1)
+            for k in sorted({1, 2, 7, 86, n // 1000, n // 3, n // 2, n - 7, n - 1, n})
+            if 1 <= k <= n]
+    for k, n_w, n_r, n in published + grid:
+        scale = (n_w / n) * (n_r / n)
+        for level in (0.5, 0.68, 0.95, 0.997):
+            p_lo, p_hi = _ci_reference(k, n, level)
+            lo, hi = stats.coincidence_ci(k, n_w, n_r, n, level=level)
+            assert lo == pytest.approx(p_lo / scale, rel=1e-12), (k, n, level)
+            assert hi == pytest.approx(p_hi / scale, rel=1e-12), (k, n, level)
 
 
 def test_coincidence_ci_coverage(device_config):
@@ -306,25 +333,31 @@ def test_fit_linear_stderr_scales():
     assert 0.005 < fit.stderr["slope"] < 0.05
 
 
-def test_fit_lorentzian_recovers_cavity_linewidth():
+def _cavity_dip():
     kappa = 5.14e9
     x = np.linspace(-3 * kappa, 3 * kappa, 401)
-    y = 0.93 - 0.68 / (1 + (x / (kappa / 2)) ** 2) + 4e-12 * x
-    fit = stats.fit_lorentzian_with_offset(np.column_stack([x, y]))
+    return x, 0.93 - 0.68 / (1 + (x / (kappa / 2)) ** 2) + 4e-12 * x
+
+
+def _mechanical_peak():
+    gamma, f_m = 13.8e3, 2.905e9
+    x = np.linspace(f_m - 30 * gamma, f_m + 30 * gamma, 241)
+    return x, 2.0 + 37.0 / (1 + ((x - f_m) / (gamma / 2)) ** 2)
+
+
+def test_fit_lorentzian_recovers_cavity_linewidth():
+    fit = stats.fit_lorentzian_with_offset(np.column_stack(_cavity_dip()))
     assert fit.converged
-    assert fit.params["fwhm"] == pytest.approx(kappa, rel=1e-6)
+    assert fit.params["fwhm"] == pytest.approx(5.14e9, rel=1e-6)
     assert fit.params["offset_slope"] == pytest.approx(4e-12, rel=1e-6)
     assert fit.residual_norm < 1e-9
 
 
 def test_fit_lorentzian_recovers_mechanical_linewidth():
-    gamma, f_m = 13.8e3, 2.905e9
-    x = np.linspace(f_m - 30 * gamma, f_m + 30 * gamma, 241)
-    y = 2.0 + 37.0 / (1 + ((x - f_m) / (gamma / 2)) ** 2)
-    fit = stats.fit_lorentzian_with_offset(np.column_stack([x, y]))
+    fit = stats.fit_lorentzian_with_offset(np.column_stack(_mechanical_peak()))
     assert fit.converged
-    assert fit.params["fwhm"] == pytest.approx(gamma, rel=1e-9)
-    assert fit.params["center"] == pytest.approx(f_m, abs=1.0)
+    assert fit.params["fwhm"] == pytest.approx(13.8e3, rel=1e-9)
+    assert fit.params["center"] == pytest.approx(2.905e9, abs=1.0)
 
 
 def test_fit_lorentzian_flags_flat_data():
@@ -402,22 +435,82 @@ def test_fit_biexponential_matches_multistart_reference(index):
     points = np.column_stack(_in_domain_curve(index))
     fit = stats.fit_biexponential(points)
     try:
-        reference = biexp_reference.fit_biexponential_multistart(points)
+        reference = fit_reference.fit_biexponential_multistart(points)
     except OverflowError:
         assert fit.converged
         return
     assert fit.residual_norm <= np.linalg.norm(reference.fun) * (1 + 1e-6)
 
 
+def _noisy_lorentzian(index):
+    """A seeded Lorentzian on a sloped background with 1% noise, as a measured
+    spectrum would give: a cavity dip or peak about zero detuning (even index)
+    or a mechanical line about 2.905 GHz (odd index), 3 to 40 widths each side."""
+    rng = np.random.default_rng([1913, index])
+    center = (0.0, 2.905e9)[index % 2] + rng.uniform(-0.5, 0.5) * 1e3
+    fwhm = (5.14e9, 13.8e3)[index % 2] * 10 ** rng.uniform(-0.5, 0.5)
+    half_span = fwhm * rng.uniform(3, 40)
+    x = np.linspace(center - half_span, center + half_span, int(rng.integers(101, 802)))
+    height = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 1)
+    y = (rng.uniform(0, 2) + rng.uniform(-0.1, 0.1) * height * (x - center) / half_span
+         + height / (1 + ((x - center) / (fwhm / 2)) ** 2))
+    return x, y + 0.01 * abs(height) * rng.standard_normal(x.size)
+
+
+def _fig1_input(figure, config):
+    """The points ``reproduce fig1b`` or ``fig1c`` fits."""
+    if figure == "fig1b":
+        return cavity.reflection_spectrum(config.cavity, span=3.0, n_points=601)[:, :2]
+    mode = config.mode
+    grid = np.linspace(mode.f_m - 40 * mode.gamma_m, mode.f_m + 40 * mode.gamma_m, 801)
+    return np.column_stack([grid, dynamics.mechanical_psd(grid, mode, mode.n_baseline)])
+
+
+def _fig3a_curve(config, p_s=0.05):
+    """fig3a's heating curve at ``p_s``, the one the benchmark fits."""
+    tau = np.geomspace(2e-8, 1e-4, 240)
+    mode = config.mode
+    return np.column_stack([tau, mode.n_baseline
+                            + dynamics.heating_occupation(tau, mode.heating, p_s)])
+
+
+_TRF_CASES = (["fig1b", "fig1c", "cavity_dip", "mechanical_peak"]
+              + [f"noisy_lorentzian_{i}" for i in range(20)] + ["fig3a_p_s_0.05"]
+              + [f"in_domain_biexp_{i}" for i in range(24)])
+
+
+@pytest.mark.parametrize("case", _TRF_CASES)
+def test_fit_reaches_the_trf_optimum(case, device_config):
+    # the package's solver ends no worse than scipy's trf from the same start,
+    # up to 1e-6 of trf's residual norm and 1e-12 of the data's norm
+    name, _, index = case.rpartition("_")
+    if case in ("fig1b", "fig1c"):
+        fit, points = stats.fit_lorentzian_with_offset, _fig1_input(case, device_config)
+    elif case in ("cavity_dip", "mechanical_peak"):
+        fit = stats.fit_lorentzian_with_offset
+        points = np.column_stack(_cavity_dip() if case == "cavity_dip" else _mechanical_peak())
+    elif name == "noisy_lorentzian":
+        fit, points = stats.fit_lorentzian_with_offset, np.column_stack(_noisy_lorentzian(int(index)))
+    elif case == "fig3a_p_s_0.05":
+        fit, points = stats.fit_biexponential, _fig3a_curve(device_config)
+    else:
+        fit, points = stats.fit_biexponential, np.column_stack(_in_domain_curve(int(index)))
+    got = fit(points)
+    reference = fit_reference.trf_fit(fit, points)
+    assert got.converged and reference.converged
+    assert got.residual_norm <= (reference.residual_norm * (1 + 1e-6)
+                                 + 1e-12 * np.linalg.norm(points[:, 1]))
+
+
 def test_fit_biexponential_overflowing_step_gives_nonfinite_residuals():
-    # least_squares shrinks a trial step with non-finite residuals; a time
-    # constant past the float64 range must give those, not OverflowError
+    # the solver rejects and shrinks a trial step with non-finite residuals; a
+    # time constant past the float64 range must give those, not OverflowError
     t = np.geomspace(5e-8, 1.1e-4, 20)
     y = _biexp(t, 1.0, 1.5e-6, 50e-6, 0.1)
     for p in ([1.0, 0.1, 800.0, 0.0], [1.0, 0.1, 0.0, 800.0], [1.0, 0.1, 1e308, 1e308]):
         p = np.array(p)
         assert not np.isfinite(stats._biexp_residual(p, t, y)).any()
-        assert stats._biexp_jac(p, t, y).shape == (t.size, 4)
+        assert stats._biexp_jac(p, t).shape == (t.size, 4)
 
 
 def test_fit_biexponential_rejects_nonpositive_times():
