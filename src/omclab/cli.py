@@ -349,10 +349,10 @@ def _reproduce_fig2(config, chash, out, args):
     def counts(side, p_s, seed):
         # (energy at the device, signal + dark clicks, pulses) and the true n_th of one run
         run = sim.single_pulse_config(config, side, p_s, n_seq)
-        _, report = sim.simulate(run, seed)
-        totals = report.pulse_totals[0]
+        model = sim.sequence_model(run)
+        (cells,) = sim.sample_counts(model, n_seq, seed)  # no click, then 1 + ORIGINS code
         energy = sim.pulse_energy_at_device(run.sequence.pulses[0], config.detection.eta_fc)
-        return (energy, totals["signal"] + totals["dark"], n_seq), report.pulse_occupations[0]
+        return (energy, int(cells[1] + cells[2]), n_seq), model.occupations[0]
 
     def point(item):
         i, p_s = item

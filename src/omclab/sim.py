@@ -17,9 +17,13 @@ O((eta p)^2 Delta n): adding Delta n to the pair's click table instead moves
 ``simulate`` samples each unit by one rule: the sequences in which it clicks
 at all, drawn in order by skip sampling (one geometric gap per clicked
 sequence, so the cost scales with the clicks), then one uniform per sequence
-picks its cell of the table.  One Philox stream (Salmon et al., SC'11) keyed
-by the seed feeds the units in pulse order, so a given (config, seed, omclab
-version) yields identical records and distinct seeds give independent streams.
+picks its cell of the table.  ``sample_counts`` samples them the second
+way, for a caller that needs only a run's totals: its sequences are
+independent draws from each unit's table, so a unit's cell counts over the
+run are multinomial, one draw per unit with no records and O(1) cost in the
+run's length.  Either way one Philox stream (Salmon et al., SC'11) keyed by
+the seed feeds the units in pulse order, so a given (config, seed, omclab
+version) yields identical output and distinct seeds give independent streams.
 """
 
 from __future__ import annotations
@@ -153,9 +157,10 @@ def read_pulse_duration(sequence: PulseSequence) -> float:
 class SequenceModel:
     """Per-pulse statistics shared by every sequence, in pulse order, and per
     unit (the write/read pair, or any other pulse alone) the read-only table
-    ``simulate`` samples, with one axis of length 4 per pulse: 0 for no click,
-    else 1 + its ``ORIGINS`` code.  ``predicted_g2`` is the g2 of the pair's
-    table; without a pair the g2 properties are undefined (see ``g2_model``)."""
+    ``simulate`` and ``sample_counts`` sample, with one axis of length 4 per
+    pulse: 0 for no click, else 1 + its ``ORIGINS`` code.  ``predicted_g2`` is
+    the g2 of the pair's table; without a pair the g2 properties are undefined
+    (see ``g2_model``)."""
 
     p_s: tuple[float, ...]
     occupations: tuple[float, ...]  # the occupation each pulse sees
@@ -184,7 +189,8 @@ class SequenceModel:
 
 
 def sequence_model(config: ExperimentConfig) -> SequenceModel:
-    """The ``SequenceModel`` of ``config``; ``simulate`` samples exactly this."""
+    """The ``SequenceModel`` of ``config``; ``simulate`` and ``sample_counts``
+    sample exactly this."""
     seq = config.sequence
     det = config.detection
     eta = det.eta_det
@@ -345,6 +351,31 @@ def _sample_unit(rng: np.random.Generator, n: int,
     return units
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The random stream of ``seed``: Philox keyed by it.  A seed outside
+    [0, 2^63) is a ``ConfigError``; Philox itself takes any 128-bit key, so
+    it would not refuse one."""
+    if not (0 <= seed < 2**63):
+        raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def sample_counts(model: SequenceModel, n_sequences: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Per unit of ``model.outcomes``, how many of ``n_sequences`` independent
+    sequences fall in each cell of its table: an int64 array of the table's
+    shape, drawn exactly as one ``Generator.multinomial`` per unit from the
+    stream of ``seed``.  The cells go to the draw with the no-click cell last,
+    which numpy gives the count the others leave, so no click probability is
+    formed as 1 minus the rest."""
+    rng = _generator(seed)
+    counts = []
+    for _, table in model.outcomes:
+        cells = table.ravel()
+        drawn = rng.multinomial(n_sequences, np.concatenate((cells[1:], cells[:1])))
+        counts.append(np.concatenate((drawn[-1:], drawn[:-1])).reshape(table.shape))
+    return tuple(counts)
+
+
 def _click_order(seq_idx: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``np.lexsort((times, seq_idx))``, ties included, from a stable argsort and a few passes.
 
@@ -378,8 +409,7 @@ def simulate(config: ExperimentConfig, seed: int,
              blind: bool = False) -> tuple[RecordBatch, SimReport]:
     """Run the configured pulse sequence for config.sequence.n_sequences
     repetitions; deterministic given (config, seed)."""
-    if not (0 <= seed < 2**63):
-        raise ConfigError(f"seed {seed} does not fit in a non-negative 63-bit integer")
+    rng = _generator(seed)
     seq = config.sequence
     for i, p in enumerate(seq.pulses):  # below 2^53 every fs count is exact in a double
         if not (_fs(p.duration) > 0 and p.start + p.window_length < 10  # no _fs overflow
@@ -389,7 +419,6 @@ def simulate(config: ExperimentConfig, seed: int,
 
     model = sequence_model(config)
     n_total = seq.n_sequences
-    rng = np.random.Generator(np.random.Philox(key=seed))
 
     # per pulse: (sequence index, pulse index, click time, origin code), after
     # an empty first entry that fixes the dtypes when there is no pulse

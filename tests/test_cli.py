@@ -433,14 +433,18 @@ def test_reproduce_fig3b_small(tmp_path, device_config_path):
 # to 13800.000000000002 (+2.6e-16 relative; the true 13800 lies between) and its
 # q_factor from 210507.2463768116 to 210507.24637681156 (-1.9e-16) when the
 # fits' scipy trf solver gave way to stats._least_squares; fig1b_fit.json kept
-# its bytes
+# its bytes.  fig2_thermometry.csv's n_th_est and n_th_err columns, and only
+# those, moved when fig2 began to draw each run's click counts as one
+# multinomial over its outcome table (sim.sample_counts) in place of counting
+# the records of a simulate run: the counts are drawn from the same stream by
+# another rule, while the records, and so fig3b_g2.json, kept their bytes
 _REPRODUCE_ALL_SHA256 = {
     "budget.json": "1c9cadfcdd31fdcee8bd5827a2e1ff29229799bc72e5503f1bbb5cf7e3d00acd",
     "fig1b_fit.json": "b6b3491065c5d73d644f4eff87750d613c0a4f9486de3e0804d1cdb1c105df53",
     "fig1b_reflection.csv": "bbbc9272802192f599198f75332276839232bb826187a9b4da27c2ad526da411",
     "fig1c_fit.json": "5b6937d2e6738b27a830e86b84d715b320d38768ea7872d4d2e26aa171aca521",
     "fig1c_psd.csv": "a9e3be4dbcf6af0ec0d8ee9d461c5322a1a70cba77edcc36112337bdc01f2d17",
-    "fig2_thermometry.csv": "271449f0eb3c783deb203c486330df61d4843149a984e478e2c9292192f25855",
+    "fig2_thermometry.csv": "a6a317f2726edeb135c96dd6296b78883172b2b93892166f48e3fcce4375ee32",
     "fig3a_heating.csv": "bb995db3f510cb9260817482231a711528d8ffc71e05a65affc5413a4782b244",
     "fig3b_g2.json": "6c2ca80ce70535ca699160284a4309078d901c2e59cde4f0718bbfeb45db08b5",
     "figs1_calibration.csv": "32c5f961ee9121b0e2c05eec7f3506711365a1a6bf6b4c1aa77d49a38404775e",
@@ -705,20 +709,20 @@ def test_fit_cli_unparseable_row(tmp_path, capsys):
 def test_thermometry_reproduces_fig2_from_its_counts(tmp_path, device_config,
                                                      device_config_path):
     # fig2 and thermometry share one asymmetry analysis: fed the counts fig2
-    # simulates (signal plus dark clicks), thermometry writes fig2's numbers
+    # draws (signal plus dark clicks), thermometry writes fig2's numbers
     seed, n_seq = 3, 2_000_000
     assert device_config.sequence.pulses[0].duration == sim.PULSE_DURATION
     assert run("reproduce", "fig2", "--config", device_config_path, "--seed", seed,
                "--sequences", n_seq, "--out", tmp_path) == 0
+    signal, dark = (1 + sim.ORIGINS.index(origin) for origin in ("signal", "dark"))
     rows = ["side,pulse_energy_j,clicks,n_pulses"]
     for i, p_s in enumerate(np.geomspace(0.004, 0.05, 6)):  # fig2's grid
         for side, run_seed in (("red", seed + 2 * i), ("blue", seed + 2 * i + 1)):
             config = sim.single_pulse_config(device_config, side, p_s, n_seq)
-            _, report = sim.simulate(config, run_seed)
-            totals = report.pulse_totals[0]
+            (cells,) = sim.sample_counts(sim.sequence_model(config), n_seq, run_seed)
             energy = sim.pulse_energy_at_device(config.sequence.pulses[0],
                                                 config.detection.eta_fc)
-            rows.append(f"{side},{energy!r},{totals['signal'] + totals['dark']},{n_seq}")
+            rows.append(f"{side},{energy!r},{cells[signal] + cells[dark]},{n_seq}")
     counts = tmp_path / "counts.csv"
     counts.write_text("\n".join(rows) + "\n")
     assert run("thermometry", "--config", device_config_path, "--counts", counts,
@@ -729,6 +733,18 @@ def test_thermometry_reproduces_fig2_from_its_counts(tmp_path, device_config,
     for fig2_row, thermometry_row in zip(fig2, thermometry):
         # n_th_est, n_th_err, cooperativity against n_th, n_th_err, cooperativity
         assert fig2_row.split(",")[1:4] == thermometry_row.split(",")[2:5]
+
+
+def test_reproduce_fig2_draws_the_full_int64_range_of_sequences(tmp_path, device_config_path):
+    # the counts are one multinomial per run, so 2**63 - 1 sequences per run
+    # need no memory beyond the counts; with statistical errors near 1e-8 what
+    # is left is the first-order estimator's own bias, at most +0.16% on the grid
+    assert run("reproduce", "fig2", "--config", device_config_path, "--seed", 0,
+               "--sequences", 2**63 - 1, "--out", tmp_path) == 0
+    _, names, columns = read_table(tmp_path / "fig2_thermometry.csv")
+    col = dict(zip(names, columns))
+    assert col["n_th_est"].size == 6
+    np.testing.assert_allclose(col["n_th_est"], col["n_th_true"], rtol=2e-3)
 
 
 def test_thermometry_rejects_unpaired_rows(tmp_path, device_config_path, capsys):

@@ -216,37 +216,52 @@ def _enumerated_outcomes(config, model, pulses):
     return table
 
 
+def _simulated_counts(config, model, seed):
+    """Per unit, the cell counts of one ``simulate`` run, read off its records."""
+    n_seq = config.sequence.n_sequences
+    batch, _ = sim.simulate(config, seed)
+    outcome = np.zeros((len(config.sequence.pulses), n_seq), dtype=np.int8)
+    outcome[batch.pulse_index, batch.sequence_index] = batch.origin + 1
+    assert np.count_nonzero(outcome) == len(batch)  # one click per pulse at most
+    return [np.bincount(np.ravel_multi_index(outcome[list(pulses)], table.shape),
+                        minlength=table.size).reshape(table.shape)
+            for pulses, table in model.outcomes]
+
+
+def _drawn_counts(config, model, seed):
+    """Per unit, the cell counts ``sample_counts`` draws for the run."""
+    return sim.sample_counts(model, config.sequence.n_sequences, seed)
+
+
 @pytest.mark.parametrize("case", ["pair", "three_pulses"])
 def test_simulate_samples_the_outcome_tables(device_config, case):
     # chi-square of each unit's per-sequence outcomes (per pulse: no click or
     # the click's origin) against its table enumerated from the independent
     # sources, over every cell of every unit, counts summed over seeds; cells
     # expecting fewer than 5 counts are pooled.  "pair" is a dense_analysis-like
-    # high-rate pair with darks, leakage and heating off
+    # high-rate pair with darks, leakage and heating off.  Each sampler of the
+    # tables is checked: simulate's records and sample_counts' totals
     n_seq, seeds = 100_000, 50 if case == "pair" else 20
     config = (_pair_config(device_config, 0.05, 0.38, 0.041, n_seq, eta_rest=0.41)
               if case == "pair" else _three_pulse_config(device_config, n_seq))
     model = sim.sequence_model(config)
-    counts = {pulses: 0 for pulses, _ in model.outcomes}
-    for seed in range(seeds):
-        batch, _ = sim.simulate(config, seed)
-        outcome = np.zeros((len(config.sequence.pulses), n_seq), dtype=np.int8)
-        outcome[batch.pulse_index, batch.sequence_index] = batch.origin + 1
-        assert np.count_nonzero(outcome) == len(batch)  # one click per pulse at most
-        for pulses, table in model.outcomes:
-            cells = np.ravel_multi_index(outcome[list(pulses)], table.shape)
-            counts[pulses] = counts[pulses] + np.bincount(cells, minlength=table.size)
-    stat, dof = 0.0, 0
-    for pulses, observed in counts.items():
-        expected = seeds * n_seq * _enumerated_outcomes(config, model, pulses).ravel()
-        small = expected < 5
-        expected = np.append(expected[~small], expected[small].sum())
-        observed = np.append(observed[~small], observed[small].sum())
-        assert not observed[expected == 0].any(), pulses
-        observed, expected = observed[expected > 0], expected[expected > 0]
-        stat += float(((observed - expected) ** 2 / expected).sum())
-        dof += expected.size - 1
-    assert stat < chi2.ppf(0.999, dof)
+    for sampler in (_simulated_counts, _drawn_counts):
+        counts = {pulses: 0 for pulses, _ in model.outcomes}
+        for seed in range(seeds):
+            for (pulses, table), cells in zip(model.outcomes, sampler(config, model, seed)):
+                assert cells.shape == table.shape and cells.sum() == n_seq
+                counts[pulses] = counts[pulses] + cells.ravel()
+        stat, dof = 0.0, 0
+        for pulses, observed in counts.items():
+            expected = seeds * n_seq * _enumerated_outcomes(config, model, pulses).ravel()
+            small = expected < 5
+            expected = np.append(expected[~small], expected[small].sum())
+            observed = np.append(observed[~small], observed[small].sum())
+            assert not observed[expected == 0].any(), pulses
+            observed, expected = observed[expected > 0], expected[expected > 0]
+            stat += float(((observed - expected) ** 2 / expected).sum())
+            dof += expected.size - 1
+        assert stat < chi2.ppf(0.999, dof), sampler.__name__
 
 
 def test_seed_independence_over_pairs(device_config):
